@@ -110,10 +110,6 @@ def _print_payload(value, indent="  ", key=None) -> None:
         print(f"{indent}{label}{value}")
 
 
-def _ring(d: int) -> RingSpec:
-    return RingSpec(d)
-
-
 def _elems_for(spec: RingSpec, pairs: list[tuple[int, int]]) -> list[RingElem]:
     return [spec.elem(u, v) for u, v in pairs]
 
@@ -150,7 +146,7 @@ def cmd_search(args) -> int:
     else:
         config["d"] = str(args.d)
         cfg = SearchConfig(
-            _ring(args.d), b_sq, args.size, mode=args.mode, min_abs_sq=args.min_sq
+            RingSpec(args.d), b_sq, args.size, mode=args.mode, min_abs_sq=args.min_sq
         )
         res = find_m_tuples(cfg, cache_dir=args.cache_dir)
         payload = {
@@ -170,7 +166,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _ring(args.d)
+    spec = RingSpec(args.d)
     config = {"d": str(args.d), "elems": ";".join(f"{u},{v}" for u, v in args.elems)}
     try:
         t = make_tuple(spec, _elems_for(spec, args.elems))
@@ -199,7 +195,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    spec = _ring(args.d)
+    spec = RingSpec(args.d)
     config = {"d": str(args.d), "elems": ";".join(f"{u},{v}" for u, v in args.elems)}
     if len(args.elems) != 3:
         _emit(_report("gap", config, "error", {"reason": "need exactly three elements"}), args.format)
@@ -243,7 +239,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    spec = _ring(args.d)
+    spec = RingSpec(args.d)
     config = {
         "d": str(args.d),
         "elems": ";".join(f"{u},{v}" for u, v in args.elems),

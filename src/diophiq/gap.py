@@ -23,8 +23,7 @@ interval arithmetic, and those must certify below the 4096-bit cap.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -37,6 +36,7 @@ from .exactreal import (
     PREC_START,
     ExactReal,
     _IV_LOCK,
+    _iv_from_fraction,
     _raw_to_fraction,
     const,
     iv_sqrt_nonneg,
@@ -83,12 +83,8 @@ def _k_abs_sq(a: KNum, d: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _iv_frac(x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-
 def _cplx_from_k(a: KNum, d: int):
-    return (_iv_frac(a[0]), _iv_frac(a[1]) * iv.sqrt(iv.mpf(-d)))
+    return (_iv_from_fraction(a[0]), _iv_from_fraction(a[1]) * iv.sqrt(iv.mpf(-d)))
 
 
 def _cplx_abs(c):
@@ -104,8 +100,8 @@ def _cplx_sqrt_of_exact(a: KNum, d: int):
     """
     x, y = a
     r_sq = x * x - d * y * y
-    abs_w = iv_sqrt_nonneg(_iv_frac(r_sq))
-    re_w = _iv_frac(x)
+    abs_w = iv_sqrt_nonneg(_iv_from_fraction(r_sq))
+    re_w = _iv_from_fraction(x)
     gamma = iv_sqrt_nonneg((abs_w + re_w) / 2)
     delta = iv_sqrt_nonneg((abs_w - re_w) / 2)
     if y < 0:
@@ -248,7 +244,6 @@ class GapReport:
     p: ExactReal
     lam: ExactReal
     c_const: ExactReal
-    preconds_ok: list[bool] = field(default_factory=list)
 
     def enclosures(self, prec: int = PREC_START) -> dict[str, tuple[Fraction, Fraction]]:
         return {
@@ -292,7 +287,6 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
     return GapReport(
         a1=a1, a2=a2, T=T, M_sq=m_sq,
         L=L, P=P, l=l, p=p, lam=lam, c_const=c_const,
-        preconds_ok=[True, True, True],
     )
 
 

@@ -15,7 +15,7 @@ it emits is exactly verified, and exhaustive search lives elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 from .errors import NotAQuadruple, NotASolution, NotATriple, OrbitNotDiverging
 from .ring import RingElem, canonical_sqrt

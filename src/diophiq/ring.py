@@ -1,10 +1,20 @@
 """Exact arithmetic in rings of integers of imaginary quadratic fields.
 
 For a squarefree d < 0 the ring of integers of Q(sqrt(d)) has integral
-basis (1, w) with w = sqrt(d) when d = 2, 3 (mod 4) and w = (-1+sqrt(d))/2
-when d = 1 (mod 4).  Elements are stored as exact integer coordinates
-(u, v) over that basis; every operation below is exact integer arithmetic,
-never floating point.
+basis (1, w), where w is a root of w^2 + t*w + n = 0 with
+
+    t = 0, n = -d        (w = sqrt(d))          when d = 2, 3 (mod 4),
+    t = 1, n = (1-d)/4   (w = (-1+sqrt(d))/2)   when d = 1 (mod 4).
+
+Elements are stored as exact integer coordinates (u, v) over that basis.
+The two constants are the only place the basis shows: every operation
+below is one formula in (t, n), with the absolute discriminant
+|D| = 4n - t^2, and every operation is exact integer arithmetic, never
+floating point.
+
+The norm 4*N(u + v*w) = (2u - t*v)^2 + |D|*v^2 bounds both coordinates of
+a disk, and in the doubled coordinates z = (X + Y*sqrt(t^2 - 4n))/2,
+X = 2u - t*v, Y = v, a square root is found in closed form.
 """
 
 from __future__ import annotations
@@ -34,24 +44,32 @@ def is_squarefree(n: int) -> bool:
 class RingSpec:
     """A ring of integers O_K for K = Q(sqrt(d)), d squarefree and negative.
 
-    half_basis is True exactly when d = 1 (mod 4), i.e. when the second
-    basis element is (-1+sqrt(d))/2 rather than sqrt(d).
+    t and n are the coefficients of the basis element's minimal polynomial
+    w^2 + t*w + n; they follow from d and so take no part in eq or hash.
     """
 
     d: int
-    half_basis: bool = field(init=False)
+    t: int = field(init=False, compare=False)
+    n: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d >= 0:
             raise ValueError(f"d must be negative, got {self.d}")
         if not is_squarefree(-self.d):
             raise ValueError(f"d must be squarefree, got {self.d}")
-        object.__setattr__(self, "half_basis", self.d % 4 == 1)
+        half = self.d % 4 == 1
+        object.__setattr__(self, "t", 1 if half else 0)
+        object.__setattr__(self, "n", (1 - self.d) // 4 if half else -self.d)
 
     @property
-    def half_coeff(self) -> int:
-        """(1-d)/4, the norm of the half-basis generator; only for half_basis."""
-        return (1 - self.d) // 4
+    def half_basis(self) -> bool:
+        """True exactly when d = 1 (mod 4), i.e. w = (-1+sqrt(d))/2."""
+        return self.t == 1
+
+    @property
+    def abs_disc(self) -> int:
+        """|D| = 4n - t^2, the absolute discriminant of O_K."""
+        return 4 * self.n - self.t * self.t
 
     def elem(self, u: int, v: int = 0) -> RingElem:
         return RingElem(u, v, self)
@@ -96,11 +114,9 @@ class RingElem:
             return RingElem(self.u * other, self.v * other, self.spec)
         self._check(other)
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        if self.spec.half_basis:
-            # w^2 = -w + (d-1)/4 from the minimal polynomial of (-1+sqrt(d))/2
-            c = (self.spec.d - 1) // 4
-            return RingElem(u1 * u2 + v1 * v2 * c, u1 * v2 + v1 * u2 - v1 * v2, self.spec)
-        return RingElem(u1 * u2 + v1 * v2 * self.spec.d, u1 * v2 + v1 * u2, self.spec)
+        s = self.spec
+        vv = v1 * v2  # times w^2 = -t*w - n
+        return RingElem(u1 * u2 - s.n * vv, u1 * v2 + v1 * u2 - s.t * vv, s)
 
     def __rmul__(self, other: int) -> RingElem:
         return self * other
@@ -108,14 +124,10 @@ class RingElem:
     def abs_sq(self) -> int:
         """Squared complex absolute value; equals the field norm, always a nonnegative int."""
         u, v = self.u, self.v
-        if self.spec.half_basis:
-            return u * u - u * v + self.spec.half_coeff * v * v
-        return u * u - self.spec.d * v * v
+        return u * (u - self.spec.t * v) + self.spec.n * v * v
 
     def conj(self) -> RingElem:
-        if self.spec.half_basis:
-            return RingElem(self.u - self.v, -self.v, self.spec)
-        return RingElem(self.u, -self.v, self.spec)
+        return RingElem(self.u - self.spec.t * self.v, -self.v, self.spec)
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
@@ -155,38 +167,24 @@ def cmp_abs(z1: RingElem, z2: RingElem) -> int:
 def elements_with_abs_sq(spec: RingSpec, n: int) -> list[RingElem]:
     """All ring elements of squared absolute value exactly n, sorted by (u, v).
 
-    Solves the positive definite norm form exactly: |v| is bounded by
-    floor(sqrt(4n/|disc|)) and the remaining quadratic in u is solved with
-    integer square roots only.
+    Solves the positive definite norm form (2u - t*v)^2 + |D|*v^2 = 4n
+    exactly, with integer square roots only.
     """
     if n < 0:
         return []
     if n == 0:
         return [spec.zero]
     out: list[RingElem] = []
-    d = spec.d
-    if spec.half_basis:
-        vmax = isqrt((4 * n) // (-d))
-        for v in range(-vmax, vmax + 1):
-            disc = 4 * n + d * v * v
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc or (v - r) % 2:
-                continue
-            out.append(RingElem((v + r) // 2, v, spec))
-            if r:
-                out.append(RingElem((v - r) // 2, v, spec))
-    else:
-        vmax = isqrt(n // (-d))
-        for v in range(-vmax, vmax + 1):
-            rem = n + d * v * v
-            u = isqrt(rem)
-            if u * u != rem:
-                continue
-            out.append(RingElem(u, v, spec))
-            if u:
-                out.append(RingElem(-u, v, spec))
+    t, disc = spec.t, spec.abs_disc
+    vmax = isqrt((4 * n) // disc)
+    for v in range(-vmax, vmax + 1):
+        rr = 4 * n - disc * v * v
+        r = isqrt(rr)
+        if r * r != rr or (t * v + r) % 2:
+            continue
+        out.append(RingElem((t * v + r) // 2, v, spec))
+        if r:
+            out.append(RingElem((t * v - r) // 2, v, spec))
     out.sort(key=lambda z: (z.u, z.v))
     return out
 
@@ -199,26 +197,15 @@ def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]
     """
     if b_sq < 1:
         return
-    d = spec.d
-    if spec.half_basis:
-        vmax = isqrt((4 * b_sq) // (-d))
-        c = spec.half_coeff
-        for v in range(-vmax, vmax + 1):
-            rr = 4 * b_sq + d * v * v
-            r = isqrt(rr)
-            cv = c * v * v
-            # u ranges over [(v-r)/2, (v+r)/2]
-            for u in range(-((r - v) // 2), (v + r) // 2 + 1):
-                if u or v:
-                    yield u, v, u * u - u * v + cv
-    else:
-        vmax = isqrt(b_sq // (-d))
-        for v in range(-vmax, vmax + 1):
-            r = isqrt(b_sq + d * v * v)
-            dv = -d * v * v
-            for u in range(-r, r + 1):
-                if u or v:
-                    yield u, v, u * u + dv
+    t, n, disc = spec.t, spec.n, spec.abs_disc
+    vmax = isqrt((4 * b_sq) // disc)
+    for v in range(-vmax, vmax + 1):
+        r = isqrt(4 * b_sq - disc * v * v)
+        tv, nv = t * v, n * v * v
+        # 2u - t*v ranges over [-r, r]
+        for u in range(-((r - tv) // 2), (tv + r) // 2 + 1):
+            if u or v:
+                yield u, v, u * (u - tv) + nv
 
 
 def enumerate_up_to(spec: RingSpec, b_sq: int) -> Iterator[RingElem]:
@@ -228,19 +215,47 @@ def enumerate_up_to(spec: RingSpec, b_sq: int) -> Iterator[RingElem]:
         yield RingElem(u, v, spec)
 
 
+def sqrt_coords(spec: RingSpec, wu: int, wv: int, r: int) -> tuple[int, int] | None:
+    """Coordinates (u, v) of a square root z of the element w = (wu, wv),
+    given r*r == abs_sq(w); None when w is not a square.
+
+    Write z = (X + Y*s)/2 and w = (P + Q*s)/2 with s = sqrt(t^2 - 4n), so
+    P = 2*wu - t*wv and Q = wv.  Then z*z == w and abs_sq(z) == r force
+    X^2 = P + 2r, |D|*Y^2 = 2r - P and XY = Q; X = t*Y (mod 2) follows,
+    so z = ((X + t*Y)/2, Y) lies in the ring.  The other root is -z.
+    """
+    disc = spec.abs_disc
+    p = 2 * wu - spec.t * wv
+    x_sq, y_sq_disc = p + 2 * r, 2 * r - p
+    if y_sq_disc % disc:  # r >= |P|/2, so both radicands are >= 0
+        return None
+    x, y = isqrt(x_sq), isqrt(y_sq_disc // disc)
+    if x * x != x_sq or y * y * disc != y_sq_disc:
+        return None
+    if wv < 0:
+        y = -y  # XY = Q with X >= 0
+    u = (x + spec.t * y) // 2
+    vv = y * y  # exact re-check of z*z == w
+    if (u * u - spec.n * vv, 2 * u * y - spec.t * vv) != (wu, wv):
+        return None
+    return u, y
+
+
 def sqrt_in_ring(w: RingElem) -> tuple[RingElem, ...]:
     """All z in the ring with z*z == w; empty, {0}, or a +/- pair.
 
     Necessary condition from norm multiplicativity: abs_sq(w) must be a
-    perfect square in Z.  Candidates are then the finitely many elements of
-    the right absolute value, filtered by exact squaring.
+    perfect square in Z; sqrt_coords then gives the root in closed form.
     """
     n = w.abs_sq()
     r = isqrt(n)
-    if r * r != n:
+    root = sqrt_coords(w.spec, w.u, w.v, r) if r * r == n else None
+    if root is None:
         return ()
-    roots = tuple(z for z in elements_with_abs_sq(w.spec, r) if z * z == w)
-    return tuple(sorted(roots, key=RingElem.canonical_key))
+    z = RingElem(*root, w.spec)
+    if z.is_zero():
+        return (z,)
+    return tuple(sorted((z, -z), key=RingElem.canonical_key))
 
 
 def canonical_sqrt(w: RingElem) -> RingElem | None:

@@ -5,13 +5,15 @@ graph (edge iff the product plus one is a square in the ring), and list
 m-cliques via degeneracy-ordered backtracking.  Every clique found is
 re-verified through make_tuple before it is reported.
 
-The sweep runs that search over every squarefree |D| <= 1024 plus one
-rational-integer pass.  That set is complete for bound 16: a non-real
-element of absolute value <= 16 needs |D| <= 256 (integral basis) or
-|D| <= 1024 (half-integer basis, |Im z| = |v| sqrt|D|/2), and beyond the
-cutoff every candidate element is a rational integer whose witnesses are
-rational integers too, since a non-real witness w = y sqrt(D) for
-w^2 = N with |N| <= 257 would force |D| <= 257.
+The sweep at bound |z|^2 <= B runs that search over every squarefree
+|d| <= 4B plus one rational-integer pass, and that set is complete for
+every B.  A non-real element z = u + v*w has 4|z|^2 >= |D| v^2 with
+|D| = |d| (half-integer basis) or 4|d| (integral basis), so it needs
+|d| <= 4B or |d| <= B respectively.  Beyond those cutoffs every candidate
+element is a rational integer, and so are its witnesses: a non-real
+witness of a rational a*b + 1 is some y*sqrt(d) with y a nonzero integer,
+and |y^2 d| = |a*b + 1| <= B + 1 forces |d| <= B + 1.  The rational pass
+covers all those rings at once.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from math import isqrt
 from .ring import (
     RingElem,
     RingSpec,
-    elements_with_abs_sq,
+    enumerate_up_to,
     is_squarefree,
     iter_disk_coords,
+    sqrt_coords,
     sqrt_in_ring,
 )
 from .tuples import (
@@ -40,11 +43,6 @@ from .tuples import (
     make_tuple,
     quadruple_extension_candidates,
 )
-
-HALF_BASIS_CUTOFF = 1024
-INT_BASIS_CUTOFF = 256
-WITNESS_CUTOFF = 257
-PRODUCT_PLUS_ONE_BOUND = 257  # |a_i a_j + 1| <= 16*16 + 1 at bound 16
 
 
 @dataclass(frozen=True)
@@ -83,47 +81,33 @@ class SearchResult:
 
 
 def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]], int]:
-    """Adjacency sets over vertex indices; returns (adj, pairs_tested)."""
-    n = len(vertices)
-    coords = [(z.u, z.v) for z in vertices]
+    """Adjacency sets over vertex indices; returns (adj, pairs_tested).
+
+    The product plus one w of each pair must pass the norm filter
+    (abs_sq(w) a perfect square) before the exact square test.
+    """
+    tc, nc = spec.t, spec.n
+    # u - t*v rides along: u1*v2 + v1*u2 - t*v1*v2 == u1*v2 + v1*(u2 - t*v2)
+    coords = [(z.u, z.v, z.u - tc * z.v) for z in vertices]
+    n = len(coords)
     adj: list[set[int]] = [set() for _ in range(n)]
-    d = spec.d
-    tested = 0
-    if spec.half_basis:
-        cc = (d - 1) // 4
-        hc = (1 - d) // 4
-        for i in range(n):
-            u1, v1 = coords[i]
-            for j in range(i + 1, n):
-                u2, v2 = coords[j]
-                wu = u1 * u2 + v1 * v2 * cc + 1
-                wv = u1 * v2 + v1 * u2 - v1 * v2
-                nw = wu * wu - wu * wv + hc * wv * wv
-                r = isqrt(nw)
-                tested += 1
-                if r * r == nw and _is_square(spec, wu, wv, r):
-                    adj[i].add(j)
-                    adj[j].add(i)
-    else:
-        for i in range(n):
-            u1, v1 = coords[i]
-            for j in range(i + 1, n):
-                u2, v2 = coords[j]
-                wu = u1 * u2 + v1 * v2 * d + 1
-                wv = u1 * v2 + v1 * u2
-                nw = wu * wu - d * wv * wv
-                r = isqrt(nw)
-                tested += 1
-                if r * r == nw and _is_square(spec, wu, wv, r):
-                    adj[i].add(j)
-                    adj[j].add(i)
-    return adj, tested
+    for i, (u1, v1, _) in enumerate(coords):
+        nv1 = nc * v1
+        for j in range(i + 1, n):
+            u2, v2, cu2 = coords[j]
+            wu = u1 * u2 - nv1 * v2 + 1
+            wv = u1 * v2 + v1 * cu2
+            nw = wu * (wu - tc * wv) + nc * wv * wv
+            r = isqrt(nw)
+            if r * r == nw and _is_square(spec, wu, wv, r):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj, n * (n - 1) // 2
 
 
 def _is_square(spec: RingSpec, wu: int, wv: int, root_norm: int) -> bool:
     """Exact square test for w = (wu, wv) given isqrt(abs_sq(w)) == root_norm."""
-    w = spec.elem(wu, wv)
-    return any(z * z == w for z in elements_with_abs_sq(spec, root_norm))
+    return sqrt_coords(spec, wu, wv, root_norm) is not None
 
 
 def _degeneracy_order(adj: list[set[int]]) -> list[int]:
@@ -232,24 +216,13 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
 def naive_find_m_tuples(cfg: SearchConfig) -> tuple[DiophTuple, ...]:
     """Independent oracle: plain nested combinations with full verification."""
     spec = cfg.spec
-    elems = [
-        z
-        for z in _sorted_elements(spec, cfg.max_abs_sq)
-        if z.abs_sq() >= cfg.min_abs_sq
-    ]
+    elems = [z for z in enumerate_up_to(spec, cfg.max_abs_sq) if z.abs_sq() >= cfg.min_abs_sq]
     found = []
     for combo in itertools.combinations(elems, cfg.target_size):
         if is_diophantine_tuple(spec, list(combo)):
             found.append(make_tuple(spec, list(combo)))
     found.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
     return tuple(found)
-
-
-def _sorted_elements(spec: RingSpec, b_sq: int) -> list[RingElem]:
-    return [
-        RingElem(u, v, spec)
-        for n, u, v in sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +247,18 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     prod = na * max_abs_sq
     w_bound = prod + 2 * isqrt(prod) + 3
 
-    # raw coordinate loop: w^2 - 1, then exact division by anchor
-    d_ring = spec.d
+    # raw coordinate loop: (w^2 - 1) * conj(anchor), then exact division by na
+    tc, nc = spec.t, spec.n
     au, av = anchor.u, anchor.v
-    if spec.half_basis:
-        cc = (d_ring - 1) // 4
-        acu, acv = au - av, -av  # conj(anchor)
-    else:
-        cc = d_ring
-        acu, acv = au, -av
+    acu, nav = au - tc * av, nc * av  # conj(anchor) == (acu, -av)
     candidates: set[RingElem] = set()
     if na == 1:
         candidates.add(-anchor.conj())  # w = 0: d = -1/anchor
     for u, v, _nw in iter_disk_coords(spec, w_bound):
-        # w^2 - 1
-        if spec.half_basis:
-            wu = u * u + v * v * cc - 1
-            wv = 2 * u * v - v * v
-            qu = wu * acu + wv * acv * cc
-            qv = wu * acv + wv * acu - wv * acv
-        else:
-            wu = u * u + v * v * cc - 1
-            wv = 2 * u * v
-            qu = wu * acu + wv * acv * cc
-            qv = wu * acv + wv * acu
+        wu = u * u - nc * v * v - 1
+        wv = v * (2 * u - tc * v)
+        qu = wu * acu + wv * nav
+        qv = wv * au - wu * av
         if qu % na or qv % na:
             continue
         candidates.add(RingElem(qu // na, qv // na, spec))
@@ -336,7 +297,7 @@ def census_double_regular_triples(
     This reproduces the check-all-small-triples step of the double-regular
     refutation: the branch elements may lie outside the element range.
     """
-    elems = [z for z in _sorted_elements(spec, max_abs_sq) if z.abs_sq() >= min_abs_sq]
+    elems = [z for z in enumerate_up_to(spec, max_abs_sq) if z.abs_sq() >= min_abs_sq]
     triples: dict[tuple, DiophTuple] = {}
     configs = []
     for a, b in itertools.combinations(elems, 2):
@@ -369,9 +330,10 @@ def census_double_regular_triples(
 # ---------------------------------------------------------------------------
 
 
-def sweep_ring_list(half_cutoff: int = HALF_BASIS_CUTOFF) -> list[int]:
-    """Every squarefree d < 0 with |d| <= the cutoff, descending from -1."""
-    return [-n for n in range(1, half_cutoff + 1) if is_squarefree(n)]
+def sweep_ring_list(b_sq: int = 256) -> list[int]:
+    """Every squarefree d < 0 with |d| <= 4*b_sq, descending from -1: the
+    rings that hold a non-real element with abs_sq <= b_sq."""
+    return [-n for n in range(1, 4 * b_sq + 1) if is_squarefree(n)]
 
 
 def rational_integer_pass(b_sq: int, size: int) -> list[tuple[int, ...]]:
@@ -424,10 +386,10 @@ def quintuple_sweep(
     workers: int | None = None,
     cache_dir: str | None = None,
 ) -> SweepReport:
-    """Search every ring in the derived complete cutoff set, plus the
+    """Search every ring in the cutoff set derived from b_sq, plus the
     rational-integer pass, and report all m-tuples found (expected: none
     for size 5 at bound 16)."""
-    rings = sweep_ring_list()
+    rings = sweep_ring_list(b_sq)
     jobs = [(d, b_sq, size, cache_dir) for d in rings]
     t0 = time.monotonic()
     if workers and workers > 1:
@@ -453,9 +415,9 @@ def quintuple_sweep(
         tuples=tuple(found),
         rational_pass_tuples=tuple(rational),
         completeness={
-            "half_basis_cutoff": HALF_BASIS_CUTOFF,
-            "integral_basis_cutoff": INT_BASIS_CUTOFF,
-            "witness_cutoff": WITNESS_CUTOFF,
+            "half_basis_cutoff": 4 * b_sq,
+            "integral_basis_cutoff": b_sq,
+            "witness_cutoff": b_sq + 1,
             "product_plus_one_bound": b_sq + 1,
             "rings": len(rings),
         },
@@ -474,7 +436,8 @@ def _violates_strong_bound(t: DiophTuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# result cache: one JSON-lines file per (d, B_sq, m)
+# result cache: one JSON-lines file per (d, B_sq, m), one tuple a line and
+# a closing {"count": N} line, so a truncated file cannot pass for a result
 # ---------------------------------------------------------------------------
 
 
@@ -491,17 +454,17 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> list[DiophTuple] | 
     path = _cache_path(cache_dir, cfg)
     if not os.path.exists(path):
         return None
-    tuples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                if data["d"] != cfg.spec.d:
-                    return None
-                tuples.append(DiophTuple.from_json_dict(data))  # re-verifies
+            lines = fh.read().splitlines()
+        if not lines or json.loads(lines[-1]) != {"count": len(lines) - 1}:
+            return None  # no count line, or tuples missing: recompute
+        tuples = []
+        for line in lines[:-1]:
+            data = json.loads(line)
+            if data["d"] != cfg.spec.d:
+                return None
+            tuples.append(DiophTuple.from_json_dict(data))  # re-verifies
     except Exception:
         return None  # corrupt or stale cache: recompute
     return tuples
@@ -516,4 +479,5 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTup
     with open(tmp, "w", encoding="utf-8") as fh:
         for t in tuples:
             fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
+        fh.write(json.dumps({"count": len(tuples)}) + "\n")
     os.replace(tmp, path)

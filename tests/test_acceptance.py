@@ -9,6 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,7 @@ def test_criterion_1_quintuple_absence(capsys):
     assert '"outcome": "ok"' in out
     assert '"rings_checked": "624"' in out  # every squarefree |D| <= 1024
     assert '"rational_pass_tuples": []' in out
+    assert out == (Path(__file__).parent / "data" / "sweep_b16_m5.json").read_text()
     with capsys.disabled():
         _passed("criterion 1: no Diophantine quintuple with |z| <= 16 over 624 rings + rational pass")
 

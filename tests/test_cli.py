@@ -1,8 +1,22 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from diophiq.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+# stored --format json reports of fixed inputs; the name is the file in DATA
+GOLDEN = {
+    "search_d-3_b6_m3": ["search", "--d", "-3", "--bound", "6", "--size", "3"],
+    "search_d-2_b6_m3": ["search", "--d", "-2", "--bound", "6", "--size", "3"],
+    "extend_d-1_1_3_8_b130": ["extend", "--d", "-1", "--elems", "1,0;3,0;8,0", "--bound", "130"],
+    "extend_d-3_1_3_8_b130": ["extend", "--d", "-3", "--elems", "1,0;3,0;8,0", "--bound", "130"],
+    "verify_d-1_1_3_8_120": ["verify", "--d", "-1", "--elems", "1,0;3,0;8,0;120,0"],
+    "gap_d-11_criterion4": ["gap", "--d", "-11", "--elems", "4,1;9,-1;580259305885538,354"],
+    "chain_m43": ["chain", "--m", "43"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -126,7 +140,9 @@ def test_sweep_small_bound(capsys):
     )
     # unit pairs exist ({-1, 1} and friends), so a size-2 sweep finds tuples
     assert code == 0
-    assert int(rep["payload"]["rings_checked"]) > 600
+    # a non-real element with abs_sq <= 1 needs |d| <= 4: d = -1, -2, -3
+    assert int(rep["payload"]["rings_checked"]) == 3
+    assert rep["payload"]["completeness"]["half_basis_cutoff"] == "4"
     assert len(rep["payload"]["tuples"]) > 0
 
 
@@ -137,3 +153,10 @@ def test_cache_dir_flag(capsys, tmp_path):
     )
     assert code == 0
     assert list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(capsys, name):
+    code, out = run_cli(capsys, *GOLDEN[name], "--format", "json")
+    assert code == 0
+    assert out == (DATA / f"{name}.json").read_text()

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diophiq.errors import MixedRings
@@ -166,6 +166,41 @@ def test_sqrt_round_trip(spec, a):
     for r in roots:
         assert r * r == w
         assert -r in roots or r.is_zero()
+
+
+def _sqrt_by_norm_form(w: RingElem) -> tuple[RingElem, ...]:
+    """Reference root search: the elements of absolute value sqrt|w| whose
+    square is w, or none when abs_sq(w) is not a perfect square."""
+    n = w.abs_sq()
+    r = math.isqrt(n)
+    if r * r != n:
+        return ()
+    roots = [z for z in elements_with_abs_sq(w.spec, r) if z * z == w]
+    return tuple(sorted(roots, key=RingElem.canonical_key))
+
+
+BOTH_BASES = RINGS + [RingSpec(-5), RingSpec(-6), RingSpec(-15)]
+
+
+@given(
+    spec=st.sampled_from(BOTH_BASES),
+    a=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    kind=st.sampled_from(["any", "square", "minus_square", "norm", "times_conj"]),
+)
+@example(spec=D1, a=(2, 0), kind="any")         # norm 4, yet 2 = -i(1+i)^2 is no square
+@example(spec=D2, a=(3, 1), kind="minus_square")
+@example(spec=RingSpec(-15), a=(1, 1), kind="norm")
+@settings(max_examples=400)
+def test_sqrt_matches_norm_form_search(spec, a, kind):
+    z = spec.elem(*a)
+    w = {
+        "any": z,
+        "square": z * z,
+        "minus_square": -(z * z),          # abs_sq a perfect square, rarely a square
+        "norm": spec.elem(z.abs_sq()),     # likewise
+        "times_conj": z * z.conj() * z,    # abs_sq = abs_sq(z)^3
+    }[kind]
+    assert sqrt_in_ring(w) == _sqrt_by_norm_form(w)
 
 
 def test_elements_with_abs_sq():

@@ -129,6 +129,32 @@ def test_sweep_ring_list_is_complete_cutoff():
     assert all(d % 4 != 0 for d in rings)
 
 
+def test_sweep_ring_list_follows_bound():
+    # at bound 20 these rings hold non-real triples such as
+    # {(-17,0), (11,-1), (12,1)} in d=-1067, beyond the bound-16 cutoff 1024
+    rings = sweep_ring_list(400)
+    assert len(rings) == sum(1 for n in range(1, 1601) if all(n % (p * p) for p in range(2, 41)))
+    nonreal = {}
+    for d in (-1067, -1079, -1155):
+        assert d in rings
+        res = find_m_tuples(SearchConfig(RingSpec(d), 400, 3))
+        nonreal[d] = {elems_of(t) for t in res.tuples if any(z.v for z in t.elems)}
+        assert nonreal[d], d
+    assert ((-17, 0), (11, -1), (12, 1)) in {tuple(sorted(k)) for k in nonreal[-1067]}
+
+
+def test_sweep_reports_cutoffs_of_its_bound():
+    rep = quintuple_sweep(b_sq=4, size=3, workers=1)
+    assert rep.rings_checked == tuple(sweep_ring_list(4))
+    assert rep.completeness == {
+        "half_basis_cutoff": 16,
+        "integral_basis_cutoff": 4,
+        "witness_cutoff": 5,
+        "product_plus_one_bound": 5,
+        "rings": len(rep.rings_checked),
+    }
+
+
 def test_rational_integer_pass():
     assert rational_integer_pass(256, 5) == []
     triples = rational_integer_pass(256, 3)
@@ -162,6 +188,27 @@ def test_cache_corruption_triggers_recompute(tmp_path):
     res = find_m_tuples(cfg, cache_dir=cache)
     assert res.stats.pairs_tested > 0  # recomputed
     assert res.count > 0
+
+
+def test_cache_empty_file_triggers_recompute(tmp_path):
+    cfg = SearchConfig(D1, 100, 3)
+    first = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert first.count == 272
+    (tmp_path / "d-1_b100_m3.jsonl").write_text("")
+    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert res.stats.pairs_tested > 0  # recomputed
+    assert res.count == 272
+
+
+def test_cache_missing_tuple_line_triggers_recompute(tmp_path):
+    cfg = SearchConfig(D1, 100, 3)
+    first = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    path = tmp_path / "d-1_b100_m3.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[1:]))  # one tuple gone, count line kept
+    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert res.stats.pairs_tested > 0  # recomputed
+    assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, first.tuples))
 
 
 def test_determinism_workers_independent():
