@@ -56,6 +56,13 @@ def _parse_elems(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _fr(x: Fraction | int) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_search.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=int, help="ring parameter (negative squarefree)")
     group.add_argument("--sweep", action="store_true", help="run over the complete ring cutoff set")
-    p_search.add_argument("--bound", type=int, default=16, help="max |z| (squared internally)")
+    p_search.add_argument("--bound", type=_nonnegative_int, default=16, help="max |z| (squared internally)")
     p_search.add_argument("--bound-sq", type=int, default=None, help="max abs_sq directly (overrides --bound)")
     p_search.add_argument("--min-sq", type=int, default=1, help="min abs_sq filter on elements")
     p_search.add_argument("--size", type=int, required=True, help="tuple size m")
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extend = sub.add_parser("extend", help="bounded extension search for a tuple")
     p_extend.add_argument("--d", type=int, required=True)
     p_extend.add_argument("--elems", type=_parse_elems, required=True)
-    p_extend.add_argument("--bound", type=int, required=True, help="max |d| (squared internally)")
+    p_extend.add_argument("--bound", type=_nonnegative_int, required=True, help="max |d| (squared internally)")
     add_common(p_extend)
     p_extend.set_defaults(func=cmd_extend)
     return parser

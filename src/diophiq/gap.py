@@ -245,12 +245,6 @@ class GapReport:
     lam: ExactReal
     c_const: ExactReal
 
-    def enclosures(self, prec: int = PREC_START) -> dict[str, tuple[Fraction, Fraction]]:
-        return {
-            name: getattr(self, name).enclosure(prec)
-            for name in ("L", "P", "l", "p", "lam", "c_const")
-        }
-
 
 def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
     """Evaluate L, P, l, p, lambda, c for theta_i = sqrt(1 + a_i/T).

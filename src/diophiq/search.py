@@ -234,8 +234,13 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     """All d with abs_sq(d) <= max_abs_sq extending t; complete within the bound.
 
     Witnesses for the smallest element a are enumerated instead of candidate
-    d's: every valid d satisfies a*d + 1 = w^2 with
-    abs_sq(w) <= |a||d| + 1, a much smaller disk.  Each candidate is then
+    d's.  Every valid d satisfies a*d + 1 = w^2, so the integer
+    abs_sq(w) = |a*d + 1| <= |a||d| + 1 <= sqrt(abs_sq(a) * max_abs_sq) + 1,
+    that is abs_sq(w) <= isqrt(abs_sq(a) * max_abs_sq) + 1: that disk holds
+    every witness.  Over an integral domain w'^2 == w^2 only when w' = +/-w,
+    and d = (w^2 - 1)/a is fixed by w^2, so walking one of each pair +/-w
+    (plus w = 0, which gives d = -1/a when a is a unit) yields each
+    candidate exactly once.  The candidates within the bound are then
     verified against every remaining element.
     """
     if max_abs_sq < 1:
@@ -244,32 +249,34 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     anchor = min(t.elems, key=RingElem.canonical_key)
     others = [e for e in t.elems if e != anchor]
     na = anchor.abs_sq()
-    prod = na * max_abs_sq
-    w_bound = prod + 2 * isqrt(prod) + 3
+    w_bound = isqrt(na * max_abs_sq) + 1
 
     # raw coordinate loop: (w^2 - 1) * conj(anchor), then exact division by na
     tc, nc = spec.t, spec.n
     au, av = anchor.u, anchor.v
     acu, nav = au - tc * av, nc * av  # conj(anchor) == (acu, -av)
-    candidates: set[RingElem] = set()
-    if na == 1:
-        candidates.add(-anchor.conj())  # w = 0: d = -1/anchor
+    candidates = [-anchor.conj()] if na == 1 else []  # w = 0: d = -1/anchor
     for u, v, _nw in iter_disk_coords(spec, w_bound):
+        if v < 0 or (v == 0 and u < 0):
+            continue  # -w gives the same d as w
         wu = u * u - nc * v * v - 1
         wv = v * (2 * u - tc * v)
         qu = wu * acu + wv * nav
         qv = wv * au - wu * av
         if qu % na or qv % na:
             continue
-        candidates.add(RingElem(qu // na, qv // na, spec))
+        du, dv = qu // na, qv // na
+        if du * (du - tc * dv) + nc * dv * dv <= max_abs_sq:
+            candidates.append(RingElem(du, dv, spec))
 
-    out = []
     one = spec.one
-    for d in candidates:
-        if d.is_zero() or d in t.elems or d.abs_sq() > max_abs_sq:
-            continue
-        if all(sqrt_in_ring(e * d + one) for e in others):
-            out.append(d)
+    out = [
+        d
+        for d in candidates
+        if not d.is_zero()
+        and d not in t.elems
+        and all(sqrt_in_ring(e * d + one) for e in others)
+    ]
     return sorted(out, key=RingElem.canonical_key)
 
 

@@ -128,6 +128,21 @@ def test_extend_finds_120(capsys):
     assert rep["payload"]["regular_candidates"]["verified"] == ["120,0"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--d", "-1", "--size", "3", "--bound", "-4"],
+        ["extend", "--d", "-1", "--elems", "1,0;3,0;8,0", "--bound", "-20"],
+    ],
+    ids=["search", "extend"],
+)
+def test_negative_bound_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
 def test_text_format_default(capsys):
     code, out = run_cli(capsys, "chain", "--m", "43")
     assert code == 0

@@ -1,8 +1,13 @@
+import functools
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diophiq.ring import RingSpec
+from diophiq import search
+from diophiq.ring import RingElem, RingSpec, enumerate_up_to, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
     census_double_regular_triples,
@@ -13,7 +18,7 @@ from diophiq.search import (
     rational_integer_pass,
     sweep_ring_list,
 )
-from diophiq.tuples import make_tuple
+from diophiq.tuples import is_diophantine_tuple, make_tuple
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -118,6 +123,61 @@ def test_extend_handles_unit_anchor_zero_witness():
     t = make_tuple(D1, [D1.elem(-1)])
     exts = extend_tuple(t, 4)
     assert D1.elem(1) in exts
+
+
+@pytest.mark.parametrize("d", [-1, -3])
+@pytest.mark.parametrize(
+    "coords", [((1, 0), (3, 0), (8, 0)), ((2, 1),)], ids=["unit-anchor", "non-unit-anchor"]
+)
+def test_extend_enumerates_witness_disk_of_its_bound(monkeypatch, d, coords):
+    # a*d + 1 = w^2 and abs_sq(d) <= B give abs_sq(w) <= isqrt(abs_sq(a)*B) + 1
+    spec = RingSpec(d)
+    t = make_tuple(spec, [spec.elem(u, v) for u, v in coords])
+    na = min(t.elems, key=RingElem.canonical_key).abs_sq()
+    radii = []
+
+    def recording(ring, b_sq):
+        radii.append(b_sq)
+        return iter_disk_coords(ring, b_sq)
+
+    monkeypatch.setattr(search, "iter_disk_coords", recording)
+    extend_tuple(t, 400)
+    assert radii and max(radii) <= isqrt(na * 400) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _small_tuples(d):
+    """Coordinates of every 1-, 2- and 3-tuple with all abs_sq <= 25."""
+    spec = RingSpec(d)
+    out = [(z.coords(),) for z in enumerate_up_to(spec, 25)]
+    for m in (2, 3):
+        out += [elems_of(t) for t in find_m_tuples(SearchConfig(spec, 25, m)).tuples]
+    return out
+
+
+small_tuples = st.sampled_from([-1, -2, -3, -7, -15]).flatmap(
+    lambda d: st.tuples(st.just(d), st.sampled_from(_small_tuples(d)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_tuples, b_sq=st.integers(1, 400))
+@example(case=(-1, ((1, 0),)), b_sq=225)  # d = 15 = 4^2 - 1 needs abs_sq(w) = isqrt(B) + 1
+@example(case=(-1, ((-1, 0),)), b_sq=400)
+@example(case=(-1, ((0, 1),)), b_sq=400)  # i
+@example(case=(-3, ((0, 1),)), b_sq=400)  # omega
+@example(case=(-2, ((-1, -1), (-1, 1), (2, 0))), b_sq=400)  # non-real anchor, abs_sq 3
+@example(case=(-1, ((1, 0), (3, 0), (8, 0))), b_sq=400)
+def test_extend_matches_brute_force_oracle(case, b_sq):
+    d, coords = case
+    spec = RingSpec(d)
+    t = make_tuple(spec, [spec.elem(u, v) for u, v in coords])
+    oracle = [
+        z
+        for z in enumerate_up_to(spec, b_sq)
+        if z not in t.elems and is_diophantine_tuple(spec, list(t.elems) + [z])
+    ]
+    assert extend_tuple(t, b_sq) == oracle
 
 
 def test_sweep_ring_list_is_complete_cutoff():
