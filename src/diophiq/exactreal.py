@@ -255,12 +255,12 @@ class ExactReal:
     def __ge__(self, other: Number) -> bool:
         return self.compare(other) >= 0
 
-    def enclosure(self, prec: int = PREC_START) -> tuple[Fraction, Fraction]:
+    def enclosure(self) -> tuple[Fraction, Fraction]:
         """Certified rational endpoints [lo, hi] containing the true value."""
         if self.exact is not None:
             return (self.exact, self.exact)
         with _IV_LOCK:
-            p = prec
+            p = PREC_START
             while p <= PREC_CAP:
                 old = iv.prec
                 try:

@@ -3,8 +3,9 @@
 Four layers, all exact or certified:
 
 * approx_check       -- the two simultaneous-approximation inequalities a
-                        Pell solution must satisfy, checked with complex
-                        interval arithmetic around exact field elements;
+                        Pell solution must satisfy, built from exact ring
+                        quotients; every certified comparison goes through
+                        exactreal;
 * jz_quantities      -- the constant set (L, P, l, p, lambda, c) of the
                         simultaneous-approximation theorem, as certified
                         exact-or-interval scalars;
@@ -17,8 +18,8 @@ Four layers, all exact or certified:
 
 Upper bounds and hypothesis checks are carried on squared absolute values
 (integers) so every chain step compares exact big integers; only genuinely
-irrational comparisons (lambda, fractional powers) go through adaptive
-interval arithmetic, and those must certify below the 4096-bit cap.
+irrational comparisons (lambda, fractional powers, the approximation
+margins) go through exactreal's adaptive interval arithmetic.
 """
 
 from __future__ import annotations
@@ -27,20 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from mpmath import iv, mp
-from mpmath.libmp import mpf_lt
-
-from .errors import DegenerateInput, PreconditionViolated, TheoremInapplicable, UndecidableComparison
-from .exactreal import (
-    PREC_CAP,
-    PREC_START,
-    ExactReal,
-    _IV_LOCK,
-    _iv_from_fraction,
-    _raw_to_fraction,
-    const,
-    iv_sqrt_nonneg,
-)
+from .errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
+from .exactreal import ExactReal, const, sqrt_of
 from .pell import PellSolution, build_system, first_equation_holds, second_equation_holds
 from .ring import RingElem
 from .tuples import DiophTuple
@@ -48,80 +37,6 @@ from .tuples import DiophTuple
 K_CONSTANT = 4728
 """Gap-principle constant: the statement says 4278 but its proof derives
 4728; the larger, proof-consistent value is used everywhere and reported."""
-
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in the field K = Q(sqrt(d)), coordinates over (1, sqrt(d))
-# ---------------------------------------------------------------------------
-
-KNum = tuple[Fraction, Fraction]
-
-
-def _k_coords(z: RingElem) -> KNum:
-    """Field coordinates (x, y) with value x + y*sqrt(d)."""
-    if z.spec.half_basis:
-        return (Fraction(2 * z.u - z.v, 2), Fraction(z.v, 2))
-    return (Fraction(z.u), Fraction(z.v))
-
-
-def _k_mul(a: KNum, b: KNum, d: int) -> KNum:
-    return (a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _k_div(a: KNum, b: KNum, d: int) -> KNum:
-    n = b[0] * b[0] - d * b[1] * b[1]
-    inv = (b[0] / n, -b[1] / n)
-    return _k_mul(a, inv, d)
-
-
-def _k_abs_sq(a: KNum, d: int) -> Fraction:
-    return a[0] * a[0] - d * a[1] * a[1]
-
-
-# ---------------------------------------------------------------------------
-# complex intervals: (re, im) pairs of mpmath iv values
-# ---------------------------------------------------------------------------
-
-
-def _cplx_from_k(a: KNum, d: int):
-    return (_iv_from_fraction(a[0]), _iv_from_fraction(a[1]) * iv.sqrt(iv.mpf(-d)))
-
-
-def _cplx_abs(c):
-    return iv_sqrt_nonneg(c[0] ** 2 + c[1] ** 2)
-
-
-def _cplx_sqrt_of_exact(a: KNum, d: int):
-    """Principal square root of the exact field element x + y*sqrt(d).
-
-    Uses gamma = sqrt((|w|+Re w)/2), delta = sign(Im w)*sqrt((|w|-Re w)/2);
-    |w|^2 is an exact rational, so every radicand is a monotone image of
-    exact data and the enclosure is certified.
-    """
-    x, y = a
-    r_sq = x * x - d * y * y
-    abs_w = iv_sqrt_nonneg(_iv_from_fraction(r_sq))
-    re_w = _iv_from_fraction(x)
-    gamma = iv_sqrt_nonneg((abs_w + re_w) / 2)
-    delta = iv_sqrt_nonneg((abs_w - re_w) / 2)
-    if y < 0:
-        delta = -delta
-    return (gamma, delta)
-
-
-def _iv_min(x, y):
-    lo = x._mpi_[0] if mpf_lt(x._mpi_[0], y._mpi_[0]) else y._mpi_[0]
-    hi = x._mpi_[1] if mpf_lt(x._mpi_[1], y._mpi_[1]) else y._mpi_[1]
-    return iv.mpf([mp.make_mpf(lo), mp.make_mpf(hi)])
-
-
-def _certified_le(x, y) -> bool:
-    """sup x <= inf y on interval endpoints."""
-    return not mpf_lt(y._mpi_[0], x._mpi_[1])
-
-
-def _certified_lt(x, y) -> bool:
-    return mpf_lt(x._mpi_[1], y._mpi_[0])
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +48,6 @@ def _certified_lt(x, y) -> bool:
 class ApproxReport:
     """Certified margins for both approximation inequalities."""
 
-    prec: int
     # lower bounds on slack: bound minus attained value, per inequality
     slack_theta1: Fraction
     slack_cap1: Fraction
@@ -145,10 +59,11 @@ def approx_check(a: RingElem, b: RingElem, c: RingElem, sol: PellSolution) -> Ap
     """Certify both approximation inequalities for a solution of the system.
 
     theta_1 = +-(s/a)sqrt(a/c) approximated by sx/(az), theta_2 analogue with
-    t and y; each attained distance must fall below |s||c-a|/(|a|sqrt|ac|)/|z|^2
-    (resp. the t-side analogue), which in turn stays below
-    (21/16)(|c|/|a|)/|z|^2.  The sign of theta is not chosen a priori: the
-    minimum of the two branch distances is enclosed instead.
+    t and y; each attained distance must fall below
+    bound_1 = |s||c-a|/(|a|sqrt|ac|)/|z|^2 (resp. the t-side analogue), which
+    in turn stays below cap = (21/16)(|c|/|a|)/|z|^2.  The sign of theta is
+    not chosen a priori: the minimum of the two branch distances is taken.
+    Raises TheoremInapplicable naming every margin certified false.
     """
     failures = []
     if c.abs_sq() <= 16 * b.abs_sq():
@@ -164,65 +79,47 @@ def approx_check(a: RingElem, b: RingElem, c: RingElem, sol: PellSolution) -> Ap
         raise PreconditionViolated(failures)
     a, b, c = sys.a, sys.b, sys.c
 
-    d = a.spec.d
-    ka, kb, kc = _k_coords(a), _k_coords(b), _k_coords(c)
-    ks, kt = _k_coords(sys.s), _k_coords(sys.t)
-    kx, ky, kz = _k_coords(sol.x), _k_coords(sol.y), _k_coords(sol.z)
-    # exact field data
-    theta1_sq = _k_div(_k_mul(ks, ks, d), _k_mul(ka, kc, d), d)   # s^2/(ac) = 1 + 1/(ac)
-    theta2_sq = _k_div(_k_mul(kt, kt, d), _k_mul(kb, kc, d), d)
-    q1 = _k_div(_k_mul(ks, kx, d), _k_mul(ka, kz, d), d)
-    q2 = _k_div(_k_mul(kt, ky, d), _k_mul(kb, kz, d), d)
-
-    na, nb, nc = a.abs_sq(), b.abs_sq(), c.abs_sq()
-    ns, nt = sys.s.abs_sq(), sys.t.abs_sq()
-    ncma, ncmb = (c - a).abs_sq(), (c - b).abs_sq()
-    nz = sol.z.abs_sq()
-
-    prec = PREC_START
-    with _IV_LOCK:
-        while prec <= PREC_CAP:
-            old = iv.prec
-            try:
-                iv.prec = prec
-                theta1 = _cplx_sqrt_of_exact(theta1_sq, d)
-                theta2 = _cplx_sqrt_of_exact(theta2_sq, d)
-                e1 = _branch_distance(theta1, q1, d)
-                e2 = _branch_distance(theta2, q2, d)
-                bound1 = (
-                    iv_sqrt_nonneg(iv.mpf(ns)) * iv_sqrt_nonneg(iv.mpf(ncma))
-                    / (iv_sqrt_nonneg(iv.mpf(na)) * iv_sqrt_nonneg(iv_sqrt_nonneg(iv.mpf(na * nc))) * iv.mpf(nz))
-                )
-                bound2 = (
-                    iv_sqrt_nonneg(iv.mpf(nt)) * iv_sqrt_nonneg(iv.mpf(ncmb))
-                    / (iv_sqrt_nonneg(iv.mpf(nb)) * iv_sqrt_nonneg(iv_sqrt_nonneg(iv.mpf(nb * nc))) * iv.mpf(nz))
-                )
-                cap = iv.mpf(21) * iv_sqrt_nonneg(iv.mpf(nc)) / (iv.mpf(16) * iv_sqrt_nonneg(iv.mpf(na)) * iv.mpf(nz))
-                if (
-                    _certified_le(e1, bound1)
-                    and _certified_lt(bound1, cap)
-                    and _certified_le(e2, bound2)
-                    and _certified_lt(bound2, cap)
-                ):
-                    return ApproxReport(
-                        prec=prec,
-                        slack_theta1=_raw_to_fraction((bound1 - e1)._mpi_[0]),
-                        slack_cap1=_raw_to_fraction((cap - bound1)._mpi_[0]),
-                        slack_theta2=_raw_to_fraction((bound2 - e2)._mpi_[0]),
-                        slack_cap2=_raw_to_fraction((cap - bound2)._mpi_[0]),
-                    )
-            finally:
-                iv.prec = old
-            prec *= 2
-    raise UndecidableComparison(f"approximation margins not certified at {PREC_CAP} bits")
+    nc, nz = c.abs_sq(), sol.z.abs_sq()
+    cap = 21 * sqrt_of(nc) / (16 * sqrt_of(a.abs_sq()) * nz)
+    checks, slacks = {}, []
+    for i, w, e, v in ((1, sys.s, a, sol.x), (2, sys.t, b, sol.y)):
+        ne = e.abs_sq()
+        dist = _branch_distance(w * w, e * c, w * v, e * sol.z)  # theta^2 = w^2/(ec), q = wv/(ez)
+        bound = sqrt_of(w.abs_sq()) * sqrt_of((c - e).abs_sq()) / (sqrt_of(ne) * sqrt_of(ne * nc).sqrt() * nz)
+        checks[f"|theta_{i} - q_{i}| <= bound_{i}"] = dist <= bound
+        checks[f"bound_{i} < cap"] = bound < cap
+        slacks += [(bound - dist).enclosure()[0], (cap - bound).enclosure()[0]]
+    failing = [name for name, ok in checks.items() if not ok]
+    if failing:
+        raise TheoremInapplicable(f"approximation margins certified false: {failing}")
+    return ApproxReport(*slacks)
 
 
-def _branch_distance(theta, q: KNum, d: int):
-    """Enclosure of min over signs of |(+-theta) - q|."""
-    qc = _cplx_from_k(q, d)
-    plus = _cplx_abs((theta[0] - qc[0], theta[1] - qc[1]))
-    minus = _cplx_abs((-theta[0] - qc[0], -theta[1] - qc[1]))
-    return _iv_min(plus, minus)
+def _quotient(num: RingElem, den: RingElem) -> tuple[Fraction, Fraction]:
+    """(x, y) with num/den = x + y*sqrt|D|*i, both exact rationals."""
+    q = num * den.conj()
+    m2 = 2 * den.abs_sq()
+    return Fraction(2 * q.u - num.spec.t * q.v, m2), Fraction(q.v, m2)
+
+
+def _branch_distance(sq_num: RingElem, sq_den: RingElem, q_num: RingElem, q_den: RingElem) -> ExactReal:
+    """min over signs of |(+-theta) - q| for theta^2 = sq_num/sq_den, q = q_num/q_den.
+
+    theta = gamma + i*delta is the principal root: gamma = sqrt((|w|+Re w)/2),
+    delta = sign(Im w)*sqrt((|w|-Re w)/2) for w = theta^2, where |w| is the
+    square root of the exact rational abs_sq(sq_num)/abs_sq(sq_den).
+    """
+    x, y = _quotient(sq_num, sq_den)
+    r = sqrt_of(Fraction(sq_num.abs_sq(), sq_den.abs_sq()))
+    gamma = ((r + x) / 2).sqrt()
+    delta = ((r - x) / 2).sqrt()
+    if y < 0:
+        delta = -delta
+    qx, qy = _quotient(q_num, q_den)
+    qy = sqrt_of(sq_num.spec.abs_disc) * qy
+    plus = ((gamma - qx) ** 2 + (delta - qy) ** 2).sqrt()
+    minus = ((gamma + qx) ** 2 + (delta + qy) ** 2).sqrt()
+    return -(-plus).fmax(-minus)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +291,7 @@ def chain_certificate(m: int) -> ChainCertificate:
     """Replay the cascading lower-bound chain for an assumed sorted m-tuple.
 
     Starts from abs_sq(a4) >= 4 and abs_sq(a5) >= 256, applies the squared
-    recurrence lb(a_{k+3}) = lb(a_k)^2/64 along 7, 10, ..., and checks the
+    recurrence lb(a_{k+3}) = ceil(lb(a_k)^2/64) along 7, 10, ..., and checks the
     final exact contradiction lb(a43) > K^2 * lb(a25)^50 when m >= 43.
     All arithmetic is exact big integers.
     """
@@ -410,8 +307,7 @@ def chain_certificate(m: int) -> ChainCertificate:
         lb[idx] = lb[idx - 1]  # sortedness
     for k in range(7, top - 2, 3):
         sq = lb[k] * lb[k]
-        assert sq % 64 == 0
-        derived = sq // 64
+        derived = -(-sq // 64)  # ceiling division: abs_sq is an integer
         if derived > lb[k + 3]:
             for idx in range(k + 3, top + 1):
                 if derived > lb[idx]:

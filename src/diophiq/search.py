@@ -471,7 +471,12 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> list[DiophTuple] | 
             data = json.loads(line)
             if data["d"] != cfg.spec.d:
                 return None
-            tuples.append(DiophTuple.from_json_dict(data))  # re-verifies
+            t = DiophTuple.from_json_dict(data)  # re-verifies
+            if len(t.elems) != cfg.target_size or not all(
+                cfg.min_abs_sq <= z.abs_sq() <= cfg.max_abs_sq for z in t.elems
+            ):
+                return None  # a tuple of another query: recompute
+            tuples.append(t)
     except Exception:
         return None  # corrupt or stale cache: recompute
     return tuples

@@ -1,10 +1,14 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from diophiq.errors import DegenerateInput, PreconditionViolated
+from diophiq import gap
+from diophiq.errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
+from diophiq.exactreal import const
 from diophiq.gap import (
     ApproxReport,
     K_CONSTANT,
@@ -29,24 +33,57 @@ def quad_2_4_12_420():
     return [D1.elem(n) for n in (2, 4, 12, 420)]
 
 
+# (d, triple, extension) by coordinates over (1, w); the last three hold
+# non-real elements, and d = -3, -7 have the half basis w = (-1+sqrt(d))/2
+APPROX_CASES = [
+    (-1, [(2, 0), (4, 0), (420, 0)], (12, 0)),
+    (-3, [(-1, 2), (3, 3), (-8, 32)], (0, -1)),
+    (-5, [(3, 0), (1, -2), (-20, 44)], (-2, 0)),
+    (-7, [(2, -1), (3, 1), (-24, 0)], (-1, 0)),
+]
+
+
+def _float_slack_theta1(sys, sol):
+    """bound1 - min|+-theta1 - sx/(az)| in complex floats."""
+    spec = sys.a.spec
+    w = (-1 + cmath.sqrt(spec.d)) / 2 if spec.half_basis else cmath.sqrt(spec.d)
+    a, c, s, x, z = (e.u + e.v * w for e in (sys.a, sys.c, sys.s, sol.x, sol.z))
+    theta = cmath.sqrt(s * s / (a * c))
+    q = s * x / (a * z)
+    e1 = min(abs(theta - q), abs(-theta - q))
+    bound1 = abs(s) * abs(c - a) / (abs(a) * math.sqrt(abs(a * c)) * abs(z) ** 2)
+    return bound1 - e1
+
+
 def test_approx_check_positive():
-    # triple {2, 4, 420} extended by 12: |c|=420 > 4|b|=16, |a|=2
-    a, b, c = D1.elem(2), D1.elem(4), D1.elem(420)
-    sys = build_system(a, b, c)
-    sol = solution_from_extension(sys, D1.elem(12))
-    assert (sol.x.u, sol.y.u, sol.z.u) == (5, 7, 71)
-    rep = approx_check(a, b, c, sol)
-    assert isinstance(rep, ApproxReport)
-    assert rep.slack_theta1 > 0
-    assert rep.slack_cap1 > 0
-    assert rep.slack_theta2 > 0
-    assert rep.slack_cap2 > 0
-    # oracle cross-check of one margin at high float precision:
-    # bound1 = |s||c-a| / (|a| sqrt|ac|) / |z|^2 with s=29, |c-a|=418, |z|^2=5041
-    import math
-    bound1 = 29 * 418 / (2 * math.sqrt(840) * 5041)
-    e1 = abs(29 / (2 * math.sqrt(210)) - 29 * 5 / (2 * 71))
-    assert abs(float(rep.slack_theta1) - (bound1 - e1)) < 1e-9
+    for d, triple, ext in APPROX_CASES:
+        spec = RingSpec(d)
+        a, b, c = (spec.elem(u, v) for u, v in triple)
+        sys = build_system(a, b, c)
+        sol = solution_from_extension(sys, spec.elem(*ext))
+        if d == -1:  # triple {2, 4, 420} extended by 12: |c|=420 > 4|b|=16, |a|=2
+            assert (sol.x.u, sol.y.u, sol.z.u) == (5, 7, 71)
+        rep = approx_check(a, b, c, sol)
+        assert isinstance(rep, ApproxReport)
+        assert rep.slack_theta1 > 0, d
+        assert rep.slack_cap1 > 0, d
+        assert rep.slack_theta2 > 0, d
+        assert rep.slack_cap2 > 0, d
+        assert abs(float(rep.slack_theta1) - _float_slack_theta1(sys, sol)) < 1e-9, d
+
+
+def test_approx_check_false_margin_names_inequality(monkeypatch):
+    # a distance far above bound_i must be reported, not escalated
+    monkeypatch.setattr(gap, "_branch_distance", lambda *args: const(1))
+    d, triple, ext = APPROX_CASES[1]
+    spec = RingSpec(d)
+    a, b, c = (spec.elem(u, v) for u, v in triple)
+    sol = solution_from_extension(build_system(a, b, c), spec.elem(*ext))
+    with pytest.raises(TheoremInapplicable) as ei:
+        approx_check(a, b, c, sol)
+    assert "|theta_1 - q_1| <= bound_1" in str(ei.value)
+    assert "|theta_2 - q_2| <= bound_2" in str(ei.value)
+    assert "bound_1 < cap" not in str(ei.value)
 
 
 def test_approx_check_gap_precondition():

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from math import isqrt
 
@@ -269,6 +270,24 @@ def test_cache_missing_tuple_line_triggers_recompute(tmp_path):
     res = find_m_tuples(cfg, cache_dir=str(tmp_path))
     assert res.stats.pairs_tested > 0  # recomputed
     assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, first.tuples))
+
+
+def test_cache_tuple_outside_query_triggers_recompute(tmp_path):
+    # each file holds one verified Diophantine tuple of another query and a
+    # matching count line: the wrong size, an element above the bound, and
+    # an element below min_abs_sq
+    stray = [
+        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), (1, 3, 8, 120), 18),
+        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), (1, 3, 120), 18),
+        ("d-1_b16_m3_min2.jsonl", SearchConfig(D1, 16, 3, min_abs_sq=2), (1, 3, 8), 12),
+    ]
+    for name, cfg, elems, count in stray:
+        t = make_tuple(D1, [D1.elem(n) for n in elems])
+        (tmp_path / name).write_text(json.dumps(t.to_json_dict(), sort_keys=True) + '\n{"count": 1}\n')
+        res = find_m_tuples(cfg, cache_dir=str(tmp_path))
+        assert res.stats.pairs_tested > 0  # recomputed
+        assert res.count == count
+        assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, find_m_tuples(cfg).tuples))
 
 
 def test_determinism_workers_independent():
