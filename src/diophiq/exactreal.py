@@ -11,10 +11,13 @@ Comparisons are certified: evaluation starts at 128 bits and doubles until
 the two enclosures are disjoint, capped at 4096 bits, after which
 UndecidableComparison is raised.  Exact-vs-exact comparisons never touch
 floating point.
+
+Each node holds the function that evaluates it from its arguments' intervals.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
 from math import isqrt
@@ -37,6 +40,26 @@ Number = Union[int, Fraction, "ExactReal"]
 
 class _NeedMorePrecision(Exception):
     """Internal: a domain bound (log of a near-zero interval) is unresolved."""
+
+
+def _certified(fn, cap: int = PREC_CAP):
+    """First result of fn(prec) that is not None, prec = 128, 256, ... <= cap (lock held)."""
+    with _IV_LOCK:
+        old = iv.prec
+        try:
+            prec = PREC_START
+            while prec <= cap:
+                iv.prec = prec
+                try:
+                    result = fn(prec)
+                except _NeedMorePrecision:
+                    result = None
+                if result is not None:
+                    return result
+                prec *= 2
+        finally:
+            iv.prec = old
+    raise UndecidableComparison(f"still undecided at {cap} bits")
 
 
 def _exact_sqrt(x: Fraction) -> Fraction | None:
@@ -62,10 +85,10 @@ def _raw_to_fraction(raw) -> Fraction:
 class ExactReal:
     """A real number, exact when possible, certified interval otherwise."""
 
-    __slots__ = ("op", "args", "exact", "_cache")
+    __slots__ = ("fn", "args", "exact", "_cache")
 
-    def __init__(self, op: str, args: tuple, exact: Fraction | None) -> None:
-        self.op = op
+    def __init__(self, fn, args: tuple, exact: Fraction | None) -> None:
+        self.fn = fn  # interval function applied to the args' intervals; None on a leaf
         self.args = args
         self.exact = exact
         self._cache: tuple[int, object] | None = None
@@ -76,70 +99,64 @@ class ExactReal:
     def of(x: Number) -> ExactReal:
         if isinstance(x, ExactReal):
             return x
-        return ExactReal("const", (), Fraction(x))
+        return ExactReal(None, (), Fraction(x))
 
-    def __add__(self, other: Number) -> ExactReal:
+    def _binary(self, fn, other: Number) -> ExactReal:
         other = ExactReal.of(other)
         if self.exact is not None and other.exact is not None:
-            return ExactReal("const", (), self.exact + other.exact)
-        return ExactReal("add", (self, other), None)
+            return ExactReal(None, (), fn(self.exact, other.exact))
+        return ExactReal(fn, (self, other), None)
+
+    def __add__(self, other: Number) -> ExactReal:
+        return self._binary(operator.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: Number) -> ExactReal:
-        other = ExactReal.of(other)
-        if self.exact is not None and other.exact is not None:
-            return ExactReal("const", (), self.exact - other.exact)
-        return ExactReal("sub", (self, other), None)
+        return self._binary(operator.sub, other)
 
     def __rsub__(self, other: Number) -> ExactReal:
         return ExactReal.of(other) - self
 
     def __mul__(self, other: Number) -> ExactReal:
-        other = ExactReal.of(other)
-        if self.exact is not None and other.exact is not None:
-            return ExactReal("const", (), self.exact * other.exact)
-        return ExactReal("mul", (self, other), None)
+        return self._binary(operator.mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Number) -> ExactReal:
-        other = ExactReal.of(other)
-        if self.exact is not None and other.exact is not None:
-            return ExactReal("const", (), self.exact / other.exact)
-        return ExactReal("div", (self, other), None)
+        return self._binary(operator.truediv, other)
 
     def __rtruediv__(self, other: Number) -> ExactReal:
         return ExactReal.of(other) / self
 
     def __neg__(self) -> ExactReal:
         if self.exact is not None:
-            return ExactReal("const", (), -self.exact)
-        return ExactReal("neg", (self,), None)
+            return ExactReal(None, (), -self.exact)
+        return ExactReal(operator.neg, (self,), None)
 
     def __pow__(self, n: int) -> ExactReal:
         if not isinstance(n, int):
             return NotImplemented
         if self.exact is not None:
-            return ExactReal("const", (), self.exact**n)
-        return ExactReal("ipow", (self, n), None)
+            return ExactReal(None, (), self.exact**n)
+        return ExactReal(operator.pow, (self, n), None)
 
     def sqrt(self) -> ExactReal:
         if self.exact is not None:
             r = _exact_sqrt(self.exact)
             if r is not None:
-                return ExactReal("const", (), r)
-        return ExactReal("sqrt", (self,), None)
+                return ExactReal(None, (), r)
+        return ExactReal(iv_sqrt_nonneg, (self,), None)
 
     def log(self) -> ExactReal:
         if self.exact is not None and self.exact == 1:
-            return ExactReal("const", (), Fraction(0))
-        return ExactReal("log", (self,), None)
+            return ExactReal(None, (), Fraction(0))
+        return ExactReal(_iv_log, (self,), None)
 
     def exp(self) -> ExactReal:
         if self.exact is not None and self.exact == 0:
-            return ExactReal("const", (), Fraction(1))
-        return ExactReal("exp", (self,), None)
+            return ExactReal(None, (), Fraction(1))
+        return ExactReal(iv.exp, (self,), None)
 
     def pow(self, e: Number) -> ExactReal:
         """self**e for a possibly irrational exponent, via exp(e*log self); needs self > 0."""
@@ -151,8 +168,8 @@ class ExactReal:
     def fmax(self, other: Number) -> ExactReal:
         other = ExactReal.of(other)
         if self.exact is not None and other.exact is not None:
-            return ExactReal("const", (), max(self.exact, other.exact))
-        return ExactReal("max", (self, other), None)
+            return ExactReal(None, (), max(self.exact, other.exact))
+        return ExactReal(iv_max, (self, other), None)
 
     # -- interval evaluation ----------------------------------------------
 
@@ -160,35 +177,13 @@ class ExactReal:
         """Enclosing interval at the current iv precision (caller holds the lock)."""
         if self._cache is not None and self._cache[0] == prec:
             return self._cache[1]
-        op = self.op
         if self.exact is not None:
             val = _iv_from_fraction(self.exact)
-        elif op == "add":
-            val = self.args[0]._eval(prec) + self.args[1]._eval(prec)
-        elif op == "sub":
-            val = self.args[0]._eval(prec) - self.args[1]._eval(prec)
-        elif op == "mul":
-            val = self.args[0]._eval(prec) * self.args[1]._eval(prec)
-        elif op == "div":
-            val = self.args[0]._eval(prec) / self.args[1]._eval(prec)
-        elif op == "neg":
-            val = -self.args[0]._eval(prec)
-        elif op == "ipow":
-            val = self.args[0]._eval(prec) ** self.args[1]
-        elif op == "sqrt":
-            val = iv_sqrt_nonneg(self.args[0]._eval(prec))
-        elif op == "log":
-            arg = self.args[0]._eval(prec)
-            if not arg.a > 0:
-                # the true value is positive by construction; retry tighter
-                raise _NeedMorePrecision()
-            val = iv.log(arg)
-        elif op == "exp":
-            val = iv.exp(self.args[0]._eval(prec))
-        elif op == "max":
-            val = iv_max(self.args[0]._eval(prec), self.args[1]._eval(prec))
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown op {op}")
+        elif len(self.args) == 1:
+            val = self.fn(self.args[0]._eval(prec))
+        else:
+            x, y = self.args  # an integer power keeps its exponent y as an int
+            val = self.fn(x._eval(prec), y if isinstance(y, int) else y._eval(prec))
         self._cache = (prec, val)
         return val
 
@@ -199,17 +194,12 @@ class ExactReal:
             return True
         if self.exact is not None or other.exact is not None:
             return self.exact == other.exact and self.exact is not None
-        if self.op != other.op or len(self.args) != len(other.args):
-            return False
-        for a, b in zip(self.args, other.args):
-            if isinstance(a, ExactReal) != isinstance(b, ExactReal):
-                return False
-            if isinstance(a, ExactReal):
-                if not a._same_tree(b):
-                    return False
-            elif a != b:
-                return False
-        return True
+        # == rather than is, so that equal bound methods match too; equal
+        # functions take the same number and kinds of arguments
+        return self.fn == other.fn and all(
+            a._same_tree(b) if isinstance(a, ExactReal) else a == b
+            for a, b in zip(self.args, other.args)
+        )
 
     def compare(self, other: Number, cap: int = PREC_CAP) -> int:
         """-1, 0 or +1 with a certified direction; 0 only for certified ties."""
@@ -219,29 +209,19 @@ class ExactReal:
             return (d > 0) - (d < 0)
         if self._same_tree(other):
             return 0
-        prec = PREC_START
-        with _IV_LOCK:
-            while prec <= cap:
-                old = iv.prec
-                try:
-                    iv.prec = prec
-                    a = self._eval(prec)
-                    b = other._eval(prec)
-                    if mpf_lt(a._mpi_[1], b._mpi_[0]):
-                        return -1
-                    if mpf_lt(b._mpi_[1], a._mpi_[0]):
-                        return 1
-                    if a._mpi_ == b._mpi_ and a._mpi_[0] == a._mpi_[1]:
-                        # both values pinned to the same dyadic point
-                        return 0
-                except _NeedMorePrecision:
-                    pass
-                finally:
-                    iv.prec = old
-                prec *= 2
-        raise UndecidableComparison(
-            f"comparison still ambiguous at {cap} bits"
-        )
+
+        def decide(prec: int) -> int | None:
+            a_lo, a_hi = self._eval(prec)._mpi_
+            b_lo, b_hi = other._eval(prec)._mpi_
+            if mpf_lt(a_hi, b_lo):
+                return -1
+            if mpf_lt(b_hi, a_lo):
+                return 1
+            if a_lo == a_hi == b_lo == b_hi:
+                return 0  # both values pinned to the same dyadic point
+            return None
+
+        return _certified(decide, cap)
 
     def __lt__(self, other: Number) -> bool:
         return self.compare(other) < 0
@@ -259,24 +239,24 @@ class ExactReal:
         """Certified rational endpoints [lo, hi] containing the true value."""
         if self.exact is not None:
             return (self.exact, self.exact)
-        with _IV_LOCK:
-            p = PREC_START
-            while p <= PREC_CAP:
-                old = iv.prec
-                try:
-                    iv.prec = p
-                    val = self._eval(p)
-                    return (_raw_to_fraction(val._mpi_[0]), _raw_to_fraction(val._mpi_[1]))
-                except _NeedMorePrecision:
-                    p *= 2
-                finally:
-                    iv.prec = old
-        raise UndecidableComparison(f"no enclosure below {PREC_CAP} bits")
+
+        def endpoints(prec: int) -> tuple[Fraction, Fraction]:
+            lo, hi = self._eval(prec)._mpi_
+            return (_raw_to_fraction(lo), _raw_to_fraction(hi))
+
+        return _certified(endpoints)
 
     def __repr__(self) -> str:
         if self.exact is not None:
             return f"ExactReal({self.exact})"
-        return f"ExactReal(<{self.op}>)"
+        return f"ExactReal(<{self.fn.__name__}>)"
+
+
+def _iv_log(x):
+    """Interval log of a value known to be > 0; retries tighter while x reaches 0."""
+    if not x.a > 0:
+        raise _NeedMorePrecision()
+    return iv.log(x)
 
 
 def iv_sqrt_nonneg(x):

@@ -179,37 +179,34 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
     t0 = time.monotonic()
     cached = _cache_load(cache_dir, cfg)
     if cached is not None:
-        return SearchResult(
-            config=cfg,
-            tuples=tuple(cached),
-            count=len(cached),
-            stats=SearchStats(0, 0, 0, 0),
-        )
-    spec = cfg.spec
-    vertices = [
-        RingElem(u, v, spec)
-        for n, u, v in sorted(
-            (n, u, v)
-            for u, v, n in iter_disk_coords(spec, cfg.max_abs_sq)
-            if n >= cfg.min_abs_sq
-        )
-    ]
-    adj, tested = _pair_graph(spec, vertices)
-    limit = 1 if cfg.mode == "find-first" else None
-    cliques, explored = _cliques_of_size(adj, cfg.target_size, limit)
-    tuples = []
-    for clique in cliques:
-        t = make_tuple(spec, [vertices[i] for i in clique])  # re-verification
-        tuples.append(t)
-    tuples.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
-    if cfg.mode == "find-all":
-        _cache_store(cache_dir, cfg, tuples)
+        tuples, counts = cached
+    else:
+        spec = cfg.spec
+        vertices = [
+            RingElem(u, v, spec)
+            for n, u, v in sorted(
+                (n, u, v)
+                for u, v, n in iter_disk_coords(spec, cfg.max_abs_sq)
+                if n >= cfg.min_abs_sq
+            )
+        ]
+        adj, tested = _pair_graph(spec, vertices)
+        limit = 1 if cfg.mode == "find-first" else None
+        cliques, explored = _cliques_of_size(adj, cfg.target_size, limit)
+        tuples = []
+        for clique in cliques:
+            t = make_tuple(spec, [vertices[i] for i in clique])  # re-verification
+            tuples.append(t)
+        tuples.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
+        counts = (len(vertices), tested, explored)
+        if cfg.mode == "find-all":
+            _cache_store(cache_dir, cfg, tuples, counts)
     wall_ms = int((time.monotonic() - t0) * 1000)
     return SearchResult(
         config=cfg,
         tuples=tuple(tuples) if cfg.mode != "count" else (),
         count=len(tuples),
-        stats=SearchStats(len(vertices), tested, explored, wall_ms),
+        stats=SearchStats(*counts, wall_ms),
     )
 
 
@@ -399,7 +396,9 @@ def quintuple_sweep(
     rings = sweep_ring_list(b_sq)
     jobs = [(d, b_sq, size, cache_dir) for d in rings]
     t0 = time.monotonic()
-    if workers and workers > 1:
+    # the pool starts all its processes at once; more than jobs or CPUs only idle
+    workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
@@ -443,8 +442,9 @@ def _violates_strong_bound(t: DiophTuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# result cache: one JSON-lines file per (d, B_sq, m), one tuple a line and
-# a closing {"count": N} line, so a truncated file cannot pass for a result
+# result cache: one JSON-lines file per (d, B_sq, m), one tuple a line and a
+# closing {"count": N, "stats": [elements, pairs_tested, cliques_explored]} line,
+# so a truncated file cannot pass for a result and a hit reports its counts
 # ---------------------------------------------------------------------------
 
 
@@ -455,7 +455,10 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
     return os.path.join(cache_dir, name + ".jsonl")
 
 
-def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> list[DiophTuple] | None:
+def _cache_load(
+    cache_dir: str | None, cfg: SearchConfig
+) -> tuple[list[DiophTuple], tuple[int, int, int]] | None:
+    """(tuples, search counts) stored for cfg, or None to recompute."""
     if not cache_dir or cfg.mode != "find-all":
         return None
     path = _cache_path(cache_dir, cfg)
@@ -464,8 +467,10 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> list[DiophTuple] | 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        if not lines or json.loads(lines[-1]) != {"count": len(lines) - 1}:
-            return None  # no count line, or tuples missing: recompute
+        closing = json.loads(lines[-1]) if lines else {}
+        counts = tuple(int(x) for x in closing.get("stats", ()))
+        if closing.get("count") != len(lines) - 1 or len(counts) != 3:
+            return None  # no closing line, tuples missing, or no stats: recompute
         tuples = []
         for line in lines[:-1]:
             data = json.loads(line)
@@ -479,10 +484,10 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> list[DiophTuple] | 
             tuples.append(t)
     except Exception:
         return None  # corrupt or stale cache: recompute
-    return tuples
+    return tuples, counts
 
 
-def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple]) -> None:
+def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], counts: tuple) -> None:
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -491,5 +496,5 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTup
     with open(tmp, "w", encoding="utf-8") as fh:
         for t in tuples:
             fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
-        fh.write(json.dumps({"count": len(tuples)}) + "\n")
+        fh.write(json.dumps({"count": len(tuples), "stats": list(counts)}) + "\n")
     os.replace(tmp, path)

@@ -129,18 +129,6 @@ def is_regular_triple(a: RingElem, b: RingElem, c: RingElem) -> bool:
     )
 
 
-def _triple_witnesses(a: RingElem, b: RingElem, c: RingElem) -> tuple[RingElem, RingElem, RingElem]:
-    """Canonical witnesses (r, s, t) for ab+1, ac+1, bc+1 of a verified triple."""
-    spec = a.spec
-    rst = []
-    for x, y in ((a, b), (a, c), (b, c)):
-        w = canonical_sqrt(x * y + spec.one)
-        if w is None:
-            raise NotATriple(f"{a}, {b}, {c}")
-        rst.append(w)
-    return rst[0], rst[1], rst[2]
-
-
 def quadruple_extension_candidates(
     a: RingElem, b: RingElem, c: RingElem
 ) -> tuple[tuple[RingElem, ...], tuple[RingElem, ...]]:
@@ -150,17 +138,11 @@ def quadruple_extension_candidates(
     every candidate is checked against the definition instead of trusted;
     both sign choices of rst give the same unordered candidate set.
     """
-    if not is_diophantine_tuple(a.spec, [a, b, c]):
-        raise NotATriple(f"{a}, {b}, {c}")
-    r, s, t = _triple_witnesses(a, b, c)
-    spec = a.spec
-    base = a + b + c + 2 * (a * b * c)
-    cand = {base + 2 * (r * s * t), base - 2 * (r * s * t)}
     verified, failed = [], []
-    for d in cand:
+    for d in set(c_plus_minus(a, b, c)):
         if d.is_zero() or d in (a, b, c):
             continue
-        if is_diophantine_tuple(spec, [a, b, c, d]):
+        if is_diophantine_tuple(a.spec, [a, b, c, d]):
             verified.append(d)
         else:
             failed.append(d)
@@ -171,11 +153,13 @@ def quadruple_extension_candidates(
 def c_plus_minus(a: RingElem, b: RingElem, d: RingElem) -> tuple[RingElem, RingElem]:
     """(c+, c-) = a+b+d+2abd ± 2rxy for the triple {a, b, d}.
 
+    r*x*y, the product of the canonical pair witnesses, is independent of order.
     Postcondition checked exactly: c+ * c- == a^2+b^2+d^2-2ab-2ad-2bd-4.
     """
-    if not is_diophantine_tuple(a.spec, [a, b, d]):
-        raise NotATriple(f"{a}, {b}, {d}")
-    r, x, y = _triple_witnesses(a, b, d)
+    try:
+        r, x, y = make_tuple(a.spec, [a, b, d]).witnesses.values()
+    except (NotDiophantine, ZeroElement, DuplicateElement):
+        raise NotATriple(f"{a}, {b}, {d}") from None
     base = a + b + d + 2 * (a * b * d)
     c_plus = base + 2 * (r * x * y)
     c_minus = base - 2 * (r * x * y)

@@ -161,13 +161,21 @@ def test_sweep_small_bound(capsys):
     assert len(rep["payload"]["tuples"]) > 0
 
 
-def test_cache_dir_flag(capsys, tmp_path):
-    code, _ = run_json(
-        capsys, "search", "--d", "-1", "--bound", "4", "--size", "3",
-        "--cache-dir", str(tmp_path),
-    )
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--d", "-1", "--bound", "5", "--size", "3"],
+        ["search", "--sweep", "--bound", "3", "--size", "3"],
+    ],
+    ids=["single", "sweep"],
+)
+def test_cache_dir_flag(capsys, tmp_path, argv):
+    # the second run is served from the cache and must print the same report
+    cold = run_cli(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
     assert list(tmp_path.iterdir())
+    warm = run_cli(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
+    assert cold[0] == 0
+    assert warm == cold
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

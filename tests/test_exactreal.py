@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -76,6 +77,38 @@ def test_needs_escalation_for_tight_log():
     # the comparison must escalate precision and still certify.
     tiny = 1 + const(Fraction(1, 2**200))
     assert tiny.log() > 0
+
+
+def _log_frac_sqrt2(k):
+    """log of the fractional part of sqrt(2) * 2^k: needs about k bits to see it is > 0."""
+    return (sqrt_of(2) * 2**k - isqrt(2 ** (2 * k + 1))).log()
+
+
+def test_enclosure_escalates_past_log_domain(monkeypatch):
+    precs = []
+    evaluate = ExactReal._eval
+
+    def recording(this, prec):
+        precs.append(prec)
+        return evaluate(this, prec)
+
+    monkeypatch.setattr(ExactReal, "_eval", recording)
+    lo, hi = _log_frac_sqrt2(200).enclosure()
+    assert lo <= hi < 0
+    assert max(precs) == 256
+
+
+def test_precision_cap_applies_to_enclosure_and_compare():
+    x = _log_frac_sqrt2(5000)
+    with pytest.raises(UndecidableComparison):
+        x.enclosure()
+    with pytest.raises(UndecidableComparison):
+        x.compare(0)
+
+
+def test_same_exp_and_log_trees_tie():
+    assert sqrt_of(2).exp().compare(sqrt_of(2).exp()) == 0
+    assert sqrt_of(2).log().compare(sqrt_of(2).log()) == 0
 
 
 @given(a=st.integers(0, 10**6), b=st.integers(0, 10**6))

@@ -228,53 +228,89 @@ def test_single_ring_quintuple_empty_d3():
     assert res.count == 0
 
 
-def test_cache_round_trip(tmp_path):
+def _count_pair_graphs(monkeypatch):
+    """The list that records the ring of every later _pair_graph call."""
+    calls = []
+    pair_graph = search._pair_graph
+
+    def counting(spec, vertices):
+        calls.append(spec.d)
+        return pair_graph(spec, vertices)
+
+    monkeypatch.setattr(search, "_pair_graph", counting)
+    return calls
+
+
+def _counts(stats):
+    return stats.elements, stats.pairs_tested, stats.cliques_explored
+
+
+def test_cache_round_trip(tmp_path, monkeypatch):
     cache = str(tmp_path)
     cfg = SearchConfig(D1, 100, 3)
+    calls = _count_pair_graphs(monkeypatch)
     first = find_m_tuples(cfg, cache_dir=cache)
     second = find_m_tuples(cfg, cache_dir=cache)
-    assert second.stats.pairs_tested == 0  # served from cache
+    assert calls == [-1]  # the second search is served from cache
+    assert _counts(second.stats) == _counts(first.stats) == (316, 49770, 854)
     assert tuple(map(elems_of, first.tuples)) == tuple(map(elems_of, second.tuples))
     files = list(tmp_path.iterdir())
     assert len(files) == 1
     assert files[0].name == "d-1_b100_m3.jsonl"
 
 
-def test_cache_corruption_triggers_recompute(tmp_path):
+def test_cache_corruption_triggers_recompute(tmp_path, monkeypatch):
     cache = str(tmp_path)
     cfg = SearchConfig(D1, 100, 3)
     find_m_tuples(cfg, cache_dir=cache)
     path = tmp_path / "d-1_b100_m3.jsonl"
     path.write_text('{"d": -1, "elems": [[0, 0]], "witnesses": []}\n')
+    calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=cache)
-    assert res.stats.pairs_tested > 0  # recomputed
+    assert calls == [-1]  # recomputed
     assert res.count > 0
 
 
-def test_cache_empty_file_triggers_recompute(tmp_path):
+def test_cache_empty_file_triggers_recompute(tmp_path, monkeypatch):
     cfg = SearchConfig(D1, 100, 3)
     first = find_m_tuples(cfg, cache_dir=str(tmp_path))
     assert first.count == 272
     (tmp_path / "d-1_b100_m3.jsonl").write_text("")
+    calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert res.stats.pairs_tested > 0  # recomputed
+    assert calls == [-1]  # recomputed
     assert res.count == 272
 
 
-def test_cache_missing_tuple_line_triggers_recompute(tmp_path):
+def test_cache_missing_tuple_line_triggers_recompute(tmp_path, monkeypatch):
     cfg = SearchConfig(D1, 100, 3)
     first = find_m_tuples(cfg, cache_dir=str(tmp_path))
     path = tmp_path / "d-1_b100_m3.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[1:]))  # one tuple gone, count line kept
+    calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert res.stats.pairs_tested > 0  # recomputed
+    assert calls == [-1]  # recomputed
     assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, first.tuples))
 
 
-def test_cache_tuple_outside_query_triggers_recompute(tmp_path):
+def test_cache_closing_line_without_stats_triggers_recompute(tmp_path, monkeypatch):
+    # the closing line before it carried the search counts: {"count": N}
+    cfg = SearchConfig(D1, 100, 3)
+    first = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    path = tmp_path / "d-1_b100_m3.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + '{"count": 272}\n')
+    calls = _count_pair_graphs(monkeypatch)
+    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert calls == [-1]  # recomputed
+    assert _counts(res.stats) == _counts(first.stats)
+    assert path.read_text().splitlines(keepends=True) == lines
+
+
+def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
     # each file holds one verified Diophantine tuple of another query and a
-    # matching count line: the wrong size, an element above the bound, and
+    # matching closing line: the wrong size, an element above the bound, and
     # an element below min_abs_sq
     stray = [
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), (1, 3, 8, 120), 18),
@@ -283,11 +319,41 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path):
     ]
     for name, cfg, elems, count in stray:
         t = make_tuple(D1, [D1.elem(n) for n in elems])
-        (tmp_path / name).write_text(json.dumps(t.to_json_dict(), sort_keys=True) + '\n{"count": 1}\n')
+        closing = '{"count": 1, "stats": [1, 0, 1]}'
+        (tmp_path / name).write_text(json.dumps(t.to_json_dict(), sort_keys=True) + "\n" + closing + "\n")
+        calls = _count_pair_graphs(monkeypatch)
         res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-        assert res.stats.pairs_tested > 0  # recomputed
+        assert calls == [-1]  # recomputed
         assert res.count == count
         assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, find_m_tuples(cfg).tuples))
+
+
+@pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])
+def test_sweep_caps_workers_at_jobs_and_cpus(monkeypatch, b_sq, rings, cpus, expected):
+    requested = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    rep = quintuple_sweep(b_sq=b_sq, size=2, workers=100_000)
+    assert len(rep.rings_checked) == rings
+    assert requested == [expected]
+    serial = quintuple_sweep(b_sq=b_sq, size=2, workers=1)
+    assert [elems_of(t) for t in rep.tuples] == [elems_of(t) for t in serial.tuples]
 
 
 def test_determinism_workers_independent():
