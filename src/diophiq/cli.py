@@ -63,6 +63,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _fr(x: Fraction | int) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--size", type=int, required=True, help="tuple size m")
     p_search.add_argument("--mode", choices=("find-all", "find-first", "count"), default="find-all")
     p_search.add_argument("--expect-empty", action="store_true")
-    p_search.add_argument("--threads", type=int, default=None, help="worker processes for the sweep")
+    p_search.add_argument("--threads", type=_positive_int, default=None, help="worker processes for the sweep")
     p_search.add_argument("--cache-dir", default=os.environ.get("DIOPH_CACHE_DIR"))
     add_common(p_search)
     p_search.set_defaults(func=cmd_search)

@@ -156,7 +156,7 @@ class ExactReal:
     def exp(self) -> ExactReal:
         if self.exact is not None and self.exact == 0:
             return ExactReal(None, (), Fraction(1))
-        return ExactReal(iv.exp, (self,), None)
+        return ExactReal(_iv_exp, (self,), None)
 
     def pow(self, e: Number) -> ExactReal:
         """self**e for a possibly irrational exponent, via exp(e*log self); needs self > 0."""
@@ -257,6 +257,11 @@ def _iv_log(x):
     if not x.a > 0:
         raise _NeedMorePrecision()
     return iv.log(x)
+
+
+def _iv_exp(x):
+    """Interval exp, named so that an exp node prints as one."""
+    return iv.exp(x)
 
 
 def iv_sqrt_nonneg(x):

@@ -13,7 +13,13 @@ every B.  A non-real element z = u + v*w has 4|z|^2 >= |D| v^2 with
 element is a rational integer, and so are its witnesses: a non-real
 witness of a rational a*b + 1 is some y*sqrt(d) with y a nonzero integer,
 and |y^2 d| = |a*b + 1| <= B + 1 forces |d| <= B + 1.  The rational pass
-covers all those rings at once.
+covers all those rings at once.  The listed integral-basis rings with
+B + 1 < |d| <= 4B hold only rational elements and witnesses too, so their
+searches are equal: the sweep runs the first and copies its tuples (d
+replaced) and counts to the rest, and re-verifies every copy in its ring.
+
+The pair graph is invariant under z -> -z and z -> conj(z), so it tests one
+pair of each pair orbit and copies the edges found to the other pairs.
 """
 
 from __future__ import annotations
@@ -81,27 +87,42 @@ class SearchResult:
 
 
 def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]], int]:
-    """Adjacency sets over vertex indices; returns (adj, pairs_tested).
+    """Adjacency sets over vertex indices; returns (adj, pairs_decided).
 
-    The product plus one w of each pair must pass the norm filter
-    (abs_sq(w) a perfect square) before the exact square test.
+    The vertices must be closed under z -> -z and z -> conj(z), and the graph
+    is then too: (-a)(-b) + 1 = ab + 1, and conj(a)conj(b) + 1 = conj(ab + 1)
+    is a square exactly when ab + 1 is.  So only pairs (i, j) with i the least
+    index of its orbit and j after i in orbit order (the rest of that orbit,
+    then the orbits with larger least index) are tested, and each edge found
+    is copied to its images; every pair orbit holds such a pair.  The product
+    plus one w must pass the norm filter (abs_sq(w) a perfect square) before
+    the exact square test.
     """
     tc, nc = spec.t, spec.n
-    # u - t*v rides along: u1*v2 + v1*u2 - t*v1*v2 == u1*v2 + v1*(u2 - t*v2)
+    # u - t*v rides along: u1*v2 + v1*u2 - t*v1*v2 == u1*v2 + v1*(u2 - t*v2),
+    # and conj(u + v*w) == (u - t*v, -v)
     coords = [(z.u, z.v, z.u - tc * z.v) for z in vertices]
     n = len(coords)
+    index = {(u, v): i for i, (u, v, _) in enumerate(coords)}
+    images = [(i, index[-u, -v], index[cu, -v], index[-cu, v]) for i, (u, v, cu) in enumerate(coords)]
+    rep = [min(g) for g in images]
+    ordered = sorted(range(n), key=lambda i: (rep[i], i))
     adj: list[set[int]] = [set() for _ in range(n)]
-    for i, (u1, v1, _) in enumerate(coords):
+    for p, i in enumerate(ordered):
+        if rep[i] != i:
+            continue
+        u1, v1, _ = coords[i]
         nv1 = nc * v1
-        for j in range(i + 1, n):
+        for j in ordered[p + 1 :]:
             u2, v2, cu2 = coords[j]
             wu = u1 * u2 - nv1 * v2 + 1
             wv = u1 * v2 + v1 * cu2
             nw = wu * (wu - tc * wv) + nc * wv * wv
             r = isqrt(nw)
             if r * r == nw and _is_square(spec, wu, wv, r):
-                adj[i].add(j)
-                adj[j].add(i)
+                for a, b in zip(images[i], images[j]):
+                    adj[a].add(b)
+                    adj[b].add(a)
     return adj, n * (n - 1) // 2
 
 
@@ -394,7 +415,11 @@ def quintuple_sweep(
     rational-integer pass, and report all m-tuples found (expected: none
     for size 5 at bound 16)."""
     rings = sweep_ring_list(b_sq)
-    jobs = [(d, b_sq, size, cache_dir) for d in rings]
+    # integral-basis rings past the witness cutoff hold only rational elements
+    # and witnesses (module docstring), so they share one search
+    folded = [d for d in rings if d % 4 != 1 and -d > b_sq + 1]
+    copies = set(folded[1:])
+    jobs = [(d, b_sq, size, cache_dir) for d in rings if d not in copies]
     t0 = time.monotonic()
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
@@ -403,6 +428,9 @@ def quintuple_sweep(
             raw = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         raw = [_sweep_one(j) for j in jobs]
+    if folded:
+        _d, tuple_dicts, counts = next(item for item in raw if item[0] == folded[0])
+        raw += [(d, [dict(td, d=d) for td in tuple_dicts], counts) for d in copies]
     raw.sort(key=lambda item: -item[0])
     found: list[DiophTuple] = []
     elements = pairs = cliques = 0

@@ -143,6 +143,14 @@ def test_negative_bound_is_usage_error(capsys, argv):
     assert "--bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_is_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--sweep", "--bound", "2", "--size", "5", "--threads", threads, "--expect-empty"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_text_format_default(capsys):
     code, out = run_cli(capsys, "chain", "--m", "43")
     assert code == 0

@@ -106,6 +106,14 @@ def test_precision_cap_applies_to_enclosure_and_compare():
         x.compare(0)
 
 
+def test_repr_names_the_operation():
+    x = sqrt_of(2)
+    assert repr(x) == "ExactReal(<iv_sqrt_nonneg>)"
+    assert repr(x.exp()) == "ExactReal(<_iv_exp>)"
+    assert repr(x.log()) == "ExactReal(<_iv_log>)"
+    assert repr(x + 1) == "ExactReal(<add>)"
+
+
 def test_same_exp_and_log_trees_tie():
     assert sqrt_of(2).exp().compare(sqrt_of(2).exp()) == 0
     assert sqrt_of(2).log().compare(sqrt_of(2).log()) == 0

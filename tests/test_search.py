@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 from math import isqrt
@@ -11,6 +12,7 @@ from diophiq import search
 from diophiq.ring import RingElem, RingSpec, enumerate_up_to, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
+    _cliques_of_size,
     census_double_regular_triples,
     extend_tuple,
     find_m_tuples,
@@ -226,6 +228,121 @@ def test_rational_integer_pass():
 def test_single_ring_quintuple_empty_d3():
     res = find_m_tuples(SearchConfig(D3, 256, 5))
     assert res.count == 0
+
+
+def _direct_pair_graph(spec, vertices):
+    """Oracle: every pair through the norm filter and the square test."""
+    tc, nc = spec.t, spec.n
+    coords = [(z.u, z.v, z.u - tc * z.v) for z in vertices]
+    n = len(coords)
+    adj = [set() for _ in range(n)]
+    for i, (u1, v1, _) in enumerate(coords):
+        for j in range(i + 1, n):
+            u2, v2, cu2 = coords[j]
+            wu = u1 * u2 - nc * v1 * v2 + 1
+            wv = u1 * v2 + v1 * cu2
+            nw = wu * (wu - tc * wv) + nc * wv * wv
+            r = isqrt(nw)
+            if r * r == nw and search._is_square(spec, wu, wv, r):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj, n * (n - 1) // 2
+
+
+def _disk_vertices(spec, b_sq):
+    """The vertex list find_m_tuples builds: nonzero elements by (abs_sq, u, v)."""
+    return [RingElem(u, v, spec) for n, u, v in sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq))]
+
+
+def test_pair_graph_equals_direct_loop_on_every_ring_at_bound_8():
+    rings = sweep_ring_list(64)
+    assert len(rings) == 157 and {RingSpec(d).t for d in rings} == {0, 1}
+    for d in rings:
+        spec = RingSpec(d)
+        vertices = _disk_vertices(spec, 64)
+        adj, tested = search._pair_graph(spec, vertices)
+        assert (adj, tested) == _direct_pair_graph(spec, vertices), d
+        # symmetric, an even degree sum, closed under -z and conj(z)
+        assert all(i in adj[j] for i in range(len(adj)) for j in adj[i])
+        assert sum(map(len, adj)) % 2 == 0
+        index = {z: i for i, z in enumerate(vertices)}
+        for image in (lambda z: -z, RingElem.conj):
+            moved = [index[image(z)] for z in vertices]
+            assert all(moved[j] in adj[moved[i]] for i in range(len(adj)) for j in adj[i]), d
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3])
+def test_pair_graph_tests_each_pair_orbit_once(monkeypatch, d):
+    calls = []
+    is_square = search._is_square
+
+    def counting(*args):
+        calls.append(args)
+        return is_square(*args)
+
+    monkeypatch.setattr(search, "_is_square", counting)
+    spec = RingSpec(d)
+    vertices = _disk_vertices(spec, 64)
+    oracle = _direct_pair_graph(spec, vertices)
+    norm_filter_hits = len(calls)
+    calls.clear()
+    assert search._pair_graph(spec, vertices) == oracle
+    assert 0 < len(calls) <= norm_filter_hits / 2
+
+
+def _folded_rings(b_sq):
+    """Integral-basis rings of the sweep past the witness cutoff b_sq + 1."""
+    return [d for d in sweep_ring_list(b_sq) if RingSpec(d).t == 0 and -d > b_sq + 1]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_sweep_folded_rings_report_their_own_search(monkeypatch, size):
+    calls = []
+    find = search.find_m_tuples
+
+    def counting(cfg, cache_dir=None):
+        calls.append(cfg.spec.d)
+        return find(cfg, cache_dir)
+
+    monkeypatch.setattr(search, "find_m_tuples", counting)
+    rep = quintuple_sweep(b_sq=16, size=size, workers=1)
+    rings, folded = sweep_ring_list(16), _folded_rings(16)
+    assert len(folded) > 1
+    assert len(calls) == len(rings) - len(folded) + 1
+    direct = {d: find(SearchConfig(RingSpec(d), 16, size)) for d in rings}
+    for d in folded:
+        assert [t.to_json_dict() for t in rep.tuples if t.spec.d == d] == [t.to_json_dict() for t in direct[d].tuples]
+    # size 2 has rational pairs such as {-1, 1}; no triple fits in [-4, 4]
+    assert {bool(direct[d].count) for d in folded} == {size == 2}
+    assert _counts(rep.stats) == tuple(map(sum, zip(*(_counts(r.stats) for r in direct.values()))))
+
+
+def test_folded_ring_graph_is_the_rational_graph(monkeypatch):
+    graphs = {}
+    pair_graph = search._pair_graph
+
+    def recording(spec, vertices):
+        graphs[spec.d] = (vertices, pair_graph(spec, vertices))
+        return graphs[spec.d][1]
+
+    monkeypatch.setattr(search, "_pair_graph", recording)
+    integers = [x for x in range(-16, 17) if x]
+    edges = {
+        frozenset((x, y))
+        for x, y in itertools.combinations(integers, 2)
+        if x * y + 1 >= 0 and isqrt(x * y + 1) ** 2 == x * y + 1
+    }
+    folded = _folded_rings(256)
+    assert len(folded) == 310
+    for d in random.Random(7).sample(folded, 12) + [folded[0], folded[-1]]:
+        res = find_m_tuples(SearchConfig(RingSpec(d), 256, 3))
+        vertices, (adj, _) = graphs[d]
+        assert all(z.v == 0 for z in vertices) and sorted(z.u for z in vertices) == integers
+        label = [z.u for z in vertices]
+        assert {frozenset((label[i], label[j])) for i in range(len(adj)) for j in adj[i]} == edges
+        cliques = sorted(tuple(sorted(label[i] for i in c)) for c in _cliques_of_size(adj, 3)[0])
+        found = sorted(tuple(sorted(z.u for z in t.elems)) for t in res.tuples)
+        assert cliques == rational_integer_pass(256, 3) == found
 
 
 def _count_pair_graphs(monkeypatch):
