@@ -12,28 +12,29 @@ the two enclosures are disjoint, capped at 4096 bits, after which
 UndecidableComparison is raised.  Exact-vs-exact comparisons never touch
 floating point.
 
-Each node holds the function that evaluates it from its arguments' intervals.
+Intervals are mpmath's raw (lo, hi) endpoint pairs, computed by the
+outward-rounding functions of mpmath.libmp with the precision passed on each
+call.  No global precision or context is read or written, so no lock is
+needed and evaluation is safe under threads.  Each node holds the function
+that evaluates it from its arguments' intervals.
 """
 
 from __future__ import annotations
 
 import operator
-import threading
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from mpmath import iv, mp
-from mpmath.libmp import mpf_lt, to_rational
+from mpmath.libmp import (
+    from_int, fzero, mpf_gt, mpf_lt, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
+    mpi_pow_int, mpi_sqrt, mpi_sub, round_ceiling, round_floor, to_rational,
+)
 
 from .errors import UndecidableComparison
 
 PREC_START = 128
 PREC_CAP = 4096
-
-# mpmath's interval context is a module-level global; serialize access so the
-# library stays safe under threads (sweep parallelism uses processes anyway).
-_IV_LOCK = threading.Lock()
 
 Number = Union[int, Fraction, "ExactReal"]
 
@@ -43,22 +44,16 @@ class _NeedMorePrecision(Exception):
 
 
 def _certified(fn, cap: int = PREC_CAP):
-    """First result of fn(prec) that is not None, prec = 128, 256, ... <= cap (lock held)."""
-    with _IV_LOCK:
-        old = iv.prec
+    """First result of fn(prec) that is not None, prec = 128, 256, ... <= cap."""
+    prec = PREC_START
+    while prec <= cap:
         try:
-            prec = PREC_START
-            while prec <= cap:
-                iv.prec = prec
-                try:
-                    result = fn(prec)
-                except _NeedMorePrecision:
-                    result = None
-                if result is not None:
-                    return result
-                prec *= 2
-        finally:
-            iv.prec = old
+            result = fn(prec)
+        except _NeedMorePrecision:
+            result = None
+        if result is not None:
+            return result
+        prec *= 2
     raise UndecidableComparison(f"still undecided at {cap} bits")
 
 
@@ -73,8 +68,17 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _iv_from_fraction(x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+def _iv_from_int(n: int, prec: int):
+    """n rounded down and up to prec bits, as mpmath.iv.mpf(n) rounds it."""
+    return (from_int(n, prec, round_floor), from_int(n, prec, round_ceiling))
+
+
+def _iv_from_fraction(x: Fraction, prec: int):
+    """Enclosure of x: p's, divided by q's unless q == 1 (as iv.mpf(p) / iv.mpf(q))."""
+    p = _iv_from_int(x.numerator, prec)
+    if x.denominator == 1:
+        return p
+    return mpi_div(p, _iv_from_int(x.denominator, prec), prec)
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -88,10 +92,10 @@ class ExactReal:
     __slots__ = ("fn", "args", "exact", "_cache")
 
     def __init__(self, fn, args: tuple, exact: Fraction | None) -> None:
-        self.fn = fn  # interval function applied to the args' intervals; None on a leaf
+        self.fn = fn  # fn(*intervals of args, prec) -> interval; None on a leaf
         self.args = args
         self.exact = exact
-        self._cache: tuple[int, object] | None = None
+        self._cache: tuple[int, tuple] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -101,30 +105,31 @@ class ExactReal:
             return x
         return ExactReal(None, (), Fraction(x))
 
-    def _binary(self, fn, other: Number) -> ExactReal:
+    def _binary(self, op, fn, other: Number) -> ExactReal:
+        """op(self, other) exactly when both are exact, else a node evaluating fn."""
         other = ExactReal.of(other)
         if self.exact is not None and other.exact is not None:
-            return ExactReal(None, (), fn(self.exact, other.exact))
+            return ExactReal(None, (), op(self.exact, other.exact))
         return ExactReal(fn, (self, other), None)
 
     def __add__(self, other: Number) -> ExactReal:
-        return self._binary(operator.add, other)
+        return self._binary(operator.add, mpi_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: Number) -> ExactReal:
-        return self._binary(operator.sub, other)
+        return self._binary(operator.sub, mpi_sub, other)
 
     def __rsub__(self, other: Number) -> ExactReal:
         return ExactReal.of(other) - self
 
     def __mul__(self, other: Number) -> ExactReal:
-        return self._binary(operator.mul, other)
+        return self._binary(operator.mul, mpi_mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Number) -> ExactReal:
-        return self._binary(operator.truediv, other)
+        return self._binary(operator.truediv, mpi_div, other)
 
     def __rtruediv__(self, other: Number) -> ExactReal:
         return ExactReal.of(other) / self
@@ -132,14 +137,14 @@ class ExactReal:
     def __neg__(self) -> ExactReal:
         if self.exact is not None:
             return ExactReal(None, (), -self.exact)
-        return ExactReal(operator.neg, (self,), None)
+        return ExactReal(mpi_neg, (self,), None)
 
     def __pow__(self, n: int) -> ExactReal:
         if not isinstance(n, int):
             return NotImplemented
         if self.exact is not None:
             return ExactReal(None, (), self.exact**n)
-        return ExactReal(operator.pow, (self, n), None)
+        return ExactReal(mpi_pow_int, (self, n), None)
 
     def sqrt(self) -> ExactReal:
         if self.exact is not None:
@@ -166,24 +171,22 @@ class ExactReal:
         return (self.log() * e).exp()
 
     def fmax(self, other: Number) -> ExactReal:
-        other = ExactReal.of(other)
-        if self.exact is not None and other.exact is not None:
-            return ExactReal(None, (), max(self.exact, other.exact))
-        return ExactReal(iv_max, (self, other), None)
+        return self._binary(max, iv_max, other)
 
     # -- interval evaluation ----------------------------------------------
 
     def _eval(self, prec: int):
-        """Enclosing interval at the current iv precision (caller holds the lock)."""
-        if self._cache is not None and self._cache[0] == prec:
-            return self._cache[1]
+        """Enclosing interval (lo, hi) of raw mpf endpoints at prec bits."""
+        cache = self._cache  # read once: another thread may replace it meanwhile
+        if cache is not None and cache[0] == prec:
+            return cache[1]
         if self.exact is not None:
-            val = _iv_from_fraction(self.exact)
+            val = _iv_from_fraction(self.exact, prec)
         elif len(self.args) == 1:
-            val = self.fn(self.args[0]._eval(prec))
+            val = self.fn(self.args[0]._eval(prec), prec)
         else:
             x, y = self.args  # an integer power keeps its exponent y as an int
-            val = self.fn(x._eval(prec), y if isinstance(y, int) else y._eval(prec))
+            val = self.fn(x._eval(prec), y if isinstance(y, int) else y._eval(prec), prec)
         self._cache = (prec, val)
         return val
 
@@ -211,8 +214,8 @@ class ExactReal:
             return 0
 
         def decide(prec: int) -> int | None:
-            a_lo, a_hi = self._eval(prec)._mpi_
-            b_lo, b_hi = other._eval(prec)._mpi_
+            a_lo, a_hi = self._eval(prec)
+            b_lo, b_hi = other._eval(prec)
             if mpf_lt(a_hi, b_lo):
                 return -1
             if mpf_lt(b_hi, a_lo):
@@ -241,7 +244,7 @@ class ExactReal:
             return (self.exact, self.exact)
 
         def endpoints(prec: int) -> tuple[Fraction, Fraction]:
-            lo, hi = self._eval(prec)._mpi_
+            lo, hi = self._eval(prec)
             return (_raw_to_fraction(lo), _raw_to_fraction(hi))
 
         return _certified(endpoints)
@@ -249,33 +252,31 @@ class ExactReal:
     def __repr__(self) -> str:
         if self.exact is not None:
             return f"ExactReal({self.exact})"
-        return f"ExactReal(<{self.fn.__name__}>)"
+        return f"ExactReal(<{self.fn.__name__.removeprefix('mpi_')}>)"
 
 
-def _iv_log(x):
+def _iv_log(x, prec: int):
     """Interval log of a value known to be > 0; retries tighter while x reaches 0."""
-    if not x.a > 0:
+    if not mpf_gt(x[0], fzero):
         raise _NeedMorePrecision()
-    return iv.log(x)
+    return mpi_log(x, prec)
 
 
-def _iv_exp(x):
+def _iv_exp(x, prec: int):
     """Interval exp, named so that an exp node prints as one."""
-    return iv.exp(x)
+    return mpi_exp(x, prec)
 
 
-def iv_sqrt_nonneg(x):
+def iv_sqrt_nonneg(x, prec: int):
     """Interval sqrt for a value known to be >= 0; clamps rounding underspill."""
-    if not x.a >= 0:
-        x = iv.mpf([0, mp.make_mpf(x._mpi_[1])])
-    return iv.sqrt(x)
+    if mpf_lt(x[0], fzero):
+        x = (fzero, x[1])
+    return mpi_sqrt(x, prec)
 
 
-def iv_max(x, y):
-    """Elementwise interval maximum."""
-    lo = y._mpi_[0] if mpf_lt(x._mpi_[0], y._mpi_[0]) else x._mpi_[0]
-    hi = y._mpi_[1] if mpf_lt(x._mpi_[1], y._mpi_[1]) else x._mpi_[1]
-    return iv.mpf([mp.make_mpf(lo), mp.make_mpf(hi)])
+def iv_max(x, y, prec: int):
+    """Elementwise interval maximum; exact, so prec is unused."""
+    return (y[0] if mpf_lt(x[0], y[0]) else x[0], y[1] if mpf_lt(x[1], y[1]) else x[1])
 
 
 def const(x: int | Fraction) -> ExactReal:

@@ -51,6 +51,13 @@ from .tuples import (
 )
 
 
+def _check_bound_and_size(max_abs_sq: int, target_size: int) -> None:
+    if max_abs_sq < 1:
+        raise ValueError("max_abs_sq must be >= 1")
+    if target_size < 2:
+        raise ValueError("target_size must be >= 2")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     spec: RingSpec
@@ -60,10 +67,7 @@ class SearchConfig:
     min_abs_sq: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_abs_sq < 1:
-            raise ValueError("max_abs_sq must be >= 1")
-        if self.target_size < 2:
-            raise ValueError("target_size must be >= 2")
+        _check_bound_and_size(self.max_abs_sq, self.target_size)
         if self.mode not in ("find-all", "find-first", "count"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.min_abs_sq < 1:
@@ -414,6 +418,8 @@ def quintuple_sweep(
     """Search every ring in the cutoff set derived from b_sq, plus the
     rational-integer pass, and report all m-tuples found (expected: none
     for size 5 at bound 16)."""
+    # checked here too: a bound below 1 leaves no ring to build a SearchConfig for
+    _check_bound_and_size(b_sq, size)
     rings = sweep_ring_list(b_sq)
     # integral-basis rings past the witness cutoff hold only rational elements
     # and witnesses (module docstring), so they share one search

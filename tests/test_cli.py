@@ -151,6 +151,24 @@ def test_nonpositive_threads_is_usage_error(capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bound", "0", "--size", "5"],
+        ["--bound", "0", "--size", "1"],
+        ["--bound", "0", "--size", "-3"],
+        ["--bound-sq", "-5", "--size", "5"],
+    ],
+    ids=["bound0", "size1", "size-3", "bound-sq-5"],
+)
+def test_empty_sweep_range_is_usage_error(capsys, argv):
+    # no ring lies in range, so no per-ring check runs; the sweep must still
+    # refuse the input rather than report an empty (and --expect-empty ok) result
+    code = main(["search", "--sweep", *argv, "--expect-empty"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_abs_sq must be >= 1\n"
+
+
 def test_text_format_default(capsys):
     code, out = run_cli(capsys, "chain", "--m", "43")
     assert code == 0

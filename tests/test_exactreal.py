@@ -1,12 +1,14 @@
+import operator
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diophiq.errors import UndecidableComparison
-from diophiq.exactreal import ExactReal, abs_value, const, sqrt_of
+from diophiq.exactreal import ExactReal, _NeedMorePrecision, abs_value, const, sqrt_of
 
 
 def test_exact_field_ops_stay_exact():
@@ -72,19 +74,9 @@ def test_enclosure_endpoints_are_certified():
     assert lo5 == hi5 == 5
 
 
-def test_needs_escalation_for_tight_log():
-    # log of (1 + 2^-200): positive but indistinguishable from 0 at 128 bits;
-    # the comparison must escalate precision and still certify.
-    tiny = 1 + const(Fraction(1, 2**200))
-    assert tiny.log() > 0
-
-
-def _log_frac_sqrt2(k):
-    """log of the fractional part of sqrt(2) * 2^k: needs about k bits to see it is > 0."""
-    return (sqrt_of(2) * 2**k - isqrt(2 ** (2 * k + 1))).log()
-
-
-def test_enclosure_escalates_past_log_domain(monkeypatch):
+@pytest.fixture
+def eval_precs(monkeypatch):
+    """The precision of every ExactReal._eval call the test makes."""
     precs = []
     evaluate = ExactReal._eval
 
@@ -93,9 +85,36 @@ def test_enclosure_escalates_past_log_domain(monkeypatch):
         return evaluate(this, prec)
 
     monkeypatch.setattr(ExactReal, "_eval", recording)
+    return precs
+
+
+def _tight_log():
+    """log of (1 + 2^-200): positive but indistinguishable from 0 at 128 bits."""
+    return (1 + const(Fraction(1, 2**200))).log()
+
+
+def test_needs_escalation_for_tight_log():
+    # the comparison must escalate precision and still certify
+    assert _tight_log() > 0
+
+
+def test_evaluation_leaves_mpmath_precision_alone(monkeypatch, eval_precs):
+    monkeypatch.setattr(mpmath.iv, "prec", 53)
+    mp_prec = mpmath.mp.prec
+    assert _tight_log() > 0
+    assert max(eval_precs) == 256
+    assert (mpmath.iv.prec, mpmath.mp.prec) == (53, mp_prec)
+
+
+def _log_frac_sqrt2(k):
+    """log of the fractional part of sqrt(2) * 2^k: needs about k bits to see it is > 0."""
+    return (sqrt_of(2) * 2**k - isqrt(2 ** (2 * k + 1))).log()
+
+
+def test_enclosure_escalates_past_log_domain(eval_precs):
     lo, hi = _log_frac_sqrt2(200).enclosure()
     assert lo <= hi < 0
-    assert max(precs) == 256
+    assert max(eval_precs) == 256
 
 
 def test_precision_cap_applies_to_enclosure_and_compare():
@@ -128,3 +147,110 @@ def test_sqrt_monotone(a, b):
         assert ra < rb
     else:
         assert ra > rb
+
+
+# --- bit-identity with mpmath's interval context ------------------------------
+
+def _iv_sqrt_nonneg(x):
+    return mpmath.iv.sqrt(x if x.a >= 0 else mpmath.iv.mpf([0, x.b]))
+
+
+def _iv_log(x):
+    if not x.a > 0:
+        raise _NeedMorePrecision()
+    return mpmath.iv.log(x)
+
+
+# the iv operation each node's function stands for, keyed by its name
+IV_OPS = {
+    "mpi_add": operator.add,
+    "mpi_sub": operator.sub,
+    "mpi_mul": operator.mul,
+    "mpi_div": operator.truediv,
+    "mpi_neg": operator.neg,
+    "mpi_pow_int": operator.pow,
+    "iv_sqrt_nonneg": _iv_sqrt_nonneg,
+    "_iv_log": _iv_log,
+    "_iv_exp": lambda x: mpmath.iv.exp(x),
+    "iv_max": lambda x, y: mpmath.iv.mpf([max(x.a, y.a), max(x.b, y.b)]),
+}
+
+
+def _iv_value(x: ExactReal):
+    """The tree evaluated through mpmath.iv objects at the current iv.prec."""
+    if x.exact is not None:
+        return mpmath.iv.mpf(x.exact.numerator) / mpmath.iv.mpf(x.exact.denominator)
+    args = [_iv_value(a) if isinstance(a, ExactReal) else a for a in x.args]
+    return IV_OPS[x.fn.__name__](*args)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except _NeedMorePrecision:
+        return "undecided"
+
+
+def _fractions(lo):
+    # some numerators and denominators are wider than 128 bits, so that
+    # converting them rounds before the division does
+    wide = st.integers(2**200, 2**260)
+    num = st.one_of(st.integers(lo, 40), wide, wide.map(operator.neg) if lo < 0 else wide)
+    return st.builds(Fraction, num, st.one_of(st.integers(1, 12), wide)).map(const)
+
+
+def _pairs(kids, op):
+    return st.tuples(kids, kids).map(lambda t: op(*t))
+
+
+def _divide(x, y):
+    return x / y if y.exact != 0 else x
+
+
+def _power(x, n):
+    return x**n if x.exact != 0 or n >= 0 else x
+
+
+# every value of a positive tree is > 0, and so is the lower end of its
+# interval, so it may go under sqrt and log; exp takes a log, so that its
+# argument stays small however wide the leaves are
+POSITIVE = st.recursive(
+    _fractions(1),
+    lambda kids: st.one_of(
+        _pairs(kids, operator.add),
+        _pairs(kids, operator.mul),
+        _pairs(kids, operator.truediv),
+        _pairs(kids, ExactReal.fmax),
+        kids.map(ExactReal.sqrt),
+        kids.map(lambda x: x.log().exp()),
+    ),
+    max_leaves=4,
+)
+
+TREES = st.recursive(
+    st.one_of(_fractions(-40), POSITIVE.map(ExactReal.log), POSITIVE.map(ExactReal.sqrt)),
+    lambda kids: st.one_of(
+        _pairs(kids, operator.add),
+        _pairs(kids, operator.sub),
+        _pairs(kids, operator.mul),
+        _pairs(kids, _divide),
+        _pairs(kids, ExactReal.fmax),
+        kids.map(operator.neg),
+        st.tuples(kids, st.integers(-3, 3)).map(lambda t: _power(*t)),
+        POSITIVE.map(lambda x: (-x.log()).exp()),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(x=TREES)
+def test_eval_matches_mpmath_iv_bit_for_bit(x):
+    old = mpmath.iv.prec
+    for prec in (128, 256):
+        try:
+            mpmath.iv.prec = prec
+            expected = _outcome(lambda: _iv_value(x)._mpi_)
+        finally:
+            mpmath.iv.prec = old
+        assert _outcome(lambda: x._eval(prec)) == expected

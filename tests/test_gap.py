@@ -1,8 +1,12 @@
 import cmath
+import hashlib
+import json
 import math
 import random
+import threading
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +269,49 @@ def test_chain_no_contradiction_below_43():
 
 def test_chain_above_43_still_contradicts():
     assert chain_certificate(50).contradiction_at == 43
+
+
+GAP_DIGEST = Path(__file__).parent / "data" / "gap_principle_digest.json"
+
+
+def _gap_digest_inputs():
+    """Ten admissible triples in each of d = -1, -2, -3, -7, -11, fixed by seed."""
+    rng = random.Random(2018)
+    return [_admissible_triple(rng, RingSpec(d)) for d in (-1, -2, -3, -7, -11) for _ in range(10)]
+
+
+def _certified_lines(triples):
+    """One line per input: its coordinates, then every certified output of the
+    interval layer; a change in any endpoint or check changes the line."""
+    lines = []
+    for a, b, c in triples:
+        res = gap_principle(a, b, c)
+        lines.append(repr((
+            a.spec.d, [(e.u, e.v) for e in (a, b, c)],
+            res.lambda_enclosure, res.bound_abs_sq, sorted(res.checks.items()),
+            res.report.L.enclosure(), res.report.c_const.enclosure(),
+        )))
+    return lines
+
+
+def test_gap_principle_digest_is_pinned():
+    lines = _certified_lines(_gap_digest_inputs())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert {"inputs": len(lines), "sha256": digest} == json.loads(GAP_DIGEST.read_text())
+
+
+def test_gap_principle_from_two_threads_matches_serial():
+    triples = _gap_digest_inputs()
+    halves = [triples[0::2], triples[1::2]]
+    serial = [_certified_lines(h) for h in halves]
+    threaded = [None, None]
+
+    def run(i):
+        threaded[i] = _certified_lines(halves[i])
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert threaded == serial

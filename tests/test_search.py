@@ -218,6 +218,12 @@ def test_sweep_reports_cutoffs_of_its_bound():
     }
 
 
+def test_sweep_rejects_size_before_searching(monkeypatch):
+    monkeypatch.setattr(search, "_sweep_one", lambda job: pytest.fail("searched a ring"))
+    with pytest.raises(ValueError, match="target_size must be >= 2"):
+        quintuple_sweep(b_sq=4, size=1, workers=1)
+
+
 def test_rational_integer_pass():
     assert rational_integer_pass(256, 5) == []
     triples = rational_integer_pass(256, 3)
