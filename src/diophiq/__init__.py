@@ -1,89 +1,4 @@
 """Exact search and verification of Diophantine m-tuples in imaginary
 quadratic number rings."""
 
-from .ring import (
-    RingElem,
-    RingSpec,
-    canonical_sqrt,
-    cmp_abs,
-    elements_with_abs_sq,
-    enumerate_up_to,
-    sqrt_in_ring,
-)
-from .tuples import (
-    DiophTuple,
-    c_plus_minus,
-    forbidden_double_regular,
-    is_diophantine_pair,
-    is_regular_triple,
-    make_tuple,
-    quadruple_extension_candidates,
-    regular_extensions,
-)
-from .pell import (
-    PellSolution,
-    PellSystem,
-    build_system,
-    compose_step,
-    extensions_from_orbit,
-    solution_from_extension,
-)
-from .gap import (
-    ChainCertificate,
-    GapReport,
-    K_CONSTANT,
-    approx_check,
-    chain_certificate,
-    gap_principle,
-    jz_quantities,
-    omega_lower_bound,
-)
-from .search import (
-    SearchConfig,
-    SearchResult,
-    census_double_regular_triples,
-    extend_tuple,
-    find_m_tuples,
-    quintuple_sweep,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "RingElem",
-    "RingSpec",
-    "canonical_sqrt",
-    "cmp_abs",
-    "elements_with_abs_sq",
-    "enumerate_up_to",
-    "sqrt_in_ring",
-    "DiophTuple",
-    "c_plus_minus",
-    "forbidden_double_regular",
-    "is_diophantine_pair",
-    "is_regular_triple",
-    "make_tuple",
-    "quadruple_extension_candidates",
-    "regular_extensions",
-    "PellSolution",
-    "PellSystem",
-    "build_system",
-    "compose_step",
-    "extensions_from_orbit",
-    "solution_from_extension",
-    "ChainCertificate",
-    "GapReport",
-    "K_CONSTANT",
-    "approx_check",
-    "chain_certificate",
-    "gap_principle",
-    "jz_quantities",
-    "omega_lower_bound",
-    "SearchConfig",
-    "SearchResult",
-    "census_double_regular_triples",
-    "extend_tuple",
-    "find_m_tuples",
-    "quintuple_sweep",
-    "__version__",
-]

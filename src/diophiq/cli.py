@@ -142,6 +142,8 @@ def cmd_search(args) -> int:
         "expect_empty": str(bool(args.expect_empty)).lower(),
     }
     if args.sweep:
+        if args.mode != "find-all" or args.min_sq != 1:
+            raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")
         config["sweep"] = "true"
         rep = quintuple_sweep(b_sq, args.size, workers=args.threads, cache_dir=args.cache_dir)
         payload = {
@@ -159,6 +161,8 @@ def cmd_search(args) -> int:
         found = not rep.is_empty
     else:
         config["d"] = str(args.d)
+        if args.min_sq != 1:
+            config["min_sq"] = str(args.min_sq)
         cfg = SearchConfig(
             RingSpec(args.d), b_sq, args.size, mode=args.mode, min_abs_sq=args.min_sq
         )

@@ -47,10 +47,6 @@ class NotASolution(DiophError):
     """The value pair does not satisfy the Pell-type equation."""
 
 
-class OrbitNotDiverging(DiophError):
-    """Orbit walk failed to grow for too many consecutive steps."""
-
-
 class PreconditionViolated(DiophError):
     """A hypothesis check failed; carries the list of failing hypotheses."""
 

@@ -285,8 +285,3 @@ def const(x: int | Fraction) -> ExactReal:
 
 def sqrt_of(x: Number) -> ExactReal:
     return ExactReal.of(x).sqrt()
-
-
-def abs_value(n_sq: int) -> ExactReal:
-    """|z| as an ExactReal given abs_sq(z); exact when n_sq is a perfect square."""
-    return ExactReal.of(n_sq).sqrt()

@@ -6,10 +6,7 @@ forces, after elimination of d, the simultaneous equations
     a z^2 - c x^2 = a - c        and        b z^2 - c y^2 = b - c
 
 with ad+1 = x^2, bd+1 = y^2, cd+1 = z^2.  Solutions of the first equation
-can be composed with the automorph s + sqrt(ac) (s^2 = ac + 1); walking
-that orbit and filtering by the second equation recovers extensions
-d = (z^2 - 1)/c.  The orbit walk makes no completeness claim: every element
-it emits is exactly verified, and exhaustive search lives elsewhere.
+can be composed with the automorph s + sqrt(ac) (s^2 = ac + 1).
 """
 
 from __future__ import annotations
@@ -17,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NotAQuadruple, NotASolution, NotATriple, OrbitNotDiverging
+from .errors import NotAQuadruple, NotASolution, NotATriple
 from .ring import RingElem, canonical_sqrt
 from .tuples import is_diophantine_tuple
-
-GROWTH_GUARD_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -105,56 +100,3 @@ def compose_step(
         out = (sys.s * z - sys.c * x, sys.s * x - sys.a * z)
     assert first_equation_holds(sys, *out)
     return out
-
-
-def _walk(sys: PellSystem, seed, direction, max_abs_sq):
-    """Orbit members in one direction while abs_sq(z) stays within bound."""
-    cur = seed
-    best = cur[0].abs_sq()
-    stale = 0
-    while True:
-        cur = compose_step(sys, cur, direction)
-        n = cur[0].abs_sq()
-        if n > max_abs_sq:
-            return
-        if n > best:
-            best = n
-            stale = 0
-        else:
-            stale += 1
-            if stale >= GROWTH_GUARD_STEPS:
-                raise OrbitNotDiverging(
-                    f"orbit of {sys} stuck below abs_sq {best} for {stale} steps"
-                )
-        yield cur
-
-
-def extensions_from_orbit(
-    sys: PellSystem, seed: tuple[RingElem, RingElem], max_abs_sq: int
-) -> list[RingElem]:
-    """Extensions d = (z^2-1)/c found along the automorph orbit of seed.
-
-    Emits d when c divides z^2 - 1 exactly and bd+1 is a square; ad+1 = x^2
-    holds automatically on the orbit.  Results are deduplicated, exclude
-    0 and the triple's own elements, and come in canonical order.
-    """
-    z0, x0 = seed
-    if not first_equation_holds(sys, z0, x0):
-        raise NotASolution(f"seed ({z0}, {x0}) does not solve the first equation")
-    spec = sys.a.spec
-    one = spec.one
-    found: set[RingElem] = set()
-    members: list[tuple[RingElem, RingElem]] = []
-    if z0.abs_sq() <= max_abs_sq:
-        members.append(seed)
-    for direction in ("forward", "backward"):
-        members.extend(_walk(sys, seed, direction, max_abs_sq))
-    for z, _x in members:
-        d = (z * z - one).divide_exact(sys.c)
-        if d is None or d.is_zero() or d in (sys.a, sys.b, sys.c):
-            continue
-        if canonical_sqrt(sys.b * d + one) is None:
-            continue
-        assert is_diophantine_tuple(spec, [sys.a, sys.b, sys.c, d])
-        found.add(d)
-    return sorted(found, key=RingElem.canonical_key)

@@ -62,11 +62,6 @@ class RingSpec:
         object.__setattr__(self, "n", (1 - self.d) // 4 if half else -self.d)
 
     @property
-    def half_basis(self) -> bool:
-        """True exactly when d = 1 (mod 4), i.e. w = (-1+sqrt(d))/2."""
-        return self.t == 1
-
-    @property
     def abs_disc(self) -> int:
         """|D| = 4n - t^2, the absolute discriminant of O_K."""
         return 4 * self.n - self.t * self.t
@@ -132,20 +127,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def is_unit(self) -> bool:
-        return self.abs_sq() == 1
-
-    def divide_exact(self, other: RingElem) -> RingElem | None:
-        """self / other when the quotient lies in the ring, else None."""
-        self._check(other)
-        n = other.abs_sq()
-        if n == 0:
-            return None
-        q = self * other.conj()
-        if q.u % n or q.v % n:
-            return None
-        return RingElem(q.u // n, q.v // n, self.spec)
-
     def canonical_key(self) -> tuple[int, int, int]:
         """Total order used everywhere: (abs_sq, u, v) lexicographic."""
         return (self.abs_sq(), self.u, self.v)
@@ -155,13 +136,6 @@ class RingElem:
 
     def __str__(self) -> str:
         return f"({self.u},{self.v})"
-
-
-def cmp_abs(z1: RingElem, z2: RingElem) -> int:
-    """-1, 0 or +1 comparing |z1| and |z2| exactly via squared absolute values."""
-    z1._check(z2)
-    a, b = z1.abs_sq(), z2.abs_sq()
-    return (a > b) - (a < b)
 
 
 def elements_with_abs_sq(spec: RingSpec, n: int) -> list[RingElem]:

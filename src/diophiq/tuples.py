@@ -36,12 +36,6 @@ class DiophTuple:
     elems: tuple[RingElem, ...]
     witnesses: Mapping[tuple[int, int], RingElem]
 
-    def __len__(self) -> int:
-        return len(self.elems)
-
-    def __contains__(self, z: RingElem) -> bool:
-        return z in self.elems
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.spec.d,
@@ -116,17 +110,6 @@ def regular_extensions(a: RingElem, b: RingElem) -> tuple[RingElem, ...]:
         assert is_diophantine_tuple(a.spec, [a, b, c])
         out.append(c)
     return tuple(sorted(out, key=RingElem.canonical_key))
-
-
-def is_regular_triple(a: RingElem, b: RingElem, c: RingElem) -> bool:
-    """True iff one element is a regular completion of the other two."""
-    if not is_diophantine_tuple(a.spec, [a, b, c]):
-        raise NotATriple(f"{a}, {b}, {c}")
-    return (
-        c in regular_extensions(a, b)
-        or a in regular_extensions(b, c)
-        or b in regular_extensions(a, c)
-    )
 
 
 def quadruple_extension_candidates(

@@ -169,6 +169,32 @@ def test_empty_sweep_range_is_usage_error(capsys, argv):
     assert capsys.readouterr().err == "error: max_abs_sq must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--mode", "count"], ["--mode", "find-first"], ["--min-sq", "4"]],
+    ids=["count", "find-first", "min-sq4"],
+)
+def test_sweep_rejects_options_it_ignores(capsys, extra):
+    code = main(["search", "--sweep", "--bound", "3", "--size", "3", *extra])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --sweep takes no --mode or --min-sq: it finds every tuple\n"
+
+
+@pytest.mark.parametrize(
+    "extra, count, config_min_sq",
+    [([], "10", None), (["--min-sq", "1"], "10", None), (["--min-sq", "4"], "4", "4")],
+    ids=["default", "min-sq1", "min-sq4"],
+)
+def test_search_report_records_min_sq(capsys, extra, count, config_min_sq):
+    # the key appears only when it is not 1, like the cache file's _min suffix
+    code, rep = run_json(capsys, "search", "--d", "-1", "--bound", "3", "--size", "3", *extra)
+    assert code == 0
+    assert rep["payload"]["count"] == count
+    assert rep["config"].get("min_sq") == config_min_sq
+
+
 def test_text_format_default(capsys):
     code, out = run_cli(capsys, "chain", "--m", "43")
     assert code == 0

@@ -50,7 +50,7 @@ APPROX_CASES = [
 def _float_slack_theta1(sys, sol):
     """bound1 - min|+-theta1 - sx/(az)| in complex floats."""
     spec = sys.a.spec
-    w = (-1 + cmath.sqrt(spec.d)) / 2 if spec.half_basis else cmath.sqrt(spec.d)
+    w = (-1 + cmath.sqrt(spec.d)) / 2 if spec.t == 1 else cmath.sqrt(spec.d)
     a, c, s, x, z = (e.u + e.v * w for e in (sys.a, sys.c, sys.s, sol.x, sol.z))
     theta = cmath.sqrt(s * s / (a * c))
     q = s * x / (a * z)

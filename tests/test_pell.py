@@ -2,12 +2,9 @@ import pytest
 
 from diophiq.errors import NotAQuadruple, NotASolution, NotATriple
 from diophiq.pell import (
-    PellSolution,
     build_system,
     compose_step,
-    extensions_from_orbit,
     first_equation_holds,
-    second_equation_holds,
     solution_from_extension,
 )
 from diophiq.ring import RingSpec
@@ -68,24 +65,3 @@ def test_compose_preserves_form_value_along_orbit():
     for _ in range(50):
         cur = compose_step(sys, cur)
         assert first_equation_holds(sys, *cur)
-
-
-def test_extensions_from_orbit_finds_120():
-    sys = build_system(D1.elem(1), D1.elem(3), D1.elem(8))
-    exts = extensions_from_orbit(sys, (D1.elem(-1), D1.elem(1)), 10**6)
-    assert D1.elem(120) in exts
-    for d in exts:
-        sol = solution_from_extension(sys, d)
-        assert second_equation_holds(sys, sol.z, sol.y)
-
-
-def test_extensions_from_orbit_empty_below_threshold():
-    sys = build_system(D1.elem(1), D1.elem(3), D1.elem(8))
-    # no valid z with abs_sq(z) <= 2 on this orbit gives an extension
-    assert extensions_from_orbit(sys, (D1.elem(-1), D1.elem(1)), 2) == []
-
-
-def test_orbit_seed_validation():
-    sys = build_system(D1.elem(1), D1.elem(3), D1.elem(8))
-    with pytest.raises(NotASolution):
-        extensions_from_orbit(sys, (D1.elem(3), D1.elem(1)), 100)

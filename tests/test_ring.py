@@ -9,7 +9,6 @@ from diophiq.ring import (
     RingElem,
     RingSpec,
     canonical_sqrt,
-    cmp_abs,
     elements_with_abs_sq,
     enumerate_up_to,
     is_squarefree,
@@ -28,7 +27,7 @@ RINGS = [D1, D2, D3, D7, D11, RingSpec(-163)]
 def to_complex(z: RingElem) -> complex:
     """Numeric oracle: embed the element into C with floating point."""
     d = z.spec.d
-    if z.spec.half_basis:
+    if z.spec.t == 1:
         w = (-1 + 1j * math.sqrt(-d)) / 2
     else:
         w = 1j * math.sqrt(-d)
@@ -42,10 +41,10 @@ def test_spec_validation():
         RingSpec(-4)
     with pytest.raises(ValueError):
         RingSpec(-12)
-    assert RingSpec(-3).half_basis
-    assert RingSpec(-163).half_basis
-    assert not RingSpec(-1).half_basis
-    assert not RingSpec(-2).half_basis
+    assert RingSpec(-3).t == 1
+    assert RingSpec(-163).t == 1
+    assert RingSpec(-1).t == 0
+    assert RingSpec(-2).t == 0
 
 
 def test_is_squarefree():
@@ -66,8 +65,6 @@ def test_mixed_rings_rejected():
         D1.elem(1, 0) + D2.elem(1, 0)
     with pytest.raises(MixedRings):
         D1.elem(1, 0) * D3.elem(1, 0)
-    with pytest.raises(MixedRings):
-        cmp_abs(D1.elem(1, 0), D2.elem(1, 0))
 
 
 def test_mul_fixed_points():
@@ -116,12 +113,6 @@ def test_abs_sq_matches_complex_oracle(spec, a):
 def test_norm_multiplicative(spec, a, b):
     z1, z2 = spec.elem(*a), spec.elem(*b)
     assert (z1 * z2).abs_sq() == z1.abs_sq() * z2.abs_sq()
-
-
-def test_cmp_abs():
-    assert cmp_abs(D1.elem(1, 1), D1.elem(2, 0)) == -1
-    assert cmp_abs(D1.elem(5, -3), D1.elem(5, -3)) == 0
-    assert cmp_abs(D3.elem(2, 4), D3.elem(3, 0)) == 1
 
 
 def test_conj():
@@ -253,18 +244,3 @@ def test_enumerate_matches_elementwise_union(spec, b_sq):
     # raw disk iterator agrees
     raw = sorted((u, v) for u, v, _ in iter_disk_coords(spec, b_sq))
     assert raw == sorted(z.coords() for z in via_stream)
-
-
-def test_is_unit():
-    assert D1.elem(0, 1).is_unit()
-    assert D3.elem(1, 1).is_unit()
-    assert not D1.elem(2, 0).is_unit()
-
-
-def test_divide_exact():
-    a = D1.elem(0, 2)       # 2i
-    b = D1.elem(1, 1)       # 1+i
-    q = a.divide_exact(b)
-    assert q == D1.elem(1, 1)
-    assert a.divide_exact(D1.elem(3, 0)) is None
-    assert a.divide_exact(D1.zero) is None

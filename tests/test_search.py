@@ -1,8 +1,12 @@
 import functools
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -485,3 +489,18 @@ def test_determinism_workers_independent():
     assert [elems_of(t) for t in seq.tuples] == [elems_of(t) for t in par.tuples]
     assert seq.rational_pass_tuples == par.rational_pass_tuples
     assert seq.rings_checked == par.rings_checked
+
+
+def test_search_import_loads_neither_gap_nor_mpmath():
+    # the search layer sits on ring and tuples only; certified arithmetic
+    # (gap, exactreal, mpmath) loads only for the commands that use it
+    src = str(Path(search.__file__).parents[1])
+    code = (
+        "import sys, diophiq.search; "
+        "print(sorted(m for m in ('diophiq.gap', 'diophiq.exactreal', 'mpmath') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == "[]\n"

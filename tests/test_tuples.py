@@ -12,14 +12,13 @@ from diophiq.errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from diophiq.ring import RingSpec, enumerate_up_to, sqrt_in_ring
+from diophiq.ring import RingSpec, enumerate_up_to
 from diophiq.tuples import (
     DiophTuple,
     c_plus_minus,
     forbidden_double_regular,
     is_diophantine_pair,
     is_diophantine_tuple,
-    is_regular_triple,
     make_tuple,
     pair_products_not_square,
     quadruple_extension_candidates,
@@ -90,14 +89,6 @@ def test_regular_extensions():
     assert set(exts) == {TWO_ROOT3, NEG_TWO_ROOT3}
     # r = 0 and both branches are 0
     assert regular_extensions(D1.elem(-1), D1.elem(1)) == ()
-
-
-def test_is_regular_triple():
-    assert is_regular_triple(D1.elem(1), D1.elem(3), D1.elem(8))
-    assert is_regular_triple(D3.elem(-2), D3.elem(2), TWO_ROOT3)
-    # {1, 8, 120}: no rotation is a regular completion
-    # regular_extensions(1,8)={3,15}, (1,120)={99,143}, (8,120)={66,190}
-    assert not is_regular_triple(D1.elem(1), D1.elem(8), D1.elem(120))
 
 
 def test_quadruple_extension_candidates():
@@ -197,4 +188,4 @@ def test_regular_extensions_always_verify(spec, x, y):
     except Exception:
         return
     for c in exts:
-        assert is_regular_triple(a, b, c)
+        assert is_diophantine_tuple(spec, [a, b, c])
