@@ -160,6 +160,8 @@ def cmd_search(args) -> int:
         }
         found = not rep.is_empty
     else:
+        if args.threads is not None:
+            raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
         config["d"] = str(args.d)
         if args.min_sq != 1:
             config["min_sq"] = str(args.min_sq)

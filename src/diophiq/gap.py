@@ -9,7 +9,7 @@ Four layers, all exact or certified:
 * jz_quantities      -- the constant set (L, P, l, p, lambda, c) of the
                         simultaneous-approximation theorem, as certified
                         exact-or-interval scalars;
-* gap_principle      -- hypothesis checks on exact squared absolute values
+* gap_principle      -- hypothesis and algebraic checks on exact integers
                         plus certified lambda < 1.9, returning the exact
                         big-integer bound K^2 * abs_sq(c)^50, K = 4728^20;
 * chain_certificate  -- the cascading lower-bound chain on indices
@@ -17,16 +17,17 @@ Four layers, all exact or certified:
                         ending in the final contradiction.
 
 Upper bounds and hypothesis checks are carried on squared absolute values
-(integers) so every chain step compares exact big integers; only genuinely
-irrational comparisons (lambda, fractional powers, the approximation
-margins) go through exactreal's adaptive interval arithmetic.
+(integers) so every chain step compares exact big integers, and so are the
+algebraic checks L > 1 and the auxiliary inequality; only lambda (it needs
+a logarithm) and the approximation margins go through exactreal's adaptive
+interval arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from .errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
 from .exactreal import ExactReal, const, sqrt_of
@@ -167,11 +168,12 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
     min_sq = min(n1, n2, n12)
     min_abs = const(min_sq).sqrt()
 
-    L = const(Fraction(27, 16 * n1 * n2 * n12)) * (abs_t - abs_m) ** 2
-    P = const(16 * n1 * n2 * n12) * (2 * abs_t + 3 * abs_m) / min_abs**3
+    k = 16 * n1 * n2 * n12
+    L = const(Fraction(27, k)) * (abs_t - abs_m) ** 2
+    P = const(k) * (2 * abs_t + 3 * abs_m) / min_abs**3
     l = const(Fraction(27, 64)) * abs_t / (abs_t - abs_m)
     p = ((2 * abs_t + 3 * abs_m) / (2 * abs_t - 2 * abs_m)).sqrt()
-    if L.compare(1) <= 0:
+    if not _l_exceeds_one(k, t2, m_sq):
         raise TheoremInapplicable("L <= 1, the theorem gives nothing")
     lam = 1 + P.log() / L.log()
     c_const = 1 / (const(4) * p * P * (2 * l).fmax(1).pow(lam - 1))
@@ -179,6 +181,12 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
         a1=a1, a2=a2, T=T, M_sq=m_sq,
         L=L, P=P, l=l, p=p, lam=lam, c_const=c_const,
     )
+
+
+def _l_exceeds_one(k: int, t2: int, m_sq: int) -> bool:
+    """27/k * (sqrt(t2) - sqrt(m_sq))^2 > 1, i.e. 27(t2 + m_sq) - k > 54 sqrt(t2 m_sq)."""
+    s = 27 * (t2 + m_sq) - k
+    return s > 0 and s * s > 2916 * t2 * m_sq
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +220,25 @@ def gap_hypotheses(a: RingElem, b: RingElem, c: RingElem) -> list[str]:
     return failures
 
 
+def _auxiliary_holds(na: int, nb: int, nbma: int, nc: int) -> bool:
+    """210|b|^3 |b-a|^3.8 |a|^0.8 < (|ac|-1)^0.8 from the squared absolute values.
+
+    Raised to the 10th power it reads X < (s-1)^8 = A - B*s with s = sqrt(na*nc),
+    X = 210^10 nb^15 nbma^19 na^4 and A, B the even and odd binomial sums.
+    """
+    n = na * nc
+    x = 210**10 * nb**15 * nbma**19 * na**4
+    even = sum(comb(8, k) * n ** (k // 2) for k in range(0, 9, 2))
+    odd = sum(comb(8, k) * n ** (k // 2) for k in range(1, 9, 2))
+    return even > x and (even - x) ** 2 > odd * odd * n
+
+
 def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
     """Exact bound abs_sq(d) < K^2 * abs_sq(c)^50 with K = 4728^20.
 
-    Hypotheses are checked exactly on squared absolute values; on top of the
-    bound the certification re-derives lambda in (1, 1.9) and the auxiliary
-    inequality 210|b|^3 |b-a|^3.8 |a|^0.8 < (|ac|-1)^0.8 by intervals.
+    Hypotheses, L > 1 and the auxiliary inequality
+    210|b|^3 |b-a|^3.8 |a|^0.8 < (|ac|-1)^0.8 are decided exactly on squared
+    absolute values; only lambda in (1, 1.9) is certified by intervals.
     """
     failures = gap_hypotheses(a, b, c)
     if failures:
@@ -228,16 +249,10 @@ def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
         "lambda > 1": report.lam > 1,
         "lambda < 1.9": report.lam < Fraction(19, 10),
     }
-    na, nb, nc = a.abs_sq(), b.abs_sq(), c.abs_sq()
-    nbma = (b - a).abs_sq()
-    lhs = (
-        210
-        * const(nb).sqrt() ** 3
-        * const(nbma).sqrt().pow(Fraction(19, 5))
-        * const(na).sqrt().pow(Fraction(4, 5))
+    nc = c.abs_sq()
+    checks["210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"] = _auxiliary_holds(
+        a.abs_sq(), b.abs_sq(), (b - a).abs_sq(), nc
     )
-    rhs = (const(na * nc).sqrt() - 1).pow(Fraction(4, 5))
-    checks["210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"] = lhs < rhs
     if not all(checks.values()):
         raise TheoremInapplicable(f"certification failed: {checks}")
     k20 = K_CONSTANT**20

@@ -182,6 +182,15 @@ def test_sweep_rejects_options_it_ignores(capsys, extra):
     assert err == "error: --sweep takes no --mode or --min-sq: it finds every tuple\n"
 
 
+def test_single_ring_search_rejects_threads(capsys):
+    # only the sweep starts workers; a single-ring search used to drop the option
+    code = main(["search", "--d", "-1", "--bound", "3", "--size", "3", "--threads", "4"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --threads needs --sweep: a single-ring search runs in one process\n"
+
+
 @pytest.mark.parametrize(
     "extra, count, config_min_sq",
     [([], "10", None), (["--min-sq", "1"], "10", None), (["--min-sq", "4"], "4", "4")],

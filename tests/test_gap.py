@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from diophiq import gap
-from diophiq.errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
+from diophiq.errors import (
+    DegenerateInput, PreconditionViolated, TheoremInapplicable, UndecidableComparison,
+)
 from diophiq.exactreal import const
 from diophiq.gap import (
     ApproxReport,
@@ -168,6 +170,33 @@ def test_jz_L_gt_1_under_strong_condition():
         count += 1
 
 
+def _l_exceeds_one_by_intervals(k, t2, m_sq):
+    """The interval comparison the integer predicate replaced, kept as its oracle."""
+    return const(Fraction(27, k)) * (const(t2).sqrt() - const(m_sq).sqrt()) ** 2 > 1
+
+
+def test_l_exceeds_one_matches_interval_form():
+    # k is drawn next to 27(sqrt(t2) - sqrt(m_sq))^2, where L crosses 1
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(400):
+        t2 = rng.randint(2, 10**6)
+        m_sq = rng.randint(1, t2 - 1)
+        tie = 27 * (t2 + m_sq) - 54 * isqrt(t2 * m_sq)
+        k = max(1, tie + rng.randint(-3, 3) if rng.random() < 0.5 else rng.randint(1, 2 * tie))
+        holds = gap._l_exceeds_one(k, t2, m_sq)
+        assert holds == _l_exceeds_one_by_intervals(k, t2, m_sq), (k, t2, m_sq)
+        seen.add(holds)
+    assert seen == {True, False}
+
+
+def test_l_exceeds_one_is_false_at_the_exact_tie():
+    # 27/2187 * (10 - 1)^2 == 1: the interval form certified a tie, not L > 1
+    L = const(Fraction(27, 2187)) * (const(100).sqrt() - const(1).sqrt()) ** 2
+    assert L.compare(1) == 0
+    assert not gap._l_exceeds_one(2187, 100, 1)
+
+
 # --- gap_principle -----------------------------------------------------------
 
 def test_gap_hypothesis_failures_listed():
@@ -207,6 +236,46 @@ def test_gap_principle_bound_is_exact_power():
     lo, hi = res.lambda_enclosure
     assert 1 < lo < hi < Fraction(19, 10)
     assert res.checks["210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"]
+
+
+def _auxiliary_by_intervals(na, nb, nbma, nc):
+    """The interval expression the integer predicate replaced, kept as its oracle."""
+    lhs = (
+        210
+        * const(nb).sqrt() ** 3
+        * const(nbma).sqrt().pow(Fraction(19, 5))
+        * const(na).sqrt().pow(Fraction(4, 5))
+    )
+    rhs = (const(na * nc).sqrt() - 1).pow(Fraction(4, 5))
+    return lhs < rhs
+
+
+def test_auxiliary_inequality_matches_interval_form():
+    # inputs ignore the gap hypotheses, under which the check may always hold;
+    # half of them put nc where (sqrt(na*nc) - 1)^8 lies next to X
+    rng = random.Random(1807)
+    seen = set()
+    for i in range(400):
+        na, nb, nbma = rng.randint(1, 40), rng.randint(1, 300), rng.randint(1, 400)
+        if i % 2:
+            # (sqrt(na*nc) - 1)^8 == X at na*nc = (X^(1/8) + 1)^2, X^(1/8) to 64 bits
+            x = 210**10 * nb**15 * nbma**19 * na**4
+            root = isqrt(isqrt(isqrt(x << 512)))
+            nc = (root + 2**64) ** 2 // (na << 128) + rng.randint(-2, 2)
+        else:
+            nc = rng.randint(1, 10 ** rng.randint(1, 60))
+        nc = max(nc, 2)  # (|ac| - 1)^0.8 is an interval pow only for |ac| > 1
+        holds = gap._auxiliary_holds(na, nb, nbma, nc)
+        assert holds == _auxiliary_by_intervals(na, nb, nbma, nc), (na, nb, nbma, nc)
+        seen.add((i % 2, holds))
+    assert len(seen) == 4, seen  # both outcomes, near the tie and away from it
+
+
+def test_auxiliary_inequality_is_false_at_the_exact_tie():
+    # |ac| = 1 and b = a make both sides 0; the interval form could not decide
+    with pytest.raises(UndecidableComparison):
+        _auxiliary_by_intervals(1, 26, 0, 1)
+    assert not gap._auxiliary_holds(1, 26, 0, 1)
 
 
 # --- omega_lower_bound --------------------------------------------------------
