@@ -2,7 +2,7 @@
 
 Per ring: enumerate the nonzero elements inside the bound, build the pair
 graph (edge iff the product plus one is a square in the ring), and list
-m-cliques via degeneracy-ordered backtracking.  Every clique found is
+m-cliques by backtracking over a degeneracy order.  Every clique found is
 re-verified through make_tuple before it is reported.
 
 The sweep at bound |z|^2 <= B runs that search over every squarefree
@@ -18,8 +18,8 @@ B + 1 < |d| <= 4B hold only rational elements and witnesses too, so their
 searches are equal: the sweep runs the first and copies its tuples (d
 replaced) and counts to the rest, and re-verifies every copy in its ring.
 
-The pair graph is invariant under z -> -z and z -> conj(z), so it tests one
-pair of each pair orbit and copies the edges found to the other pairs.
+The pair graph walks the witnesses w with abs_sq(w) <= B + 1, B the largest
+vertex norm, and factors w^2 - 1 into its edges instead of testing pairs.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import itertools
 import json
 import os
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
@@ -91,47 +92,49 @@ class SearchResult:
 
 
 def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]], int]:
-    """Adjacency sets over vertex indices; returns (adj, pairs_decided).
+    """Adjacency sets over nonzero vertices' indices; returns (adj, pairs_decided).
 
-    The vertices must be closed under z -> -z and z -> conj(z), and the graph
-    is then too: (-a)(-b) + 1 = ab + 1, and conj(a)conj(b) + 1 = conj(ab + 1)
-    is a square exactly when ab + 1 is.  So only pairs (i, j) with i the least
-    index of its orbit and j after i in orbit order (the rest of that orbit,
-    then the orbits with larger least index) are tested, and each edge found
-    is copied to its images; every pair orbit holds such a pair.  The product
-    plus one w must pass the norm filter (abs_sq(w) a perfect square) before
-    the exact square test.
+    An edge {a, b} has a witness w with a*b + 1 = w^2 and abs_sq(w) =
+    |a*b + 1| <= B + 1, B the largest vertex norm.  Over an integral domain
+    a*b fixes w up to sign, so one of each +/-w in that disk (and w = 0)
+    reaches each edge once.  With a the end of smaller norm k,
+    k * abs_sq(b) = M = abs_sq(w^2 - 1) and abs_sq(b) <= B give
+    ceil(M/B) <= k <= isqrt(M) with k | M; then b = (w^2 - 1)*conj(a)/k.
+    w = +/-1 gives M = 0 and no k.  b == a is no edge (a = +/-i in Z[i]).
     """
     tc, nc = spec.t, spec.n
-    # u - t*v rides along: u1*v2 + v1*u2 - t*v1*v2 == u1*v2 + v1*(u2 - t*v2),
-    # and conj(u + v*w) == (u - t*v, -v)
-    coords = [(z.u, z.v, z.u - tc * z.v) for z in vertices]
-    n = len(coords)
-    index = {(u, v): i for i, (u, v, _) in enumerate(coords)}
-    images = [(i, index[-u, -v], index[cu, -v], index[-cu, v]) for i, (u, v, cu) in enumerate(coords)]
-    rep = [min(g) for g in images]
-    ordered = sorted(range(n), key=lambda i: (rep[i], i))
+    n = len(vertices)
     adj: list[set[int]] = [set() for _ in range(n)]
-    for p, i in enumerate(ordered):
-        if rep[i] != i:
-            continue
-        u1, v1, _ = coords[i]
-        nv1 = nc * v1
-        for j in ordered[p + 1 :]:
-            u2, v2, cu2 = coords[j]
-            wu = u1 * u2 - nv1 * v2 + 1
-            wv = u1 * v2 + v1 * cu2
-            nw = wu * (wu - tc * wv) + nc * wv * wv
-            r = isqrt(nw)
-            if r * r == nw and _is_square(spec, wu, wv, r):
-                for a, b in zip(images[i], images[j]):
-                    adj[a].add(b)
-                    adj[b].add(a)
+    if not n:
+        return adj, 0
+    index = {(z.u, z.v): i for i, z in enumerate(vertices)}
+    by_norm: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for i, z in enumerate(vertices):  # conj(u + v*w) == (u - t*v, -v)
+        by_norm.setdefault(z.abs_sq(), []).append((i, z.u, z.v, z.u - tc * z.v, nc * z.v))
+    norms = sorted(by_norm)
+    top = norms[-1]
+    for u, v, _nw in itertools.chain([(0, 0, 0)], iter_disk_coords(spec, top + 1)):
+        if v < 0 or (v == 0 and u < 0):
+            continue  # -w gives the same edges as w
+        pu, pv = u * u - nc * v * v - 1, v * (2 * u - tc * v)  # w^2 - 1
+        m = pu * (pu - tc * pv) + nc * pv * pv
+        for k in norms[bisect_left(norms, -(-m // top)) : bisect_right(norms, isqrt(m))]:
+            if m % k:
+                continue
+            for i, au, av, acu, nav in by_norm[k]:
+                qu, qv = pu * acu + pv * nav, pv * au - pu * av
+                if qu % k or qv % k:
+                    continue
+                j = index.get((qu // k, qv // k))
+                if j is not None and j != i:
+                    adj[i].add(j)
+                    adj[j].add(i)
     return adj, n * (n - 1) // 2
 
 
 def _is_square(spec: RingSpec, wu: int, wv: int, root_norm: int) -> bool:
-    """Exact square test for w = (wu, wv) given isqrt(abs_sq(w)) == root_norm."""
+    """Exact square test for w = (wu, wv) given isqrt(abs_sq(w)) == root_norm;
+    kept for the tests' all-pairs oracle and the tracer, not the pair graph."""
     return sqrt_coords(spec, wu, wv, root_norm) is not None
 
 
@@ -348,10 +351,10 @@ def census_double_regular_triples(
         for c in branch:
             t = make_tuple(spec, [a, b, c])
             triples[tuple(z.coords() for z in t.elems)] = t
-    ordered = sorted(
+    found = sorted(
         triples.values(), key=lambda t: tuple(z.canonical_key() for z in t.elems)
     )
-    return DoubleRegularCensus(tuple(ordered), tuple(configs))
+    return DoubleRegularCensus(tuple(found), tuple(configs))
 
 
 # ---------------------------------------------------------------------------

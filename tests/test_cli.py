@@ -16,6 +16,7 @@ GOLDEN = {
     "verify_d-1_1_3_8_120": ["verify", "--d", "-1", "--elems", "1,0;3,0;8,0;120,0"],
     "gap_d-11_criterion4": ["gap", "--d", "-11", "--elems", "4,1;9,-1;580259305885538,354"],
     "chain_m43": ["chain", "--m", "43"],
+    "sweep_b16_m4": ["search", "--sweep", "--bound", "16", "--size", "4", "--threads", "1"],
 }
 
 

@@ -282,22 +282,52 @@ def test_pair_graph_equals_direct_loop_on_every_ring_at_bound_8():
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3])
-def test_pair_graph_tests_each_pair_orbit_once(monkeypatch, d):
-    calls = []
-    is_square = search._is_square
-
-    def counting(*args):
-        calls.append(args)
-        return is_square(*args)
-
-    monkeypatch.setattr(search, "_is_square", counting)
+def test_pair_graph_makes_no_pair_square_test(monkeypatch, d):
     spec = RingSpec(d)
     vertices = _disk_vertices(spec, 64)
     oracle = _direct_pair_graph(spec, vertices)
-    norm_filter_hits = len(calls)
-    calls.clear()
+
+    def refuse(*args):
+        raise AssertionError(f"pair square test {args}")
+
+    monkeypatch.setattr(search, "_is_square", refuse)
     assert search._pair_graph(spec, vertices) == oracle
-    assert 0 < len(calls) <= norm_filter_hits / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.sampled_from([-1, -2, -3, -5, -7, -15, -163]),
+    b_sq=st.integers(1, 100),
+    data=st.data(),
+)
+def test_pair_graph_equals_direct_loop_on_any_vertex_set(d, b_sq, data):
+    # B comes from the vertices and the smallest norm from min_abs_sq: draw an
+    # annulus, or any subset of it in any order, empty and asymmetric ones too
+    spec = RingSpec(d)
+    lo = data.draw(st.integers(1, b_sq + 1), label="min_abs_sq")
+    annulus = [z for z in _disk_vertices(spec, b_sq) if z.abs_sq() >= lo]
+    subsets = st.lists(st.sampled_from(annulus), unique=True) if annulus else st.nothing()
+    vertices = data.draw(st.just(annulus) | subsets, label="vertices")
+    assert search._pair_graph(spec, vertices) == _direct_pair_graph(spec, vertices)
+
+
+def test_pair_graph_unit_edge_cases():
+    spec = D1
+    assert search._pair_graph(spec, []) == ([], 0)
+    one, minus_one, i, minus_i = spec.elem(1), spec.elem(-1), spec.elem(0, 1), spec.elem(0, -1)
+    assert i * i + spec.one == spec.zero == minus_i * minus_i + spec.one  # a*a + 1 = 0^2
+    vertices = [one, minus_one, i, minus_i]
+    adj, tested = search._pair_graph(spec, vertices)
+    # {1, -1} is the one edge, with witness w = 0; no self-loop at +/-i; the
+    # walked disk abs_sq(w) <= 2 holds w = +/-1, where w^2 - 1 = 0 gives nothing
+    assert (adj, tested) == ([{1}, {0}, set(), set()], 6)
+    # the witness bound B + 1 is reached: (2+2i)(2-2i) + 1 = 3^2, abs_sq(3) = 8 + 1
+    rim = [spec.elem(2, 2), spec.elem(2, -2)]
+    assert search._pair_graph(spec, rim) == ([{1}, {0}], 1)
+    for ring in (D1, D3):
+        units = _disk_vertices(ring, 1)
+        assert len(units) == {-1: 4, -3: 6}[ring.d]
+        assert search._pair_graph(ring, units) == _direct_pair_graph(ring, units)
 
 
 def _folded_rings(b_sq):
