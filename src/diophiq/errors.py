@@ -55,6 +55,10 @@ class PreconditionViolated(DiophError):
         super().__init__("precondition violated: " + "; ".join(self.failures))
 
 
+class PostconditionViolated(DiophError):
+    """An exact arithmetic identity the code relies on does not hold."""
+
+
 class DegenerateInput(DiophError):
     """Inputs for which the requested quantities are undefined."""
 

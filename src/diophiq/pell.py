@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NotAQuadruple, NotASolution, NotATriple
+from .errors import NotAQuadruple, NotASolution, NotATriple, PostconditionViolated
 from .ring import RingElem, canonical_sqrt
 from .tuples import is_diophantine_tuple
 
@@ -31,8 +31,8 @@ class PellSystem:
 
     def __post_init__(self) -> None:
         one = self.a.spec.one
-        assert self.s * self.s == self.a * self.c + one
-        assert self.t * self.t == self.b * self.c + one
+        if self.s * self.s != self.a * self.c + one or self.t * self.t != self.b * self.c + one:
+            raise PostconditionViolated("s^2 = ac + 1 and t^2 = bc + 1")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ def build_system(a: RingElem, b: RingElem, c: RingElem) -> PellSystem:
     one = a.spec.one
     s = canonical_sqrt(a * c + one)
     t = canonical_sqrt(b * c + one)
-    assert s is not None and t is not None
+    if s is None or t is None:
+        raise PostconditionViolated(f"ac + 1 and bc + 1 squares for {a}, {b}, {c}")
     return PellSystem(a, b, c, s, t)
 
 
@@ -73,10 +74,11 @@ def solution_from_extension(sys: PellSystem, d: RingElem) -> PellSolution:
     x = canonical_sqrt(sys.a * d + one)
     y = canonical_sqrt(sys.b * d + one)
     z = canonical_sqrt(sys.c * d + one)
-    assert x is not None and y is not None and z is not None
+    if x is None or y is None or z is None:
+        raise PostconditionViolated(f"ad + 1, bd + 1 and cd + 1 squares for d = {d}")
     sol = PellSolution(x, y, z)
-    assert first_equation_holds(sys, sol.z, sol.x)
-    assert second_equation_holds(sys, sol.z, sol.y)
+    if not (first_equation_holds(sys, sol.z, sol.x) and second_equation_holds(sys, sol.z, sol.y)):
+        raise PostconditionViolated(f"the Pell system at d = {d}")
     return sol
 
 
@@ -98,5 +100,6 @@ def compose_step(
         out = (sys.s * z + sys.c * x, sys.s * x + sys.a * z)
     else:
         out = (sys.s * z - sys.c * x, sys.s * x - sys.a * z)
-    assert first_equation_holds(sys, *out)
+    if not first_equation_holds(sys, *out):
+        raise PostconditionViolated(f"the first equation after a {direction} step")
     return out

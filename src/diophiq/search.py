@@ -20,6 +20,9 @@ replaced) and counts to the rest, and re-verifies every copy in its ring.
 
 The pair graph walks the witnesses w with abs_sq(w) <= B + 1, B the largest
 vertex norm, and factors w^2 - 1 into its edges instead of testing pairs.
+The clique search peels the graph to its (m-1)-core first: a vertex outside
+it starts no m-clique, and it is counted as the one node the search over the
+whole graph explores from it, so cliques_explored does not depend on the peel.
 """
 
 from __future__ import annotations
@@ -138,11 +141,27 @@ def _is_square(spec: RingSpec, wu: int, wv: int, root_norm: int) -> bool:
     return sqrt_coords(spec, wu, wv, root_norm) is not None
 
 
-def _degeneracy_order(adj: list[set[int]]) -> list[int]:
+def _degeneracy_order(adj: list[set[int]], k: int) -> list[int]:
+    """Degeneracy order (least degree first, ties by index) of the k-core.
+
+    Vertices outside the k-core are peeled with a stack first; the heap then
+    orders only the core, which is the tail the heap on the whole graph
+    would produce, since it pops every non-core vertex first.
+    """
     n = len(adj)
     deg = [len(adj[v]) for v in range(n)]
     removed = [False] * n
-    heap = [(deg[v], v) for v in range(n)]
+    stack = [v for v in range(n) if deg[v] < k]
+    for v in stack:
+        removed[v] = True
+    while stack:
+        for w in adj[stack.pop()]:
+            if not removed[w]:
+                deg[w] -= 1
+                if deg[w] < k:
+                    removed[w] = True
+                    stack.append(w)
+    heap = [(deg[v], v) for v in range(n) if not removed[v]]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -164,16 +183,16 @@ def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
     Backtracking over the degeneracy order: a clique is explored from its
     order-minimal vertex with candidates restricted to later neighbours, so
     no clique is produced twice.  Returns (cliques, nodes_explored).
+    Only the (m-1)-core is searched.  Each peeled vertex counts as the one
+    node it would explore (fewer than m-1 later neighbours, so no descent),
+    so nodes_explored equals that of the search over the whole graph.
     """
-    order = _degeneracy_order(adj)
-    pos = {v: i for i, v in enumerate(order)}
-    later = [
-        sorted((w for w in adj[v]), key=pos.__getitem__)
-        for v in range(len(adj))
-    ]
-    later = [[w for w in ws if pos[w] > pos[v]] for v, ws in enumerate(later)]
+    order = _degeneracy_order(adj, m - 1)
+    pos = [-1] * len(adj)
+    for i, v in enumerate(order):
+        pos[v] = i
     out: list[tuple[int, ...]] = []
-    explored = 0
+    explored = len(adj) - len(order)
 
     def extend(clique: list[int], cands: list[int]) -> bool:
         nonlocal explored
@@ -192,7 +211,9 @@ def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
         return False
 
     for v in order:
-        if extend([v], later[v]):
+        p = pos[v]
+        later = sorted((w for w in adj[v] if pos[w] > p), key=pos.__getitem__)
+        if extend([v], later):
             break
     return out, explored
 

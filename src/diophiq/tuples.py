@@ -18,6 +18,7 @@ from .errors import (
     NotAPair,
     NotATriple,
     NotDiophantine,
+    PostconditionViolated,
     PreconditionViolated,
     ZeroElement,
 )
@@ -107,7 +108,8 @@ def regular_extensions(a: RingElem, b: RingElem) -> tuple[RingElem, ...]:
     for c in (a + b + 2 * r, a + b - 2 * r):
         if c.is_zero() or c == a or c == b or c in out:
             continue
-        assert is_diophantine_tuple(a.spec, [a, b, c])
+        if not is_diophantine_tuple(a.spec, [a, b, c]):
+            raise PostconditionViolated(f"regular completion {c} of {a}, {b}")
         out.append(c)
     return tuple(sorted(out, key=RingElem.canonical_key))
 
@@ -148,7 +150,8 @@ def c_plus_minus(a: RingElem, b: RingElem, d: RingElem) -> tuple[RingElem, RingE
     c_minus = base - 2 * (r * x * y)
     four = a.spec.elem(4)
     rhs = a * a + b * b + d * d - 2 * (a * b) - 2 * (a * d) - 2 * (b * d) - four
-    assert c_plus * c_minus == rhs
+    if c_plus * c_minus != rhs:
+        raise PostconditionViolated(f"c+ * c- for {a}, {b}, {d}")
     return c_plus, c_minus
 
 

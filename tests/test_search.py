@@ -1,4 +1,5 @@
 import functools
+import heapq
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from diophiq import search
@@ -102,6 +103,110 @@ def test_clique_search_equals_naive_oracle():
         fast = find_m_tuples(cfg)
         slow = naive_find_m_tuples(cfg)
         assert tuple(map(elems_of, fast.tuples)) == tuple(map(elems_of, slow))
+
+
+def _oracle_degeneracy_order(adj: list[set[int]]) -> list[int]:
+    # the search's degeneracy order before the (m-1)-core peel, verbatim
+    n = len(adj)
+    deg = [len(adj[v]) for v in range(n)]
+    removed = [False] * n
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        d0, v = heapq.heappop(heap)
+        if removed[v] or d0 != deg[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return order
+
+
+def _oracle_cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
+    # the clique search over the whole graph, verbatim; pins cliques_explored
+    order = _oracle_degeneracy_order(adj)
+    pos = {v: i for i, v in enumerate(order)}
+    later = [
+        sorted((w for w in adj[v]), key=pos.__getitem__)
+        for v in range(len(adj))
+    ]
+    later = [[w for w in ws if pos[w] > pos[v]] for v, ws in enumerate(later)]
+    out: list[tuple[int, ...]] = []
+    explored = 0
+
+    def extend(clique: list[int], cands: list[int]) -> bool:
+        nonlocal explored
+        explored += 1
+        if len(clique) == m:
+            out.append(tuple(sorted(clique)))
+            return limit is not None and len(out) >= limit
+        need = m - len(clique)
+        for i, w in enumerate(cands):
+            if len(cands) - i < need:
+                break
+            rest = [x for x in cands[i + 1 :] if x in adj[w]]
+            if len(rest) >= need - 1:
+                if extend(clique + [w], rest):
+                    return True
+        return False
+
+    for v in order:
+        if extend([v], later[v]):
+            break
+    return out, explored
+
+
+def _core_size(adj, k):
+    alive = set(range(len(adj)))
+    while True:
+        low = {v for v in alive if len(adj[v] & alive) < k}
+        if not low:
+            return len(alive)
+        alive -= low
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 30),
+    density=st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 5),
+    limit=st.sampled_from([None, 1]),
+)
+def test_clique_search_equals_whole_graph_search(n, density, seed, m, limit):
+    # the sparse draws leave the (m-1)-core empty, the middle ones partial and
+    # the dense ones whole; cliques, their order and the node count all match
+    rng = random.Random(seed)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[a].add(b)
+            adj[b].add(a)
+    core = _core_size(adj, m - 1)
+    event("(m-1)-core " + ("empty" if not core else "whole" if core == n else "partial"))
+    assert _cliques_of_size(adj, m, limit) == _oracle_cliques_of_size(adj, m, limit)
+
+
+def test_clique_search_k5_interleaved_with_pendant_path():
+    # K5 on the even indices 0..8, the path 8-1-3-5-7-9 on the odd ones: the
+    # path is peeled for m >= 3 but its vertices still count one node each
+    k5 = [0, 2, 4, 6, 8]
+    edges = list(itertools.combinations(k5, 2)) + [(8, 1), (1, 3), (3, 5), (5, 7), (7, 9)]
+    adj: list[set[int]] = [set() for _ in range(10)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for m in (2, 3, 4, 5):
+        for limit in (None, 1):
+            assert _cliques_of_size(adj, m, limit) == _oracle_cliques_of_size(adj, m, limit)
+    # five peeled path vertices, then one descent of five nodes from the K5's
+    # first vertex and one node for each of its other four vertices
+    assert _cliques_of_size(adj, 5) == ([tuple(k5)], 5 + 5 + 4)
+    assert _cliques_of_size(adj, 6) == ([], 10)  # the 5-core is empty
 
 
 def test_extend_tuple_finds_120_and_8():
