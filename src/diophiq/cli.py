@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import (
@@ -152,13 +153,8 @@ def cmd_search(args) -> int:
             "tuples": [_tuple_payload(t) for t in rep.tuples],
             "rational_pass_tuples": [",".join(map(str, xs)) for xs in rep.rational_pass_tuples],
             "conjecture_violations": [_tuple_payload(t) for t in rep.conjecture_violations],
-            "stats": {
-                "elements": str(rep.stats.elements),
-                "pairs_tested": str(rep.stats.pairs_tested),
-                "cliques_explored": str(rep.stats.cliques_explored),
-            },
         }
-        found = not rep.is_empty
+        stats, found = rep.stats, not rep.is_empty
     else:
         if args.threads is not None:
             raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
@@ -172,13 +168,10 @@ def cmd_search(args) -> int:
         payload = {
             "count": str(res.count),
             "tuples": [_tuple_payload(t) for t in res.tuples],
-            "stats": {
-                "elements": str(res.stats.elements),
-                "pairs_tested": str(res.stats.pairs_tested),
-                "cliques_explored": str(res.stats.cliques_explored),
-            },
         }
-        found = res.count > 0
+        stats, found = res.stats, res.count > 0
+    # last key, so the text format prints it after the tuples
+    payload["stats"] = {k: str(v) for k, v in asdict(stats).items()}
     violated = bool(args.expect_empty and found)
     report = _report("search", config, "violation" if violated else "ok", payload)
     _emit(report, args.format)

@@ -182,11 +182,10 @@ def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]
                 yield u, v, u * (u - tv) + nv
 
 
-def enumerate_up_to(spec: RingSpec, b_sq: int) -> Iterator[RingElem]:
-    """Every nonzero z with abs_sq(z) <= b_sq, exactly once, canonical order."""
-    pts = sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq))
-    for n, u, v in pts:
-        yield RingElem(u, v, spec)
+def enumerate_up_to(spec: RingSpec, b_sq: int, min_abs_sq: int = 1) -> list[RingElem]:
+    """Every z with min_abs_sq <= abs_sq(z) <= b_sq, z nonzero, in canonical order."""
+    pts = sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_abs_sq)
+    return [RingElem(u, v, spec) for _n, u, v in pts]
 
 
 def sqrt_coords(spec: RingSpec, wu: int, wv: int, r: int) -> tuple[int, int] | None:

@@ -18,8 +18,9 @@ B + 1 < |d| <= 4B hold only rational elements and witnesses too, so their
 searches are equal: the sweep runs the first and copies its tuples (d
 replaced) and counts to the rest, and re-verifies every copy in its ring.
 
-The pair graph walks the witnesses w with abs_sq(w) <= B + 1, B the largest
-vertex norm, and factors w^2 - 1 into its edges instead of testing pairs.
+One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
+pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
+dividing w^2 - 1 by a finds it without testing a pair for squareness.
 The clique search peels the graph to its (m-1)-core first: a vertex outside
 it starts no m-clique, and it is counted as the one node the search over the
 whole graph explores from it, so cliques_explored does not depend on the peel.
@@ -31,12 +32,12 @@ import heapq
 import itertools
 import json
 import os
-import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 
+from .errors import NotAPair
 from .ring import (
     RingElem,
     RingSpec,
@@ -48,10 +49,10 @@ from .ring import (
 )
 from .tuples import (
     DiophTuple,
-    is_diophantine_pair,
     is_diophantine_tuple,
     make_tuple,
     quadruple_extension_candidates,
+    regular_extensions,
 )
 
 
@@ -80,27 +81,45 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Counts of one search, summed over the rings of a sweep.
+
+    elements: the pair graph's vertices, the nonzero elements in the bound.
+    pairs_tested: n(n-1)/2, the vertex pairs the pair graph decides; not a
+        count of square tests, as the witness walk makes none.
+    cliques_explored: clique-search nodes, each peeled vertex one node.
+    """
+
     elements: int
     pairs_tested: int
     cliques_explored: int
-    wall_ms: int
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    config: SearchConfig
     tuples: tuple[DiophTuple, ...]
     count: int
     stats: SearchStats
+
+
+def _witness_walk(spec: RingSpec, b_sq: int):
+    """(pu, pv, m) for P = w^2 - 1 = (pu, pv) and m = abs_sq(P), over w = 0 and
+    one of each +/-w with abs_sq(w) <= b_sq.  Over an integral domain
+    w'^2 == w^2 only when w' = +/-w, so each w^2 - 1 comes exactly once."""
+    tc, nc = spec.t, spec.n
+    yield -1, 0, 1  # w = 0
+    for u, v, _nw in iter_disk_coords(spec, b_sq):
+        if v < 0 or (v == 0 and u < 0):
+            continue  # -w gives the same w^2 as w
+        pu, pv = u * u - nc * v * v - 1, v * (2 * u - tc * v)
+        yield pu, pv, pu * (pu - tc * pv) + nc * pv * pv
 
 
 def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]], int]:
     """Adjacency sets over nonzero vertices' indices; returns (adj, pairs_decided).
 
     An edge {a, b} has a witness w with a*b + 1 = w^2 and abs_sq(w) =
-    |a*b + 1| <= B + 1, B the largest vertex norm.  Over an integral domain
-    a*b fixes w up to sign, so one of each +/-w in that disk (and w = 0)
-    reaches each edge once.  With a the end of smaller norm k,
+    |a*b + 1| <= B + 1, B the largest vertex norm, so the witness walk of
+    that disk reaches each edge once.  With a the end of smaller norm k,
     k * abs_sq(b) = M = abs_sq(w^2 - 1) and abs_sq(b) <= B give
     ceil(M/B) <= k <= isqrt(M) with k | M; then b = (w^2 - 1)*conj(a)/k.
     w = +/-1 gives M = 0 and no k.  b == a is no edge (a = +/-i in Z[i]).
@@ -116,11 +135,7 @@ def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]
         by_norm.setdefault(z.abs_sq(), []).append((i, z.u, z.v, z.u - tc * z.v, nc * z.v))
     norms = sorted(by_norm)
     top = norms[-1]
-    for u, v, _nw in itertools.chain([(0, 0, 0)], iter_disk_coords(spec, top + 1)):
-        if v < 0 or (v == 0 and u < 0):
-            continue  # -w gives the same edges as w
-        pu, pv = u * u - nc * v * v - 1, v * (2 * u - tc * v)  # w^2 - 1
-        m = pu * (pu - tc * pv) + nc * pv * pv
+    for pu, pv, m in _witness_walk(spec, top + 1):
         for k in norms[bisect_left(norms, -(-m // top)) : bisect_right(norms, isqrt(m))]:
             if m % k:
                 continue
@@ -225,20 +240,12 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
     impossible by construction) so identical configs give identical output
     regardless of scheduling.
     """
-    t0 = time.monotonic()
     cached = _cache_load(cache_dir, cfg)
     if cached is not None:
         tuples, counts = cached
     else:
         spec = cfg.spec
-        vertices = [
-            RingElem(u, v, spec)
-            for n, u, v in sorted(
-                (n, u, v)
-                for u, v, n in iter_disk_coords(spec, cfg.max_abs_sq)
-                if n >= cfg.min_abs_sq
-            )
-        ]
+        vertices = enumerate_up_to(spec, cfg.max_abs_sq, cfg.min_abs_sq)
         adj, tested = _pair_graph(spec, vertices)
         limit = 1 if cfg.mode == "find-first" else None
         cliques, explored = _cliques_of_size(adj, cfg.target_size, limit)
@@ -250,12 +257,10 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
         counts = (len(vertices), tested, explored)
         if cfg.mode == "find-all":
             _cache_store(cache_dir, cfg, tuples, counts)
-    wall_ms = int((time.monotonic() - t0) * 1000)
     return SearchResult(
-        config=cfg,
         tuples=tuple(tuples) if cfg.mode != "count" else (),
         count=len(tuples),
-        stats=SearchStats(*counts, wall_ms),
+        stats=SearchStats(*counts),
     )
 
 
@@ -282,12 +287,11 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     Witnesses for the smallest element a are enumerated instead of candidate
     d's.  Every valid d satisfies a*d + 1 = w^2, so the integer
     abs_sq(w) = |a*d + 1| <= |a||d| + 1 <= sqrt(abs_sq(a) * max_abs_sq) + 1,
-    that is abs_sq(w) <= isqrt(abs_sq(a) * max_abs_sq) + 1: that disk holds
-    every witness.  Over an integral domain w'^2 == w^2 only when w' = +/-w,
-    and d = (w^2 - 1)/a is fixed by w^2, so walking one of each pair +/-w
-    (plus w = 0, which gives d = -1/a when a is a unit) yields each
-    candidate exactly once.  The candidates within the bound are then
-    verified against every remaining element.
+    that is abs_sq(w) <= isqrt(abs_sq(a) * max_abs_sq) + 1: the witness walk
+    of that disk yields each candidate d = (w^2 - 1)/a exactly once, and
+    abs_sq(d) = abs_sq(w^2 - 1)/abs_sq(a) <= max_abs_sq is checked before
+    dividing.  The candidates are then verified against every remaining
+    element.
     """
     if max_abs_sq < 1:
         return []
@@ -295,25 +299,19 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     anchor = min(t.elems, key=RingElem.canonical_key)
     others = [e for e in t.elems if e != anchor]
     na = anchor.abs_sq()
-    w_bound = isqrt(na * max_abs_sq) + 1
+    m_bound = na * max_abs_sq
 
-    # raw coordinate loop: (w^2 - 1) * conj(anchor), then exact division by na
-    tc, nc = spec.t, spec.n
+    # (w^2 - 1) * conj(anchor), then exact division by na
     au, av = anchor.u, anchor.v
-    acu, nav = au - tc * av, nc * av  # conj(anchor) == (acu, -av)
-    candidates = [-anchor.conj()] if na == 1 else []  # w = 0: d = -1/anchor
-    for u, v, _nw in iter_disk_coords(spec, w_bound):
-        if v < 0 or (v == 0 and u < 0):
-            continue  # -w gives the same d as w
-        wu = u * u - nc * v * v - 1
-        wv = v * (2 * u - tc * v)
-        qu = wu * acu + wv * nav
-        qv = wv * au - wu * av
+    acu, nav = au - spec.t * av, spec.n * av  # conj(anchor) == (acu, -av)
+    candidates = []
+    for pu, pv, m in _witness_walk(spec, isqrt(m_bound) + 1):
+        if m > m_bound or m % na:
+            continue
+        qu, qv = pu * acu + pv * nav, pv * au - pu * av
         if qu % na or qv % na:
             continue
-        du, dv = qu // na, qv // na
-        if du * (du - tc * dv) + nc * dv * dv <= max_abs_sq:
-            candidates.append(RingElem(du, dv, spec))
+        candidates.append(RingElem(qu // na, qv // na, spec))
 
     one = spec.one
     out = [
@@ -336,40 +334,40 @@ class DoubleRegularCensus:
     """Triples arising from both regular branches of in-range pairs."""
 
     triples: tuple[DiophTuple, ...]
-    # one record per contributing pair: both branch elements and whether the
-    # union {a, b, c-, c+} verifies as a quadruple (the lemma says never)
+    # one record per contributing pair: both branch elements in canonical
+    # order and whether the union {a, b, c-, c+} verifies as a quadruple
+    # (the lemma says never)
     configurations: tuple[dict, ...]
 
 
 def census_double_regular_triples(
     spec: RingSpec, min_abs_sq: int, max_abs_sq: int
 ) -> DoubleRegularCensus:
-    """Enumerate pairs with elements in the range whose both regular branches
-    a+b-2r and a+b+2r are nonzero, and collect the resulting triples.
+    """Enumerate pairs with elements in the range whose regular branches
+    a+b-2r and a+b+2r are both admissible (regular_extensions returns two),
+    and collect the resulting triples.
 
     This reproduces the check-all-small-triples step of the double-regular
     refutation: the branch elements may lie outside the element range.
     """
-    elems = [z for z in enumerate_up_to(spec, max_abs_sq) if z.abs_sq() >= min_abs_sq]
     triples: dict[tuple, DiophTuple] = {}
     configs = []
-    for a, b in itertools.combinations(elems, 2):
-        r = is_diophantine_pair(a, b)
-        if r is None or r.is_zero():
+    for a, b in itertools.combinations(enumerate_up_to(spec, max_abs_sq, min_abs_sq), 2):
+        try:
+            branches = regular_extensions(a, b)
+        except NotAPair:
             continue
-        c_minus, c_plus = a + b - 2 * r, a + b + 2 * r
-        branch = {c_minus, c_plus}
-        if len(branch) != 2 or any(c.is_zero() or c in (a, b) for c in branch):
-            continue
-        union_ok = is_diophantine_tuple(spec, [a, b, c_minus, c_plus])
+        if len(branches) != 2:
+            continue  # r = 0, or a branch is 0, a or b
+        union_ok = is_diophantine_tuple(spec, [a, b, *branches])
         configs.append(
             {
                 "pair": (a, b),
-                "branches": (c_minus, c_plus),
+                "branches": branches,
                 "union_is_quadruple": union_ok,
             }
         )
-        for c in branch:
+        for c in branches:
             t = make_tuple(spec, [a, b, c])
             triples[tuple(z.coords() for z in t.elems)] = t
     found = sorted(
@@ -418,7 +416,7 @@ class SweepReport:
     rational_pass_tuples: tuple[tuple[int, ...], ...]
     completeness: dict = field(default_factory=dict)
     conjecture_violations: tuple[DiophTuple, ...] = ()
-    stats: SearchStats = SearchStats(0, 0, 0, 0)
+    stats: SearchStats = SearchStats(0, 0, 0)
 
     @property
     def is_empty(self) -> bool:
@@ -450,7 +448,6 @@ def quintuple_sweep(
     folded = [d for d in rings if d % 4 != 1 and -d > b_sq + 1]
     copies = set(folded[1:])
     jobs = [(d, b_sq, size, cache_dir) for d in rings if d not in copies]
-    t0 = time.monotonic()
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -462,16 +459,9 @@ def quintuple_sweep(
         _d, tuple_dicts, counts = next(item for item in raw if item[0] == folded[0])
         raw += [(d, [dict(td, d=d) for td in tuple_dicts], counts) for d in copies]
     raw.sort(key=lambda item: -item[0])
-    found: list[DiophTuple] = []
-    elements = pairs = cliques = 0
-    for _d, tuple_dicts, (el, pr, cl) in raw:
-        found.extend(DiophTuple.from_json_dict(td) for td in tuple_dicts)
-        elements += el
-        pairs += pr
-        cliques += cl
+    found = [DiophTuple.from_json_dict(td) for _d, tuple_dicts, _c in raw for td in tuple_dicts]
     rational = rational_integer_pass(b_sq, size)
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
-    wall_ms = int((time.monotonic() - t0) * 1000)
     return SweepReport(
         b_sq=b_sq,
         size=size,
@@ -486,7 +476,7 @@ def quintuple_sweep(
             "rings": len(rings),
         },
         conjecture_violations=violations,
-        stats=SearchStats(elements, pairs, cliques, wall_ms),
+        stats=SearchStats(*map(sum, zip(*(counts for _d, _t, counts in raw)))),
     )
 
 

@@ -166,11 +166,9 @@ def forbidden_double_regular(a: RingElem, b: RingElem, c: RingElem, d: RingElem)
             raise PreconditionViolated(["all elements must be nonzero"])
     if not (4 <= a.abs_sq() <= b.abs_sq() <= c.abs_sq() <= d.abs_sq()):
         raise PreconditionViolated(["need 2 <= |a| <= |b| <= |c| <= |d|"])
-    roots = sqrt_in_ring(a * b + a.spec.one)
-    for r in roots:
-        if {c, d} == {a + b - 2 * r, a + b + 2 * r}:
-            return True
-    return False
+    # -r gives the same pair {a+b-2r, a+b+2r}, so one root decides
+    r = canonical_sqrt(a * b + a.spec.one)
+    return r is not None and {c, d} == {a + b - 2 * r, a + b + 2 * r}
 
 
 def pair_products_not_square(t: DiophTuple) -> tuple[int, int] | None:

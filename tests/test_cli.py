@@ -7,7 +7,8 @@ from diophiq.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-# stored --format json reports of fixed inputs; the name is the file in DATA
+# stored reports of fixed inputs: DATA/<name>.json in --format json and
+# DATA/<name>.txt in the default text format
 GOLDEN = {
     "search_d-3_b6_m3": ["search", "--d", "-3", "--bound", "6", "--size", "3"],
     "search_d-2_b6_m3": ["search", "--d", "-2", "--bound", "6", "--size", "3"],
@@ -240,8 +241,16 @@ def test_cache_dir_flag(capsys, tmp_path, argv):
     assert warm == cold
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_report(capsys, name):
-    code, out = run_cli(capsys, *GOLDEN[name], "--format", "json")
+@pytest.mark.parametrize(
+    "name, fmt",
+    [
+        pytest.param(name, fmt, id=name if fmt == "json" else f"{name}-text")
+        for name in sorted(GOLDEN)
+        for fmt in ("json", "text")
+    ],
+)
+def test_golden_report(capsys, name, fmt):
+    argv = [*GOLDEN[name], "--format", "json"] if fmt == "json" else GOLDEN[name]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert out == (DATA / f"{name}.json").read_text()
+    assert out == (DATA / f"{name}.{'json' if fmt == 'json' else 'txt'}").read_text()

@@ -233,14 +233,14 @@ def test_enumerate_up_to_units():
     assert big.elem(0, 1) in set(enumerate_up_to(big, 256))
 
 
-@given(spec=st.sampled_from(RINGS), b_sq=st.integers(1, 60))
-def test_enumerate_matches_elementwise_union(spec, b_sq):
-    via_levels = [z for n in range(1, b_sq + 1) for z in elements_with_abs_sq(spec, n)]
-    via_stream = list(enumerate_up_to(spec, b_sq))
+@given(spec=st.sampled_from(RINGS), b_sq=st.integers(1, 60), min_sq=st.integers(1, 61))
+def test_enumerate_matches_elementwise_union(spec, b_sq, min_sq):
+    via_levels = [z for n in range(min_sq, b_sq + 1) for z in elements_with_abs_sq(spec, n)]
+    via_stream = enumerate_up_to(spec, b_sq, min_sq)
     assert sorted(via_levels, key=RingElem.canonical_key) == via_stream
     keys = [z.canonical_key() for z in via_stream]
     assert keys == sorted(keys)
     assert len(set(via_stream)) == len(via_stream)
     # raw disk iterator agrees
-    raw = sorted((u, v) for u, v, _ in iter_disk_coords(spec, b_sq))
+    raw = sorted((u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_sq)
     assert raw == sorted(z.coords() for z in via_stream)

@@ -26,7 +26,7 @@ from diophiq.search import (
     rational_integer_pass,
     sweep_ring_list,
 )
-from diophiq.tuples import is_diophantine_tuple, make_tuple
+from diophiq.tuples import is_diophantine_pair, is_diophantine_tuple, make_tuple
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -87,6 +87,24 @@ def test_census_double_regular_matches_paper():
     }
     # the union {-2, 2, -2sqrt(-3), 2sqrt(-3)} is never a quadruple
     assert all(not cfg["union_is_quadruple"] for cfg in census.configurations)
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7])
+def test_census_pairs_have_two_admissible_regular_branches(d):
+    # oracle: both branches a+b-2r, a+b+2r of the canonical root r are
+    # distinct, nonzero and outside {a, b}
+    spec = RingSpec(d)
+    census = census_double_regular_triples(spec, 1, 20)
+    expected = []
+    for a, b in itertools.combinations(enumerate_up_to(spec, 20), 2):
+        r = is_diophantine_pair(a, b)
+        if r is None:
+            continue
+        branch = {a + b - 2 * r, a + b + 2 * r}
+        if len(branch) == 2 and not any(c.is_zero() or c in (a, b) for c in branch):
+            expected.append(((a, b), branch))
+    assert expected
+    assert [(c["pair"], set(c["branches"])) for c in census.configurations] == expected
 
 
 def test_clique_search_equals_naive_oracle():
