@@ -142,6 +142,11 @@ def cmd_search(args) -> int:
         "mode": args.mode,
         "expect_empty": str(bool(args.expect_empty)).lower(),
     }
+    if args.cache_dir:
+        try:  # here, not at the first cache write: exit 1 means "tuple found"
+            os.makedirs(args.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--cache-dir {args.cache_dir} is not a usable directory: {exc.strerror}") from None
     if args.sweep:
         if args.mode != "find-all" or args.min_sq != 1:
             raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")

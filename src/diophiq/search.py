@@ -5,18 +5,23 @@ graph (edge iff the product plus one is a square in the ring), and list
 m-cliques by backtracking over a degeneracy order.  Every clique found is
 re-verified through make_tuple before it is reported.
 
-The sweep at bound |z|^2 <= B runs that search over every squarefree
-|d| <= 4B plus one rational-integer pass, and that set is complete for
-every B.  A non-real element z = u + v*w has 4|z|^2 >= |D| v^2 with
-|D| = |d| (half-integer basis) or 4|d| (integral basis), so it needs
-|d| <= 4B or |d| <= B respectively.  Beyond those cutoffs every candidate
-element is a rational integer, and so are its witnesses: a non-real
-witness of a rational a*b + 1 is some y*sqrt(d) with y a nonzero integer,
-and |y^2 d| = |a*b + 1| <= B + 1 forces |d| <= B + 1.  The rational pass
-covers all those rings at once.  The listed integral-basis rings with
-B + 1 < |d| <= 4B hold only rational elements and witnesses too, so their
-searches are equal: the sweep runs the first and copies its tuples (d
-replaced) and counts to the rest, and re-verifies every copy in its ring.
+The sweep at bound |z|^2 <= B covers every squarefree |d| <= 4B plus one
+rational-integer pass, and that set is complete for every B.  A non-real
+element z = u + v*w has 4|z|^2 >= |D| v^2 with |D| = |d| (half-integer
+basis) or 4|d| (integral basis), so it needs |d| <= 4B or |d| <= B
+respectively.  Beyond those cutoffs every candidate element is a rational
+integer, and so are its witnesses: a non-real witness of a rational a*b + 1
+is some y*sqrt(d) with y a nonzero integer, and |y^2 d| = |a*b + 1| <= B + 1
+forces |d| <= B + 1.  So all rings with an integral basis and |d| > B + 1,
+and all rings with |d| > 4B, share one search: the integers in
+[-isqrt(B), isqrt(B)], joined where a*b + 1 is a square in Z.  The rational
+pass runs it once, in the first such integral-basis ring, listed or not: its
+tuples stand for the unlisted rings past 4B too, and at B = 1 no listed ring
+qualifies (it is d = -5, past 4B = 4).  It uses no cache: a read would cost
+about what a search of 2*isqrt(B) vertices does, and the cache keeps one
+file per ring searched on its own.  The listed integral-basis rings past
+B + 1 are not searched; each takes the pass's tuples (d replaced) and
+counts, and every copy is re-verified in its own ring.
 
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
@@ -34,7 +39,7 @@ import json
 import os
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 from .errors import NotAPair
@@ -56,13 +61,6 @@ from .tuples import (
 )
 
 
-def _check_bound_and_size(max_abs_sq: int, target_size: int) -> None:
-    if max_abs_sq < 1:
-        raise ValueError("max_abs_sq must be >= 1")
-    if target_size < 2:
-        raise ValueError("target_size must be >= 2")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     spec: RingSpec
@@ -72,7 +70,10 @@ class SearchConfig:
     min_abs_sq: int = 1
 
     def __post_init__(self) -> None:
-        _check_bound_and_size(self.max_abs_sq, self.target_size)
+        if self.max_abs_sq < 1:
+            raise ValueError("max_abs_sq must be >= 1")
+        if self.target_size < 2:
+            raise ValueError("target_size must be >= 2")
         if self.mode not in ("find-all", "find-first", "count"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.min_abs_sq < 1:
@@ -387,48 +388,38 @@ def sweep_ring_list(b_sq: int = 256) -> list[int]:
     return [-n for n in range(1, 4 * b_sq + 1) if is_squarefree(n)]
 
 
-def rational_integer_pass(b_sq: int, size: int) -> list[tuple[int, ...]]:
-    """m-tuples of rational integers in [-B, B] with rational-integer witnesses.
-
-    Models every ring beyond the sweep cutoff at once: there the elements and
-    witnesses are all rational integers, so a*b + 1 must be a perfect square
-    >= 0 in Z.
-    """
-    limit = isqrt(b_sq)
-    elems = [n for n in range(-limit, limit + 1) if n]
-    index = {e: i for i, e in enumerate(elems)}
-    adj: list[set[int]] = [set() for _ in elems]
-    for x, y in itertools.combinations(elems, 2):
-        p = x * y + 1
-        if p >= 0 and isqrt(p) ** 2 == p:
-            adj[index[x]].add(index[y])
-            adj[index[y]].add(index[x])
-    cliques, _ = _cliques_of_size(adj, size)
-    return sorted(tuple(sorted(elems[i] for i in c)) for c in cliques)
+def rational_integer_pass(b_sq: int, size: int) -> SearchResult:
+    """The one search of every ring whose elements and witnesses in the bound
+    are all rational integers (module docstring): the first squarefree d < 0
+    with an integral basis and |d| > b_sq + 1, searched without the cache."""
+    n = max(b_sq, 0) + 2  # a bad b_sq walks no further; SearchConfig refuses it
+    while n % 4 == 3 or not is_squarefree(n):
+        n += 1
+    return find_m_tuples(SearchConfig(RingSpec(-n), b_sq, size))
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    b_sq: int
-    size: int
     rings_checked: tuple[int, ...]
     tuples: tuple[DiophTuple, ...]
     rational_pass_tuples: tuple[tuple[int, ...], ...]
-    completeness: dict = field(default_factory=dict)
-    conjecture_violations: tuple[DiophTuple, ...] = ()
-    stats: SearchStats = SearchStats(0, 0, 0)
+    completeness: dict
+    conjecture_violations: tuple[DiophTuple, ...]
+    stats: SearchStats
 
     @property
     def is_empty(self) -> bool:
         return not self.tuples and not self.rational_pass_tuples
 
 
+def _counts(st: SearchStats) -> tuple[int, int, int]:
+    return st.elements, st.pairs_tested, st.cliques_explored
+
+
 def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[dict], tuple]:
     d, b_sq, size, cache_dir = args
-    cfg = SearchConfig(RingSpec(d), b_sq, size)
-    res = find_m_tuples(cfg, cache_dir)
-    st = res.stats
-    return d, [t.to_json_dict() for t in res.tuples], (st.elements, st.pairs_tested, st.cliques_explored)
+    res = find_m_tuples(SearchConfig(RingSpec(d), b_sq, size), cache_dir)
+    return d, [t.to_json_dict() for t in res.tuples], _counts(res.stats)
 
 
 def quintuple_sweep(
@@ -440,14 +431,11 @@ def quintuple_sweep(
     """Search every ring in the cutoff set derived from b_sq, plus the
     rational-integer pass, and report all m-tuples found (expected: none
     for size 5 at bound 16)."""
-    # checked here too: a bound below 1 leaves no ring to build a SearchConfig for
-    _check_bound_and_size(b_sq, size)
+    shared = rational_integer_pass(b_sq, size)  # first: its config refuses a bad b_sq or size
     rings = sweep_ring_list(b_sq)
-    # integral-basis rings past the witness cutoff hold only rational elements
-    # and witnesses (module docstring), so they share one search
-    folded = [d for d in rings if d % 4 != 1 and -d > b_sq + 1]
-    copies = set(folded[1:])
-    jobs = [(d, b_sq, size, cache_dir) for d in rings if d not in copies]
+    # integral-basis rings past the witness cutoff: the rational pass is their search
+    rational_only = {d for d in rings if d % 4 != 1 and -d > b_sq + 1}
+    jobs = [(d, b_sq, size, cache_dir) for d in rings if d not in rational_only]
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -455,19 +443,15 @@ def quintuple_sweep(
             raw = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         raw = [_sweep_one(j) for j in jobs]
-    if folded:
-        _d, tuple_dicts, counts = next(item for item in raw if item[0] == folded[0])
-        raw += [(d, [dict(td, d=d) for td in tuple_dicts], counts) for d in copies]
+    shared_dicts, shared_counts = [t.to_json_dict() for t in shared.tuples], _counts(shared.stats)
+    raw += [(d, [dict(td, d=d) for td in shared_dicts], shared_counts) for d in rational_only]
     raw.sort(key=lambda item: -item[0])
     found = [DiophTuple.from_json_dict(td) for _d, tuple_dicts, _c in raw for td in tuple_dicts]
-    rational = rational_integer_pass(b_sq, size)
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
     return SweepReport(
-        b_sq=b_sq,
-        size=size,
         rings_checked=tuple(rings),
         tuples=tuple(found),
-        rational_pass_tuples=tuple(rational),
+        rational_pass_tuples=tuple(sorted(tuple(sorted(z.u for z in t.elems)) for t in shared.tuples)),
         completeness={
             "half_basis_cutoff": 4 * b_sq,
             "integral_basis_cutoff": b_sq,

@@ -38,11 +38,8 @@ class DiophTuple:
     witnesses: Mapping[tuple[int, int], RingElem]
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.spec.d,
-            "elems": [[z.u, z.v] for z in self.elems],
-            "witnesses": [[i, j, [w.u, w.v]] for (i, j), w in sorted(self.witnesses.items())],
-        }
+        # no witnesses: from_json_dict re-derives them through make_tuple
+        return {"d": self.spec.d, "elems": [[z.u, z.v] for z in self.elems]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":

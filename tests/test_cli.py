@@ -160,8 +160,9 @@ def test_nonpositive_threads_is_usage_error(capsys, threads):
         ["--bound", "0", "--size", "1"],
         ["--bound", "0", "--size", "-3"],
         ["--bound-sq", "-5", "--size", "5"],
+        ["--bound-sq", "-1000000000000", "--size", "5"],
     ],
-    ids=["bound0", "size1", "size-3", "bound-sq-5"],
+    ids=["bound0", "size1", "size-3", "bound-sq-5", "bound-sq-1e12"],
 )
 def test_empty_sweep_range_is_usage_error(capsys, argv):
     # no ring lies in range, so no per-ring check runs; the sweep must still
@@ -222,6 +223,8 @@ def test_sweep_small_bound(capsys):
     assert int(rep["payload"]["rings_checked"]) == 3
     assert rep["payload"]["completeness"]["half_basis_cutoff"] == "4"
     assert len(rep["payload"]["tuples"]) > 0
+    # no listed ring holds only rational elements: the rational pass runs in d = -5
+    assert rep["payload"]["rational_pass_tuples"] == ["-1,1"]
 
 
 @pytest.mark.parametrize(
@@ -239,6 +242,29 @@ def test_cache_dir_flag(capsys, tmp_path, argv):
     warm = run_cli(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
     assert cold[0] == 0
     assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "argv, under_file",
+    [
+        (["search", "--d", "-1", "--bound", "5", "--size", "3"], True),
+        (["search", "--sweep", "--bound", "3", "--size", "3", "--expect-empty"], False),
+    ],
+    ids=["single", "sweep"],
+)
+def test_unusable_cache_dir_is_usage_error(capsys, monkeypatch, tmp_path, argv, under_file):
+    # exit 1 is "tuple found" under --expect-empty; a cache directory that is
+    # a file, or lies under one, is a usage error found before any ring is searched
+    for module in ("diophiq.cli", "diophiq.search"):
+        monkeypatch.setattr(f"{module}.find_m_tuples", lambda *args, **kw: pytest.fail("searched a ring"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = blocker / "cache" if under_file else blocker
+    code = main([*argv, "--cache-dir", str(cache)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --cache-dir {cache} is not a usable directory: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

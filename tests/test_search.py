@@ -347,15 +347,44 @@ def test_sweep_reports_cutoffs_of_its_bound():
 
 def test_sweep_rejects_size_before_searching(monkeypatch):
     monkeypatch.setattr(search, "_sweep_one", lambda job: pytest.fail("searched a ring"))
+    monkeypatch.setattr(search, "find_m_tuples", lambda *args: pytest.fail("searched a ring"))
     with pytest.raises(ValueError, match="target_size must be >= 2"):
         quintuple_sweep(b_sq=4, size=1, workers=1)
 
 
+def _rational_tuples(res):
+    return sorted(tuple(sorted(z.u for z in t.elems)) for t in res.tuples)
+
+
 def test_rational_integer_pass():
-    assert rational_integer_pass(256, 5) == []
-    triples = rational_integer_pass(256, 3)
+    assert rational_integer_pass(256, 5).tuples == ()
+    triples = _rational_tuples(rational_integer_pass(256, 3))
     assert (1, 3, 8) in triples
     assert (-8, -3, -1) in triples
+    # it searches the first integral-basis ring past b_sq + 1, in the sweep's list or not
+    listed = {}
+    for b_sq, d in ((1, -5), (2, -5), (4, -6), (16, -21), (256, -258)):
+        assert {t.spec.d for t in rational_integer_pass(b_sq, 2).tuples} == {d}, b_sq
+        listed[b_sq] = d in sweep_ring_list(b_sq)
+    assert listed == {1: False, 2: True, 4: True, 16: True, 256: True}
+
+
+def test_rational_integer_pass_equals_integer_brute_force():
+    # the independent oracle: combinations of the integers in [-isqrt(B), isqrt(B)]
+    # whose pairwise products plus one are perfect squares in Z
+    for b_sq in range(1, 65):
+        limit = isqrt(b_sq)
+        integers = [x for x in range(-limit, limit + 1) if x]
+        for size in (2, 3, 4):
+            oracle = [
+                combo
+                for combo in itertools.combinations(integers, size)
+                if all(x * y + 1 >= 0 and isqrt(x * y + 1) ** 2 == x * y + 1
+                       for x, y in itertools.combinations(combo, 2))
+            ]
+            res = rational_integer_pass(b_sq, size)
+            assert all(z.v == 0 for t in res.tuples for z in t.elems)
+            assert _rational_tuples(res) == oracle, (b_sq, size)
 
 
 def test_single_ring_quintuple_empty_d3():
@@ -504,8 +533,7 @@ def test_folded_ring_graph_is_the_rational_graph(monkeypatch):
         label = [z.u for z in vertices]
         assert {frozenset((label[i], label[j])) for i in range(len(adj)) for j in adj[i]} == edges
         cliques = sorted(tuple(sorted(label[i] for i in c)) for c in _cliques_of_size(adj, 3)[0])
-        found = sorted(tuple(sorted(z.u for z in t.elems)) for t in res.tuples)
-        assert cliques == rational_integer_pass(256, 3) == found
+        assert cliques == _rational_tuples(rational_integer_pass(256, 3)) == _rational_tuples(res)
 
 
 def _count_pair_graphs(monkeypatch):
@@ -537,6 +565,18 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     files = list(tmp_path.iterdir())
     assert len(files) == 1
     assert files[0].name == "d-1_b100_m3.jsonl"
+    # a file of the older format, whose tuple lines also carry the witnesses, is a hit too
+    lines = files[0].read_text().splitlines()
+    assert all("witnesses" not in line for line in lines)
+    old = []
+    for line, t in zip(lines, first.tuples):
+        witnesses = [[i, j, list(w.coords())] for (i, j), w in sorted(t.witnesses.items())]
+        old.append(json.dumps(dict(json.loads(line), witnesses=witnesses), sort_keys=True))
+    files[0].write_text("\n".join(old + lines[-1:]) + "\n")
+    third = find_m_tuples(cfg, cache_dir=cache)
+    assert calls == [-1]
+    assert _counts(third.stats) == _counts(first.stats)
+    assert tuple(map(elems_of, third.tuples)) == tuple(map(elems_of, first.tuples))
 
 
 def test_cache_corruption_triggers_recompute(tmp_path, monkeypatch):
