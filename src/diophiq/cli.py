@@ -2,9 +2,19 @@
 
 Subcommands: search, verify, gap, chain, extend.  Reports serialize
 deterministically; every numeric payload value is an exact integer or
-rational string, never a float.  Exit codes: 0 on success, 1 when a
-violation / unexpected result / missing contradiction is reported, 2 on
-usage errors.
+rational string, never a float.
+
+Each subcommand prints nothing itself: it returns its report's config,
+outcome and payload, and `main` emits the one report and maps its outcome
+to the exit code:
+
+    ok             0
+    violation      1  (a failing check, or a tuple found under --expect-empty)
+    inapplicable   1  (gap hypotheses fail, or the chain finds no contradiction)
+    error          2  (the input is refused: the report gives the reason)
+
+An input refused before any report (by argparse, or by a ValueError such
+as an unusable --cache-dir) prints one stderr line and exits 2.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import (
@@ -35,9 +44,7 @@ from .tuples import (
 
 SCHEMA_VERSION = 1
 
-EXIT_OK = 0
-EXIT_VIOLATION = 1
-EXIT_USAGE = 2
+EXIT_CODES = {"ok": 0, "violation": 1, "inapplicable": 1, "error": 2}
 
 
 def _parse_elems(text: str) -> list[tuple[int, int]]:
@@ -125,8 +132,11 @@ def _print_payload(value, indent="  ", key=None) -> None:
         print(f"{indent}{label}{value}")
 
 
-def _elems_for(spec: RingSpec, pairs: list[tuple[int, int]]) -> list[RingElem]:
-    return [spec.elem(u, v) for u, v in pairs]
+def _ring_input(args) -> tuple[RingSpec, list[RingElem], dict]:
+    """The ring, the elements and the {d, elems} config of --d and --elems."""
+    spec = RingSpec(args.d)
+    elems = [spec.elem(u, v) for u, v in args.elems]
+    return spec, elems, {"d": str(args.d), "elems": _elems_str(elems)}
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +144,7 @@ def _elems_for(spec: RingSpec, pairs: list[tuple[int, int]]) -> list[RingElem]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[dict, str, dict]:
     b_sq = args.bound_sq if args.bound_sq is not None else args.bound * args.bound
     config = {
         "bound_abs_sq": str(b_sq),
@@ -176,25 +186,18 @@ def cmd_search(args) -> int:
         }
         stats, found = res.stats, res.count > 0
     # last key, so the text format prints it after the tuples
-    payload["stats"] = {k: str(v) for k, v in asdict(stats).items()}
-    violated = bool(args.expect_empty and found)
-    report = _report("search", config, "violation" if violated else "ok", payload)
-    _emit(report, args.format)
-    return EXIT_VIOLATION if violated else EXIT_OK
+    payload["stats"] = {k: str(v) for k, v in stats._asdict().items()}
+    return config, "violation" if args.expect_empty and found else "ok", payload
 
 
-def cmd_verify(args) -> int:
-    spec = RingSpec(args.d)
-    config = {"d": str(args.d), "elems": ";".join(f"{u},{v}" for u, v in args.elems)}
+def cmd_verify(args) -> tuple[dict, str, dict]:
+    spec, elems, config = _ring_input(args)
     try:
-        t = make_tuple(spec, _elems_for(spec, args.elems))
+        t = make_tuple(spec, elems)
     except NotDiophantine as exc:
-        payload = {"failing_pair": f"{exc.pair[0]},{exc.pair[1]}", "reason": str(exc)}
-        _emit(_report("verify", config, "violation", payload), args.format)
-        return EXIT_VIOLATION
+        return config, "violation", {"failing_pair": f"{exc.pair[0]},{exc.pair[1]}", "reason": str(exc)}
     except (ZeroElement, DuplicateElement) as exc:
-        _emit(_report("verify", config, "error", {"reason": str(exc)}), args.format)
-        return EXIT_USAGE
+        return config, "error", {"reason": str(exc)}
     payload = _tuple_payload(t)
     checks: dict = {}
     if len(t.elems) >= 3:
@@ -208,23 +211,17 @@ def cmd_verify(args) -> int:
     payload["checks"] = checks
     violation = any(v.startswith("violated") for v in checks.values() if isinstance(v, str))
     outcome = "violation" if violation or checks.get("forbidden_double_regular") == "true" else "ok"
-    _emit(_report("verify", config, outcome, payload), args.format)
-    return EXIT_OK if outcome == "ok" else EXIT_VIOLATION
+    return config, outcome, payload
 
 
-def cmd_gap(args) -> int:
-    spec = RingSpec(args.d)
-    config = {"d": str(args.d), "elems": ";".join(f"{u},{v}" for u, v in args.elems)}
-    if len(args.elems) != 3:
-        _emit(_report("gap", config, "error", {"reason": "need exactly three elements"}), args.format)
-        return EXIT_USAGE
-    a, b, c = _elems_for(spec, args.elems)
+def cmd_gap(args) -> tuple[dict, str, dict]:
+    _spec, elems, config = _ring_input(args)
+    if len(elems) != 3:
+        return config, "error", {"reason": "need exactly three elements"}
     try:
-        res = gap_principle(a, b, c)
+        res = gap_principle(*elems)
     except PreconditionViolated as exc:
-        payload = {"failing_hypotheses": exc.failures}
-        _emit(_report("gap", config, "inapplicable", payload), args.format)
-        return EXIT_VIOLATION
+        return config, "inapplicable", {"failing_hypotheses": exc.failures}
     lo, hi = res.lambda_enclosure
     payload = {
         "bound_abs_sq": str(res.bound_abs_sq),
@@ -232,17 +229,15 @@ def cmd_gap(args) -> int:
         "lambda_enclosure": {"lo": _fr(lo), "hi": _fr(hi)},
         "checks": {k: str(v).lower() for k, v in res.checks.items()},
     }
-    _emit(_report("gap", config, "ok", payload), args.format)
-    return EXIT_OK
+    return config, "ok", payload
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args) -> tuple[dict, str, dict]:
     config = {"m": str(args.m)}
     try:
         cert = chain_certificate(args.m)
     except ValueError as exc:
-        _emit(_report("chain", config, "error", {"reason": str(exc)}), args.format)
-        return EXIT_USAGE
+        return config, "error", {"reason": str(exc)}
     payload = {
         "k_constant": str(cert.k_constant),
         "lower_bounds_abs_sq": {str(i): str(v) for i, v in sorted(cert.lower_bounds.items())},
@@ -251,23 +246,16 @@ def cmd_chain(args) -> int:
         "upper_bound_rhs": str(cert.upper_bound_rhs) if cert.upper_bound_rhs is not None else "none",
         "contradiction_at": str(cert.contradiction_at) if cert.contradiction_at else "none",
     }
-    outcome = "ok" if cert.contradiction_found else "inapplicable"
-    _emit(_report("chain", config, outcome, payload), args.format)
-    return EXIT_OK if cert.contradiction_found else EXIT_VIOLATION
+    return config, "ok" if cert.contradiction_found else "inapplicable", payload
 
 
-def cmd_extend(args) -> int:
-    spec = RingSpec(args.d)
-    config = {
-        "d": str(args.d),
-        "elems": ";".join(f"{u},{v}" for u, v in args.elems),
-        "bound": str(args.bound),
-    }
+def cmd_extend(args) -> tuple[dict, str, dict]:
+    spec, elems, config = _ring_input(args)
+    config["bound"] = str(args.bound)
     try:
-        t = make_tuple(spec, _elems_for(spec, args.elems))
+        t = make_tuple(spec, elems)
     except DiophError as exc:
-        _emit(_report("extend", config, "error", {"reason": str(exc)}), args.format)
-        return EXIT_USAGE
+        return config, "error", {"reason": str(exc)}
     exts = extend_tuple(t, args.bound * args.bound)
     payload = {"extensions": [f"{z.u},{z.v}" for z in exts]}
     if len(t.elems) == 3:
@@ -276,8 +264,7 @@ def cmd_extend(args) -> int:
             "verified": [f"{z.u},{z.v}" for z in verified],
             "failed": [f"{z.u},{z.v}" for z in failed],
         }
-    _emit(_report("extend", config, "ok", payload), args.format)
-    return EXIT_OK
+    return config, "ok", payload
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Search and verify Diophantine m-tuples in imaginary quadratic rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    ring_input = argparse.ArgumentParser(add_help=False)
+    ring_input.add_argument("--d", type=int, required=True)
+    ring_input.add_argument("--elems", type=_parse_elems, required=True)
 
     p_search = sub.add_parser("search", help="bounded exhaustive m-tuple search")
     group = p_search.add_mutually_exclusive_group(required=True)
@@ -306,33 +293,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--mode", choices=("find-all", "find-first", "count"), default="find-all")
     p_search.add_argument("--expect-empty", action="store_true")
     p_search.add_argument("--threads", type=_positive_int, default=None, help="worker processes for the sweep")
-    p_search.add_argument("--cache-dir", default=os.environ.get("DIOPH_CACHE_DIR"))
-    add_common(p_search)
+    p_search.add_argument("--cache-dir")
     p_search.set_defaults(func=cmd_search)
 
-    p_verify = sub.add_parser("verify", help="verify a tuple and its side conditions")
-    p_verify.add_argument("--d", type=int, required=True)
-    p_verify.add_argument("--elems", type=_parse_elems, required=True)
-    add_common(p_verify)
+    p_verify = sub.add_parser("verify", parents=[ring_input], help="verify a tuple and its side conditions")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_gap = sub.add_parser("gap", help="gap-principle bound for a triple")
-    p_gap.add_argument("--d", type=int, required=True)
-    p_gap.add_argument("--elems", type=_parse_elems, required=True)
-    add_common(p_gap)
+    p_gap = sub.add_parser("gap", parents=[ring_input], help="gap-principle bound for a triple")
     p_gap.set_defaults(func=cmd_gap)
 
     p_chain = sub.add_parser("chain", help="lower-bound chain certificate")
     p_chain.add_argument("--m", type=int, required=True)
-    add_common(p_chain)
     p_chain.set_defaults(func=cmd_chain)
 
-    p_extend = sub.add_parser("extend", help="bounded extension search for a tuple")
-    p_extend.add_argument("--d", type=int, required=True)
-    p_extend.add_argument("--elems", type=_parse_elems, required=True)
+    p_extend = sub.add_parser("extend", parents=[ring_input], help="bounded extension search for a tuple")
     p_extend.add_argument("--bound", type=_nonnegative_int, required=True, help="max |d| (squared internally)")
-    add_common(p_extend)
     p_extend.set_defaults(func=cmd_extend)
+
+    for p in sub.choices.values():  # last, so each usage line ends with it
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -358,10 +337,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(list(argv)))
     try:
-        return args.func(args)
+        config, outcome, payload = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CODES["error"]
+    _emit(_report(args.command, config, outcome, payload), args.format)
+    return EXIT_CODES[outcome]
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import NotAPair
 from .ring import (
@@ -80,8 +81,7 @@ class SearchConfig:
             raise ValueError("min_abs_sq must be >= 1")
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Counts of one search, summed over the rings of a sweep.
 
     elements: the pair graph's vertices, the nonzero elements in the bound.
@@ -243,7 +243,7 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
     """
     cached = _cache_load(cache_dir, cfg)
     if cached is not None:
-        tuples, counts = cached
+        tuples, stats = cached
     else:
         spec = cfg.spec
         vertices = enumerate_up_to(spec, cfg.max_abs_sq, cfg.min_abs_sq)
@@ -255,13 +255,13 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
             t = make_tuple(spec, [vertices[i] for i in clique])  # re-verification
             tuples.append(t)
         tuples.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
-        counts = (len(vertices), tested, explored)
+        stats = SearchStats(len(vertices), tested, explored)
         if cfg.mode == "find-all":
-            _cache_store(cache_dir, cfg, tuples, counts)
+            _cache_store(cache_dir, cfg, tuples, stats)
     return SearchResult(
         tuples=tuple(tuples) if cfg.mode != "count" else (),
         count=len(tuples),
-        stats=SearchStats(*counts),
+        stats=stats,
     )
 
 
@@ -412,14 +412,10 @@ class SweepReport:
         return not self.tuples and not self.rational_pass_tuples
 
 
-def _counts(st: SearchStats) -> tuple[int, int, int]:
-    return st.elements, st.pairs_tested, st.cliques_explored
-
-
-def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[dict], tuple]:
+def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[dict], SearchStats]:
     d, b_sq, size, cache_dir = args
     res = find_m_tuples(SearchConfig(RingSpec(d), b_sq, size), cache_dir)
-    return d, [t.to_json_dict() for t in res.tuples], _counts(res.stats)
+    return d, [t.to_json_dict() for t in res.tuples], res.stats
 
 
 def quintuple_sweep(
@@ -443,8 +439,8 @@ def quintuple_sweep(
             raw = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         raw = [_sweep_one(j) for j in jobs]
-    shared_dicts, shared_counts = [t.to_json_dict() for t in shared.tuples], _counts(shared.stats)
-    raw += [(d, [dict(td, d=d) for td in shared_dicts], shared_counts) for d in rational_only]
+    shared_dicts = [t.to_json_dict() for t in shared.tuples]
+    raw += [(d, [dict(td, d=d) for td in shared_dicts], shared.stats) for d in rational_only]
     raw.sort(key=lambda item: -item[0])
     found = [DiophTuple.from_json_dict(td) for _d, tuple_dicts, _c in raw for td in tuple_dicts]
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
@@ -460,7 +456,7 @@ def quintuple_sweep(
             "rings": len(rings),
         },
         conjecture_violations=violations,
-        stats=SearchStats(*map(sum, zip(*(counts for _d, _t, counts in raw)))),
+        stats=SearchStats(*map(sum, zip(*(stats for _d, _t, stats in raw)))),
     )
 
 
@@ -489,8 +485,8 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
 
 def _cache_load(
     cache_dir: str | None, cfg: SearchConfig
-) -> tuple[list[DiophTuple], tuple[int, int, int]] | None:
-    """(tuples, search counts) stored for cfg, or None to recompute."""
+) -> tuple[list[DiophTuple], SearchStats] | None:
+    """(tuples, search stats) stored for cfg, or None to recompute."""
     if not cache_dir or cfg.mode != "find-all":
         return None
     path = _cache_path(cache_dir, cfg)
@@ -516,10 +512,10 @@ def _cache_load(
             tuples.append(t)
     except Exception:
         return None  # corrupt or stale cache: recompute
-    return tuples, counts
+    return tuples, SearchStats(*counts)
 
 
-def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], counts: tuple) -> None:
+def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], stats: SearchStats) -> None:
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -528,5 +524,5 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTup
     with open(tmp, "w", encoding="utf-8") as fh:
         for t in tuples:
             fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
-        fh.write(json.dumps({"count": len(tuples), "stats": list(counts)}) + "\n")
+        fh.write(json.dumps({"count": len(tuples), "stats": list(stats)}) + "\n")
     os.replace(tmp, path)

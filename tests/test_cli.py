@@ -21,6 +21,33 @@ GOLDEN = {
 }
 
 
+# the exit code of each report outcome
+OUTCOME_EXIT = {"ok": 0, "violation": 1, "inapplicable": 1, "error": 2}
+
+# inputs refused inside a subcommand: a report with outcome "error", its
+# config and the reason
+ERROR_REPORTS = {
+    "chain_m4": (["chain", "--m", "4"], {"m": "4"}, "chain needs at least five elements"),
+    "gap_two_elems": (
+        ["gap", "--d", "-1", "--elems", "1,0;3,0"],
+        {"d": "-1", "elems": "1,0;3,0"},
+        "need exactly three elements",
+    ),
+    "extend_not_a_pair": (
+        ["extend", "--d", "-1", "--elems", "1,0;2,0", "--bound", "5"],
+        {"d": "-1", "elems": "1,0;2,0", "bound": "5"},
+        "product of elements (0, 1) plus one is not a square",
+    ),
+    "verify_repeated_elem": (
+        ["verify", "--d", "-1", "--elems", "1,0;3,0;1,0"],
+        {"d": "-1", "elems": "1,0;3,0;1,0"},
+        "elements not pairwise distinct: ["
+        + ", ".join(f"RingElem(u={u}, v=0, spec=RingSpec(d=-1))" for u in (1, 3, 1))
+        + "]",
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -280,3 +307,37 @@ def test_golden_report(capsys, name, fmt):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (DATA / f"{name}.{'json' if fmt == 'json' else 'txt'}").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_REPORTS))
+def test_error_report_echoes_config_and_reason(capsys, name):
+    argv, config, reason = ERROR_REPORTS[name]
+    code, rep = run_json(capsys, *argv)
+    assert code == 2
+    assert rep["outcome"] == "error"
+    assert rep["config"] == config
+    assert rep["payload"] == {"reason": reason}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(pytest.param(GOLDEN[name], id=name) for name in sorted(GOLDEN)),
+        *(pytest.param(ERROR_REPORTS[name][0], id=name) for name in sorted(ERROR_REPORTS)),
+        pytest.param(["chain", "--m", "42"], id="chain_m42"),
+        pytest.param(["search", "--d", "-1", "--bound", "4", "--size", "3", "--expect-empty"], id="expect_empty_found"),
+    ],
+)
+def test_exit_code_follows_outcome(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == OUTCOME_EXIT[rep["outcome"]]
+
+
+def test_cache_dir_has_no_environment_default(capsys, monkeypatch, tmp_path):
+    # only --cache-dir names a cache: a variable pointing at a file changes nothing
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("DIOPH_CACHE_DIR", str(blocker))
+    code, rep = run_json(capsys, "search", "--d", "-1", "--bound", "5", "--size", "3")
+    assert code == 0
+    assert rep["outcome"] == "ok"
