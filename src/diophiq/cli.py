@@ -15,6 +15,10 @@ to the exit code:
 
 An input refused before any report (by argparse, or by a ValueError such
 as an unusable --cache-dir) prints one stderr line and exits 2.
+
+Importing this module loads only the search layer.  `verify` (its
+quadruple checks), `gap` and `chain` load `gap`, and with it `exactreal`,
+`pell` and mpmath, when they run; `search` and `extend` never load them.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import K_CONSTANT
 from .errors import (
     DiophError,
     DuplicateElement,
@@ -32,7 +37,6 @@ from .errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from .gap import K_CONSTANT, chain_certificate, gap_principle, omega_lower_bound
 from .ring import RingElem, RingSpec
 from .search import SearchConfig, extend_tuple, find_m_tuples, quintuple_sweep
 from .tuples import (
@@ -204,6 +208,8 @@ def cmd_verify(args) -> tuple[dict, str, dict]:
         bad = pair_products_not_square(t)
         checks["pair_products_not_square"] = "ok" if bad is None else f"violated at {bad}"
     if len(t.elems) == 4 and min(z.abs_sq() for z in t.elems) >= 4:
+        from .gap import omega_lower_bound
+
         ok, margin = omega_lower_bound(t)
         checks["omega_lower_bound"] = "ok" if ok else "violated"
         checks["omega_margin"] = str(margin)
@@ -218,6 +224,8 @@ def cmd_gap(args) -> tuple[dict, str, dict]:
     _spec, elems, config = _ring_input(args)
     if len(elems) != 3:
         return config, "error", {"reason": "need exactly three elements"}
+    from .gap import gap_principle
+
     try:
         res = gap_principle(*elems)
     except PreconditionViolated as exc:
@@ -233,6 +241,8 @@ def cmd_gap(args) -> tuple[dict, str, dict]:
 
 
 def cmd_chain(args) -> tuple[dict, str, dict]:
+    from .gap import chain_certificate
+
     config = {"m": str(args.m)}
     try:
         cert = chain_certificate(args.m)

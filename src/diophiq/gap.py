@@ -21,6 +21,9 @@ Upper bounds and hypothesis checks are carried on squared absolute values
 algebraic checks L > 1 and the auxiliary inequality; only lambda (it needs
 a logarithm) and the approximation margins go through exactreal's adaptive
 interval arithmetic.
+
+K_CONSTANT lives in the package root, so reports can state it without
+loading this module.
 """
 
 from __future__ import annotations
@@ -29,15 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+from . import K_CONSTANT
 from .errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
 from .exactreal import ExactReal, const, sqrt_of
 from .pell import PellSolution, build_system, first_equation_holds, second_equation_holds
 from .ring import RingElem
 from .tuples import DiophTuple
-
-K_CONSTANT = 4728
-"""Gap-principle constant: the statement says 4278 but its proof derives
-4728; the larger, proof-consistent value is used everywhere and reported."""
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,9 @@ def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
         if z.is_zero():
             raise ZeroElement("tuple elements must be nonzero")
     if len(set(items)) != len(items):
-        raise DuplicateElement(f"elements not pairwise distinct: {items}")
+        repeated = [z for z in dict.fromkeys(items) if items.count(z) > 1]
+        listed = ";".join(f"{z.u},{z.v}" for z in repeated)
+        raise DuplicateElement(f"elements not pairwise distinct: {listed} repeated")
     items.sort(key=RingElem.canonical_key)
     witnesses: dict[tuple[int, int], RingElem] = {}
     for i in range(len(items)):

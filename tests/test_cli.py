@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import diophiq
 from diophiq.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -15,6 +19,8 @@ GOLDEN = {
     "extend_d-1_1_3_8_b130": ["extend", "--d", "-1", "--elems", "1,0;3,0;8,0", "--bound", "130"],
     "extend_d-3_1_3_8_b130": ["extend", "--d", "-3", "--elems", "1,0;3,0;8,0", "--bound", "130"],
     "verify_d-1_1_3_8_120": ["verify", "--d", "-1", "--elems", "1,0;3,0;8,0;120,0"],
+    # min abs_sq 4: the only golden that reaches the Omega-lemma checks
+    "verify_d-1_2_4_12_420": ["verify", "--d", "-1", "--elems", "2,0;4,0;12,0;420,0"],
     "gap_d-11_criterion4": ["gap", "--d", "-11", "--elems", "4,1;9,-1;580259305885538,354"],
     "chain_m43": ["chain", "--m", "43"],
     "sweep_b16_m4": ["search", "--sweep", "--bound", "16", "--size", "4", "--threads", "1"],
@@ -41,9 +47,12 @@ ERROR_REPORTS = {
     "verify_repeated_elem": (
         ["verify", "--d", "-1", "--elems", "1,0;3,0;1,0"],
         {"d": "-1", "elems": "1,0;3,0;1,0"},
-        "elements not pairwise distinct: ["
-        + ", ".join(f"RingElem(u={u}, v=0, spec=RingSpec(d=-1))" for u in (1, 3, 1))
-        + "]",
+        "elements not pairwise distinct: 1,0 repeated",
+    ),
+    "extend_repeated_elem": (
+        ["extend", "--d", "-1", "--elems", "1,0;1,0", "--bound", "5"],
+        {"d": "-1", "elems": "1,0;1,0", "bound": "5"},
+        "elements not pairwise distinct: 1,0 repeated",
     ),
 }
 
@@ -341,3 +350,24 @@ def test_cache_dir_has_no_environment_default(capsys, monkeypatch, tmp_path):
     code, rep = run_json(capsys, "search", "--d", "-1", "--bound", "5", "--size", "3")
     assert code == 0
     assert rep["outcome"] == "ok"
+
+
+def test_cli_import_loads_no_certified_arithmetic():
+    # search and extend run on the search layer alone; gap, exactreal, pell
+    # and mpmath load only when verify (quadruple checks), gap or chain runs
+    src = str(Path(diophiq.__file__).parents[1])
+    code = (
+        "import contextlib, io, sys, diophiq.cli\n"
+        "certified = ('diophiq.gap', 'diophiq.exactreal', 'diophiq.pell', 'mpmath')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    diophiq.cli.main(['extend', '--d', '-1', '--elems=1,0;3,0;8,0', '--bound', '30'])\n"
+        "print(sorted(m for m in certified if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    diophiq.cli.main(['chain', '--m', '43'])\n"
+        "print('diophiq.gap' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == "[]\nTrue\n"

@@ -79,6 +79,10 @@ def test_make_tuple_rejects_bad_input():
         make_tuple(D1, ints(D1, 0, 3))
     with pytest.raises(DuplicateElement):
         make_tuple(D1, ints(D1, 3, 3))
+    # each repeated element named once, in input order, as u,v
+    with pytest.raises(DuplicateElement) as ei:
+        make_tuple(D1, ints(D1, 3, 1, 8, 3, 1, 1))
+    assert str(ei.value) == "elements not pairwise distinct: 3,0;1,0 repeated"
     with pytest.raises(ValueError):
         make_tuple(D1, [])
 
