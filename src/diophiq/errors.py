@@ -64,7 +64,7 @@ class DegenerateInput(DiophError):
 
 
 class TheoremInapplicable(DiophError):
-    """The approximation theorem's hypothesis L > 1 fails."""
+    """A check the theorem needs fails: L > 1, lambda, the auxiliary one or a margin."""
 
 
 class UndecidableComparison(DiophError):

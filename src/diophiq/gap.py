@@ -9,18 +9,18 @@ Four layers, all exact or certified:
 * jz_quantities      -- the constant set (L, P, l, p, lambda, c) of the
                         simultaneous-approximation theorem, as certified
                         exact-or-interval scalars;
-* gap_principle      -- hypothesis and algebraic checks on exact integers
-                        plus certified lambda < 1.9, returning the exact
-                        big-integer bound K^2 * abs_sq(c)^50, K = 4728^20;
+* gap_principle      -- hypothesis and algebraic checks on exact integers,
+                        returning the exact big-integer bound
+                        K^2 * abs_sq(c)^50, K = 4728^20;
 * chain_certificate  -- the cascading lower-bound chain on indices
                         4, 5, 7, 10, ..., 43 carried on exact integers,
                         ending in the final contradiction.
 
 Upper bounds and hypothesis checks are carried on squared absolute values
-(integers) so every chain step compares exact big integers, and so are the
-algebraic checks L > 1 and the auxiliary inequality; only lambda (it needs
-a logarithm) and the approximation margins go through exactreal's adaptive
-interval arithmetic.
+(integers) so every chain step compares exact big integers.  Each check of
+the gap principle (L > 1, 1 < lambda < 1.9, the auxiliary inequality) reads
+A + B*sqrt(n) > 0 on them and one exact sign test decides it; intervals
+serve only the reported enclosure of lambda and approx_check's margins.
 
 K_CONSTANT lives in the package root, so reports can state it without
 loading this module.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 from . import K_CONSTANT
 from .errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
@@ -132,9 +132,6 @@ def _branch_distance(sq_num: RingElem, sq_den: RingElem, q_num: RingElem, q_den:
 class GapReport:
     """Exact/certified record of the theorem quantities for one input."""
 
-    a1: RingElem
-    a2: RingElem
-    T: RingElem
     M_sq: int
     L: ExactReal
     P: ExactReal
@@ -173,20 +170,26 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
     P = const(k) * (2 * abs_t + 3 * abs_m) / min_abs**3
     l = const(Fraction(27, 64)) * abs_t / (abs_t - abs_m)
     p = ((2 * abs_t + 3 * abs_m) / (2 * abs_t - 2 * abs_m)).sqrt()
-    if not _l_exceeds_one(k, t2, m_sq):
+    if not _positive(27 * (t2 + m_sq) - k, -54, t2 * m_sq):  # 27(t + m) - k > 54 sqrt(tm)
         raise TheoremInapplicable("L <= 1, the theorem gives nothing")
     lam = 1 + P.log() / L.log()
     c_const = 1 / (const(4) * p * P * (2 * l).fmax(1).pow(lam - 1))
-    return GapReport(
-        a1=a1, a2=a2, T=T, M_sq=m_sq,
-        L=L, P=P, l=l, p=p, lam=lam, c_const=c_const,
-    )
+    return GapReport(M_sq=m_sq, L=L, P=P, l=l, p=p, lam=lam, c_const=c_const)
 
 
-def _l_exceeds_one(k: int, t2: int, m_sq: int) -> bool:
-    """27/k * (sqrt(t2) - sqrt(m_sq))^2 > 1, i.e. 27(t2 + m_sq) - k > 54 sqrt(t2 m_sq)."""
-    s = 27 * (t2 + m_sq) - k
-    return s > 0 and s * s > 2916 * t2 * m_sq
+def _positive(a: int, b: int, n: int) -> bool:
+    """a + b*sqrt(n) > 0, exactly, for integers a, b and n >= 0."""
+    if b < 0:
+        return a > 0 and a * a > b * b * n
+    return a > 0 or b * b * n > a * a
+
+
+def _power(c: int, d: int, n: int, e: int) -> tuple[int, int]:
+    """(A, B) with (c + d*sqrt(n))^e = A + B*sqrt(n), by e multiplications."""
+    a, b = 1, 0
+    for _ in range(e):
+        a, b = a * c + b * d * n, a * d + b * c
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -220,39 +223,44 @@ def gap_hypotheses(a: RingElem, b: RingElem, c: RingElem) -> list[str]:
     return failures
 
 
-def _auxiliary_holds(na: int, nb: int, nbma: int, nc: int) -> bool:
-    """210|b|^3 |b-a|^3.8 |a|^0.8 < (|ac|-1)^0.8 from the squared absolute values.
+def _exact_checks(na: int, nb: int, nbma: int, nc: int) -> dict[str, bool]:
+    """The lambda and auxiliary checks from na, nb, nc, nbma = abs_sq(b - a), given L > 1.
 
-    Raised to the 10th power it reads X < (s-1)^8 = A - B*s with s = sqrt(na*nc),
-    X = 210^10 nb^15 nbma^19 na^4 and A, B the even and odd binomial sums.
+    With k = 16 na nb nbma, t = na nb nc, m = max(na, nb), mu = min(na, nb, nbma):
+    * lambda > 1 iff P > 1 iff k^2 (4t + 9m + 12 sqrt(tm)) > mu^3;
+    * lambda < 1.9 iff P^10 < L^9 iff
+      k^19 (4t + 9m + 12 sqrt(tm))^5 < 27^9 mu^15 (t + m - 2 sqrt(tm))^9;
+    * 210|b|^3 |b-a|^3.8 |a|^0.8 < (|ac|-1)^0.8 iff, raised to the 10th power,
+      210^10 nb^15 nbma^19 na^4 < (na nc + 1 - 2 sqrt(na nc))^4.
     """
-    n = na * nc
-    x = 210**10 * nb**15 * nbma**19 * na**4
-    even = sum(comb(8, k) * n ** (k // 2) for k in range(0, 9, 2))
-    odd = sum(comb(8, k) * n ** (k // 2) for k in range(1, 9, 2))
-    return even > x and (even - x) ** 2 > odd * odd * n
+    k, t, m, mu = 16 * na * nb * nbma, na * nb * nc, max(na, nb), min(na, nb, nbma)
+    n = t * m
+    gap9 = _power(t + m, -2, n, 9)
+    sum5 = _power(4 * t + 9 * m, 12, n, 5)
+    lhs, rhs = 27**9 * mu**15, k**19
+    aux = _power(na * nc + 1, -2, na * nc, 4)
+    return {
+        "lambda > 1": _positive(k * k * (4 * t + 9 * m) - mu**3, 12 * k * k, n),
+        "lambda < 1.9": _positive(lhs * gap9[0] - rhs * sum5[0], lhs * gap9[1] - rhs * sum5[1], n),
+        "210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8": _positive(
+            aux[0] - 210**10 * nb**15 * nbma**19 * na**4, aux[1], na * nc
+        ),
+    }
 
 
 def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
     """Exact bound abs_sq(d) < K^2 * abs_sq(c)^50 with K = 4728^20.
 
-    Hypotheses, L > 1 and the auxiliary inequality
-    210|b|^3 |b-a|^3.8 |a|^0.8 < (|ac|-1)^0.8 are decided exactly on squared
-    absolute values; only lambda in (1, 1.9) is certified by intervals.
+    Every check is exact on squared absolute values (L > 1 in jz_quantities,
+    the rest in _exact_checks); intervals only enclose the reported lambda.
     """
     failures = gap_hypotheses(a, b, c)
     if failures:
         raise PreconditionViolated(failures)
     report = jz_quantities(b, a, a * b * c)
-    checks = {
-        "L > 1": True,  # enforced inside jz_quantities
-        "lambda > 1": report.lam > 1,
-        "lambda < 1.9": report.lam < Fraction(19, 10),
-    }
     nc = c.abs_sq()
-    checks["210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"] = _auxiliary_holds(
-        a.abs_sq(), b.abs_sq(), (b - a).abs_sq(), nc
-    )
+    checks = {"L > 1": True}  # enforced inside jz_quantities
+    checks.update(_exact_checks(a.abs_sq(), b.abs_sq(), (b - a).abs_sq(), nc))
     if not all(checks.values()):
         raise TheoremInapplicable(f"certification failed: {checks}")
     k20 = K_CONSTANT**20
@@ -337,7 +345,8 @@ def chain_certificate(m: int) -> ChainCertificate:
     contradiction_at = None
     if top >= 25:
         applicability["|a4*a25| >= 9"] = lb[4] * lb[25] >= 81
-        applicability["|a7| >= 3/2 |a4|"] = Fraction(lb[5], 64) >= Fraction(9, 4)
+        # Omega lemma on {a4, a5, a6, a7}: abs_sq(a7) >= abs_sq(a4)*abs_sq(a5)/64
+        applicability["|a7| >= 3/2 |a4|"] = 4 * lb[5] >= 9 * 64
         applicability["|a7| > 5"] = lb[7] > 25
         applicability["|a25| > |a7|^15"] = lb[7] ** 49 > 8**126
         k20 = K_CONSTANT**20

@@ -14,7 +14,7 @@ from diophiq import gap
 from diophiq.errors import (
     DegenerateInput, PreconditionViolated, TheoremInapplicable, UndecidableComparison,
 )
-from diophiq.exactreal import const
+from diophiq.exactreal import ExactReal, const
 from diophiq.gap import (
     ApproxReport,
     K_CONSTANT,
@@ -175,26 +175,52 @@ def _l_exceeds_one_by_intervals(k, t2, m_sq):
     return const(Fraction(27, k)) * (const(t2).sqrt() - const(m_sq).sqrt()) ** 2 > 1
 
 
+def _l_exceeds_one(a1, a2, T):
+    """Whether jz_quantities accepts (a1, a2, T), i.e. decides L > 1."""
+    try:
+        jz_quantities(a1, a2, T)
+    except TheoremInapplicable:
+        return False
+    return True
+
+
 def test_l_exceeds_one_matches_interval_form():
-    # k is drawn next to 27(sqrt(t2) - sqrt(m_sq))^2, where L crosses 1
+    # half of the T are drawn next to |T| = sqrt(M) + sqrt(k/27), where L crosses 1
     rng = random.Random(18)
-    seen = set()
-    for _ in range(400):
-        t2 = rng.randint(2, 10**6)
-        m_sq = rng.randint(1, t2 - 1)
-        tie = 27 * (t2 + m_sq) - 54 * isqrt(t2 * m_sq)
-        k = max(1, tie + rng.randint(-3, 3) if rng.random() < 0.5 else rng.randint(1, 2 * tie))
-        holds = gap._l_exceeds_one(k, t2, m_sq)
-        assert holds == _l_exceeds_one_by_intervals(k, t2, m_sq), (k, t2, m_sq)
-        seen.add(holds)
-    assert seen == {True, False}
+    seen, count = set(), 0
+    while count < 400:
+        spec = RingSpec(rng.choice((-1, -2, -3, -7)))
+        a1, a2 = (spec.elem(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(2))
+        if a1 == a2 or a1.is_zero() or a2.is_zero():
+            continue
+        n1, n2, n12 = a1.abs_sq(), a2.abs_sq(), (a1 - a2).abs_sq()
+        k, m_sq = 16 * n1 * n2 * n12, max(n1, n2)
+        near = count % 2 == 1
+        if near:
+            u = isqrt((isqrt(27 * m_sq) + isqrt(k)) ** 2 // 27) + rng.randint(-2, 2)
+        else:
+            u = rng.randint(1, 4 * isqrt(k))
+        T = spec.elem(u, rng.randint(0, 1))
+        if T.abs_sq() <= m_sq:
+            continue
+        holds = _l_exceeds_one(a1, a2, T)
+        assert holds == _l_exceeds_one_by_intervals(k, T.abs_sq(), m_sq), (a1, a2, T)
+        seen.add((near, holds))
+        count += 1
+    assert len(seen) == 4, seen  # both outcomes, near the tie and away from it
 
 
 def test_l_exceeds_one_is_false_at_the_exact_tie():
-    # 27/2187 * (10 - 1)^2 == 1: the interval form certified a tie, not L > 1
-    L = const(Fraction(27, 2187)) * (const(100).sqrt() - const(1).sqrt()) ** 2
+    # in Z[sqrt(-2)], a1 = -6 and a2 = -4 - sqrt(-2) give k = 16*36*18*6 = 27*48^2
+    # and M = 36, so |T| = 6 + 48 = 54 makes L = 27/k * 48^2 exactly 1
+    D2 = RingSpec(-2)
+    a1, a2 = D2.elem(-6), D2.elem(-4, -1)
+    k = 16 * 36 * 18 * 6
+    L = const(Fraction(27, k)) * (const(54**2).sqrt() - const(36).sqrt()) ** 2
     assert L.compare(1) == 0
-    assert not gap._l_exceeds_one(2187, 100, 1)
+    assert not _l_exceeds_one_by_intervals(k, 54**2, 36)
+    assert not _l_exceeds_one(a1, a2, D2.elem(54))
+    assert _l_exceeds_one(a1, a2, D2.elem(55))
 
 
 # --- gap_principle -----------------------------------------------------------
@@ -238,6 +264,13 @@ def test_gap_principle_bound_is_exact_power():
     assert res.checks["210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"]
 
 
+AUXILIARY = "210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"
+
+
+def _auxiliary_holds(na, nb, nbma, nc):
+    return gap._exact_checks(na, nb, nbma, nc)[AUXILIARY]
+
+
 def _auxiliary_by_intervals(na, nb, nbma, nc):
     """The interval expression the integer predicate replaced, kept as its oracle."""
     lhs = (
@@ -265,7 +298,7 @@ def test_auxiliary_inequality_matches_interval_form():
         else:
             nc = rng.randint(1, 10 ** rng.randint(1, 60))
         nc = max(nc, 2)  # (|ac| - 1)^0.8 is an interval pow only for |ac| > 1
-        holds = gap._auxiliary_holds(na, nb, nbma, nc)
+        holds = _auxiliary_holds(na, nb, nbma, nc)
         assert holds == _auxiliary_by_intervals(na, nb, nbma, nc), (na, nb, nbma, nc)
         seen.add((i % 2, holds))
     assert len(seen) == 4, seen  # both outcomes, near the tie and away from it
@@ -275,7 +308,95 @@ def test_auxiliary_inequality_is_false_at_the_exact_tie():
     # |ac| = 1 and b = a make both sides 0; the interval form could not decide
     with pytest.raises(UndecidableComparison):
         _auxiliary_by_intervals(1, 26, 0, 1)
-    assert not gap._auxiliary_holds(1, 26, 0, 1)
+    assert not _auxiliary_holds(1, 26, 0, 1)
+
+
+def _lambda_by_intervals(na, nb, nbma, nc):
+    """lambda > 1 and lambda < 1.9 by the interval comparisons the exact checks replaced."""
+    k, t, m, mu = 16 * na * nb * nbma, na * nb * nc, max(na, nb), min(na, nb, nbma)
+    abs_t, abs_m = const(t).sqrt(), const(m).sqrt()
+    L = const(Fraction(27, k)) * (abs_t - abs_m) ** 2
+    P = const(k) * (2 * abs_t + 3 * abs_m) / const(mu).sqrt() ** 3
+    lam = 1 + P.log() / L.log()
+    return lam > 1, lam < Fraction(19, 10)
+
+
+def _lambda_tie_nc(na, nb, nbma):
+    """nc next to lambda = 1.9, by float bisection on x = sqrt(t).
+
+    lambda < 1.9 iff f(x) = 10 log P - 9 log L < 0, and f falls from +inf
+    at L = 1 (x = sqrt(m) + sqrt(k/27)) towards -inf.
+    """
+    k, m, mu = 16 * na * nb * nbma, max(na, nb), min(na, nb, nbma)
+    rm = math.sqrt(m)
+
+    def f(x):
+        return 10 * math.log(k * (2 * x + 3 * rm) / mu**1.5) - 9 * math.log(27 * (x - rm) ** 2 / k)
+
+    lo = hi = rm + math.sqrt(k / 27)
+    while f(hi) > 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return round(lo * lo / (na * nb))
+
+
+def test_lambda_checks_match_interval_form():
+    # raw squared absolute values with L > 1; half put nc next to lambda = 1.9.
+    # k = 16 na nb nbma >= 16 mu^3 makes P > 1, so lambda > 1 always holds here
+    rng = random.Random(1900)
+    seen, count = set(), 0
+    while count < 400:
+        na, nb, nbma = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        tie = _lambda_tie_nc(na, nb, nbma)
+        near = count % 2 == 1
+        nc = max(1, tie + rng.randint(-2, 2) if near else rng.randint(1, 3 * tie))
+        k, t, m = 16 * na * nb * nbma, na * nb * nc, max(na, nb)
+        if not _l_exceeds_one_by_intervals(k, t, m):
+            continue
+        checks = gap._exact_checks(na, nb, nbma, nc)
+        holds = (checks["lambda > 1"], checks["lambda < 1.9"])
+        assert holds == _lambda_by_intervals(na, nb, nbma, nc), (na, nb, nbma, nc)
+        assert holds[0]
+        seen.add((near, holds[1]))
+        count += 1
+    assert len(seen) == 4, seen  # both outcomes, near the tie and away from it
+
+
+def _sign_by_integers(a, b, n):
+    """a + b*sqrt(n) > 0 on integers: exact for square n; otherwise scaled by s,
+    with |a + b*sqrt(n)| >= 1/(|a| + |b| sqrt(n)), so isqrt(n s^2) cannot flip it."""
+    r = isqrt(n)
+    if r * r == n:
+        return a + b * r > 0
+    s = abs(b) * (abs(a) + abs(b) * (r + 1)) + 1
+    return a * s + b * isqrt(n * s * s) > 0
+
+
+def test_sign_kernel_matches_integer_arithmetic():
+    # every sign of a and b, n = 0, and exact ties a = -b*sqrt(n) at square n
+    for n in (0, 1, 4, 9, 2, 3, 7):
+        for a in range(-10, 11):
+            for b in range(-4, 5):
+                assert gap._positive(a, b, n) == _sign_by_integers(a, b, n), (a, b, n)
+    for a, b, n in ((-6, 2, 9), (6, -2, 9), (0, 0, 5), (0, 5, 0), (0, -5, 0)):
+        assert not gap._positive(a, b, n)
+    rng = random.Random(25)
+    for _ in range(2000):
+        n = rng.randint(0, 10**12) ** rng.choice((1, 2))
+        b = rng.randint(-10**6, 10**6)
+        a = -b * isqrt(n) + rng.randint(-3, 3) if rng.random() < 0.5 else rng.randint(-10**12, 10**12)
+        assert gap._positive(a, b, n) == _sign_by_integers(a, b, n), (a, b, n)
+
+
+def test_power_kernel_matches_binomial_sums():
+    rng = random.Random(26)
+    for _ in range(300):
+        c, d, n, e = rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(0, 100), rng.randint(0, 12)
+        even = sum(math.comb(e, j) * c ** (e - j) * d**j * n ** (j // 2) for j in range(0, e + 1, 2))
+        odd = sum(math.comb(e, j) * c ** (e - j) * d**j * n ** (j // 2) for j in range(1, e + 1, 2))
+        assert gap._power(c, d, n, e) == (even, odd), (c, d, n, e)
 
 
 # --- omega_lower_bound --------------------------------------------------------
@@ -367,6 +488,16 @@ def test_gap_principle_digest_is_pinned():
     lines = _certified_lines(_gap_digest_inputs())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert {"inputs": len(lines), "sha256": digest} == json.loads(GAP_DIGEST.read_text())
+
+
+def test_gap_principle_makes_no_interval_comparison(monkeypatch):
+    def refuse(self, other, cap=None):
+        raise AssertionError("gap_principle called ExactReal.compare")
+
+    monkeypatch.setattr(ExactReal, "compare", refuse)
+    lines = _certified_lines(_gap_digest_inputs())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert {"inputs": 50, "sha256": digest} == json.loads(GAP_DIGEST.read_text())
 
 
 def test_gap_principle_from_two_threads_matches_serial():
