@@ -2,8 +2,9 @@
 
 Per ring: enumerate the nonzero elements inside the bound, build the pair
 graph (edge iff the product plus one is a square in the ring), and list
-m-cliques by backtracking over a degeneracy order.  Every clique found is
-re-verified through make_tuple before it is reported.
+m-cliques by backtracking over a degeneracy order.  Every tuple is verified
+by exactly one make_tuple, which takes each pair's square root: after the
+clique search, or on reading it back from the cache.
 
 The sweep at bound |z|^2 <= B covers every squarefree |d| <= 4B plus one
 rational-integer pass, and that set is complete for every B.  A non-real
@@ -21,7 +22,14 @@ qualifies (it is d = -5, past 4B = 4).  It uses no cache: a read would cost
 about what a search of 2*isqrt(B) vertices does, and the cache keeps one
 file per ring searched on its own.  The listed integral-basis rings past
 B + 1 are not searched; each takes the pass's tuples (d replaced) and
-counts, and every copy is re-verified in its own ring.
+counts.
+
+A sweep's workers ship each tuple as plain integers, its elements and the
+witnesses their make_tuple found (DiophTuple.to_row), and the parent rebuilds
+every reported tuple through DiophTuple.from_witnesses, which checks each
+witness by squaring it.  So no square root is taken twice, and every
+rational-only copy is checked in its own ring: its witnesses are rational
+integers, roots there as in the pass's ring.
 
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
@@ -55,6 +63,7 @@ from .ring import (
 )
 from .tuples import (
     DiophTuple,
+    Row,
     is_diophantine_tuple,
     make_tuple,
     quadruple_extension_candidates,
@@ -412,10 +421,10 @@ class SweepReport:
         return not self.tuples and not self.rational_pass_tuples
 
 
-def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[dict], SearchStats]:
+def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[Row], SearchStats]:
     d, b_sq, size, cache_dir = args
     res = find_m_tuples(SearchConfig(RingSpec(d), b_sq, size), cache_dir)
-    return d, [t.to_json_dict() for t in res.tuples], res.stats
+    return d, [t.to_row() for t in res.tuples], res.stats
 
 
 def quintuple_sweep(
@@ -439,10 +448,13 @@ def quintuple_sweep(
             raw = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         raw = [_sweep_one(j) for j in jobs]
-    shared_dicts = [t.to_json_dict() for t in shared.tuples]
-    raw += [(d, [dict(td, d=d) for td in shared_dicts], shared.stats) for d in rational_only]
+    shared_rows = [t.to_row() for t in shared.tuples]
+    raw += [(d, shared_rows, shared.stats) for d in rational_only]
     raw.sort(key=lambda item: -item[0])
-    found = [DiophTuple.from_json_dict(td) for _d, tuple_dicts, _c in raw for td in tuple_dicts]
+    found = []
+    for d, rows, _stats in raw:
+        spec = RingSpec(d)
+        found += [DiophTuple.from_witnesses(spec, *row) for row in rows]
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
     return SweepReport(
         rings_checked=tuple(rings),
@@ -504,7 +516,7 @@ def _cache_load(
             data = json.loads(line)
             if data["d"] != cfg.spec.d:
                 return None
-            t = DiophTuple.from_json_dict(data)  # re-verifies
+            t = DiophTuple.from_json_dict(data)  # make_tuple: a cached tuple's one check
             if len(t.elems) != cfg.target_size or not all(
                 cfg.min_abs_sq <= z.abs_sq() <= cfg.max_abs_sq for z in t.elems
             ):

@@ -9,7 +9,8 @@ actual square roots, stored and re-verified by squaring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateElement,
@@ -24,13 +25,18 @@ from .errors import (
 )
 from .ring import RingElem, RingSpec, canonical_sqrt, sqrt_in_ring
 
+# a tuple as plain integers: its elements' coordinates, then its witnesses'
+Row = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class DiophTuple:
     """A verified m-tuple: sorted elements plus one witness per pair.
 
-    witnesses[(i, j)] squares exactly to elems[i]*elems[j] + 1; construction
-    goes through make_tuple, so holding a DiophTuple is holding a proof.
+    witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  Construction
+    goes through make_tuple, which finds each root, or through from_witnesses,
+    which squares the roots make_tuple found; so holding a DiophTuple is
+    holding a proof.
     """
 
     spec: RingSpec
@@ -38,13 +44,54 @@ class DiophTuple:
     witnesses: Mapping[tuple[int, int], RingElem]
 
     def to_json_dict(self) -> dict:
-        # no witnesses: from_json_dict re-derives them through make_tuple
+        # the cache's line: no witnesses, from_json_dict finds them again through
+        # make_tuple, so a cached tuple is checked when it is read
         return {"d": self.spec.d, "elems": [[z.u, z.v] for z in self.elems]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
         spec = RingSpec(data["d"])
         return make_tuple(spec, [spec.elem(u, v) for u, v in data["elems"]])
+
+    def to_row(self) -> Row:
+        """Plain integers for from_witnesses: the elements' coordinates
+        (u0, v0, u1, v1, ...) and the witnesses' (pairs (i, j) in
+        lexicographic order), flat: that pickles smaller than pairs."""
+        pairs = combinations(range(len(self.elems)), 2)
+        return (
+            tuple(x for z in self.elems for x in z.coords()),
+            tuple(x for p in pairs for x in self.witnesses[p].coords()),
+        )
+
+    @staticmethod
+    def from_witnesses(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> "DiophTuple":
+        """The tuple that to_row wrote, checked by squaring, with no square root.
+
+        The elements must be nonzero and strictly increasing in canonical order,
+        and there must be one canonical witness w per pair (i, j), in to_row's
+        order, with w*w == elems[i]*elems[j] + 1 on the coordinates.  Raises
+        NotDiophantine((i, j)) at the first pair whose witness fails that test.
+        """
+        items = tuple(RingElem(u, v, spec) for u, v in zip(elems[::2], elems[1::2]))
+        pairs = list(combinations(range(len(items)), 2))
+        if not items or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
+            raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
+        if any(z.is_zero() for z in items):
+            raise ZeroElement("tuple elements must be nonzero")
+        keys = [z.canonical_key() for z in items]
+        if any(k >= k_next for k, k_next in zip(keys, keys[1:])):
+            raise ValueError("elements not strictly increasing in canonical order")
+        t, n = spec.t, spec.n
+        out = {}
+        for (i, j), (wu, wv) in zip(pairs, zip(witnesses[::2], witnesses[1::2])):
+            (au, av), (bu, bv) = items[i].coords(), items[j].coords()
+            ab, ww = av * bv, wv * wv  # products as in RingElem.__mul__
+            if (wu * wu - n * ww, 2 * wu * wv - t * ww) != (au * bu - n * ab + 1, au * bv + av * bu - t * ab):
+                raise NotDiophantine((i, j))
+            if wu < 0 or (wu == 0 and wv < 0):
+                raise ValueError(f"witness of {(i, j)} is not the canonical root")  # canonical_sqrt's
+            out[(i, j)] = RingElem(wu, wv, spec)
+        return DiophTuple(spec, items, out)
 
 
 def is_diophantine_pair(a: RingElem, b: RingElem) -> RingElem | None:

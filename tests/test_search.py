@@ -13,7 +13,8 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from diophiq import search
+from diophiq import search, tuples
+from diophiq.errors import NotDiophantine
 from diophiq.ring import RingElem, RingSpec, enumerate_up_to, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
@@ -646,6 +647,59 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
         assert calls == [-1]  # recomputed
         assert res.count == count
         assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, find_m_tuples(cfg).tuples))
+
+
+def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
+    # well formed, in the query's range and with a matching closing line, but
+    # 1*7 + 1 = 8 and 3*7 + 1 = 22 are not squares: only the load's
+    # make_tuple can refuse it, the one check a warm ring keeps
+    cfg = SearchConfig(D1, 64, 3)
+    with pytest.raises(NotDiophantine):
+        make_tuple(D1, [D1.elem(n) for n in (1, 3, 7)])
+    line = json.dumps({"d": -1, "elems": [[1, 0], [3, 0], [7, 0]]}, sort_keys=True)
+    (tmp_path / "d-1_b64_m3.jsonl").write_text(line + '\n{"count": 1, "stats": [1, 0, 1]}\n')
+    calls = _count_pair_graphs(monkeypatch)
+    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert calls == [-1]  # recomputed
+    fresh = find_m_tuples(cfg)
+    assert res.tuples == fresh.tuples and _counts(res.stats) == _counts(fresh.stats)
+
+
+def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
+    # one make_tuple per tuple, in the worker's cache load or the rational
+    # pass; the parent only squares the witnesses they ship
+    cache = str(tmp_path)
+    cold = quintuple_sweep(64, 3, workers=1, cache_dir=cache)  # |z| <= 8 holds {1, 3, 8}
+    calls = {"worker": 0, "parent": 0}
+    inside = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls["worker" if inside else "parent"] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def worker_side(fn):
+        def wrapped(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(search, "make_tuple", counting(search.make_tuple))
+    monkeypatch.setattr(tuples, "make_tuple", counting(tuples.make_tuple))
+    monkeypatch.setattr(search, "_sweep_one", worker_side(search._sweep_one))
+    monkeypatch.setattr(search, "rational_integer_pass", worker_side(search.rational_integer_pass))
+    warm = quintuple_sweep(64, 3, workers=1, cache_dir=cache)
+    assert warm == cold
+    folded = set(_folded_rings(64))
+    searched = sum(t.spec.d not in folded for t in warm.tuples)
+    assert warm.rational_pass_tuples and len(warm.tuples) > searched
+    assert calls == {"worker": searched + len(warm.rational_pass_tuples), "parent": 0}
 
 
 @pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])

@@ -180,6 +180,45 @@ def test_json_round_trip():
     assert t2.witnesses == t.witnesses
 
 
+def _verified_tuples(spec):
+    """make_tuple's output on random triples, on {-1, 1} (witness 0) and on {1, w} where it is a pair."""
+    pairs = [[spec.elem(-1), spec.elem(1)], [spec.elem(1), spec.elem(0, 1)]]
+    found = [make_tuple(spec, elems) for elems in _random_triples(spec, 20, seed=spec.d)]
+    return found + [make_tuple(spec, p) for p in pairs if is_diophantine_tuple(spec, p)]
+
+
+@pytest.mark.parametrize("spec", [RingSpec(d) for d in (-1, -2, -3, -7)])
+def test_from_witnesses_equals_make_tuple(spec):
+    found = _verified_tuples(spec)
+    if spec.d == -1:
+        found.append(make_tuple(D1, ints(D1, 1, 3, 8, 120)))
+    assert any(w.is_zero() for t in found for w in t.witnesses.values())
+    for t in found:
+        assert DiophTuple.from_witnesses(spec, *t.to_row()) == t
+
+
+@pytest.mark.parametrize("spec", [RingSpec(d) for d in (-1, -2, -3, -7)])
+def test_from_witnesses_refuses_a_false_or_malformed_row(spec):
+    for t in _verified_tuples(spec):
+        elems, witnesses = t.to_row()
+        for k, ((i, j), w) in enumerate(t.witnesses.items()):  # make_tuple's pair order is to_row's
+            before, after = witnesses[: 2 * k], witnesses[2 * k + 2 :]
+            with pytest.raises(NotDiophantine) as ei:
+                DiophTuple.from_witnesses(spec, elems, before + (w + spec.one).coords() + after)
+            assert ei.value.pair == (i, j)
+            if not w.is_zero():  # -w squares to the same, but is not the canonical root
+                with pytest.raises(ValueError):
+                    DiophTuple.from_witnesses(spec, elems, before + (-w).coords() + after)
+        with pytest.raises(ValueError):
+            DiophTuple.from_witnesses(spec, elems, witnesses[:-2])  # a witness missing
+        with pytest.raises(ValueError):
+            DiophTuple.from_witnesses(spec, elems[:-1], witnesses)  # a coordinate missing
+        with pytest.raises(ValueError):
+            DiophTuple.from_witnesses(spec, elems[-2:] + elems[:-2], witnesses)  # not in canonical order
+    with pytest.raises(ValueError):
+        DiophTuple.from_witnesses(spec, (), ())
+
+
 @given(st.sampled_from(RINGS), st.integers(-20, 20), st.integers(-20, 20))
 @settings(max_examples=100)
 def test_regular_extensions_always_verify(spec, x, y):
