@@ -10,7 +10,8 @@ to the exit code:
 
     ok             0
     violation      1  (a failing check, or a tuple found under --expect-empty)
-    inapplicable   1  (gap hypotheses fail, or the chain finds no contradiction)
+    inapplicable   1  (gap hypotheses or certification fail, or the chain
+                        finds no contradiction)
     error          2  (the input is refused: the report gives the reason)
 
 An input refused before any report (by argparse, or by a ValueError such
@@ -35,6 +36,7 @@ from .errors import (
     DuplicateElement,
     NotDiophantine,
     PreconditionViolated,
+    TheoremInapplicable,
     ZeroElement,
 )
 from .ring import RingElem, RingSpec
@@ -230,6 +232,8 @@ def cmd_gap(args) -> tuple[dict, str, dict]:
         res = gap_principle(*elems)
     except PreconditionViolated as exc:
         return config, "inapplicable", {"failing_hypotheses": exc.failures}
+    except TheoremInapplicable as exc:
+        return config, "inapplicable", {"reason": str(exc)}
     lo, hi = res.lambda_enclosure
     payload = {
         "bound_abs_sq": str(res.bound_abs_sq),

@@ -8,10 +8,12 @@ Four layers, all exact or certified:
                         exactreal;
 * jz_quantities      -- the constant set (L, P, l, p, lambda, c) of the
                         simultaneous-approximation theorem, as certified
-                        exact-or-interval scalars;
+                        exact-or-interval scalars; L, P and lambda are built
+                        at once, l, p and c on first access;
 * gap_principle      -- hypothesis and algebraic checks on exact integers,
-                        returning the exact big-integer bound
-                        K^2 * abs_sq(c)^50, K = 4728^20;
+                        returning plain data: the exact big-integer bound
+                        K^2 * abs_sq(c)^50, K = 4728^20, the checks and the
+                        rational enclosure of lambda;
 * chain_certificate  -- the cascading lower-bound chain on indices
                         4, 5, 7, 10, ..., 43 carried on exact integers,
                         ending in the final contradiction.
@@ -29,6 +31,7 @@ loading this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 
@@ -130,15 +133,31 @@ def _branch_distance(sq_num: RingElem, sq_den: RingElem, q_num: RingElem, q_den:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Exact/certified record of the theorem quantities for one input."""
+    """Exact/certified record of the theorem quantities for one input.
+
+    L, P and lam are built with the record; l, p and c_const are built from
+    abs_t = |T| and abs_m = M on first access, since only L > 1 and lambda
+    enter the gap principle.
+    """
 
     M_sq: int
     L: ExactReal
     P: ExactReal
-    l: ExactReal
-    p: ExactReal
     lam: ExactReal
-    c_const: ExactReal
+    abs_t: ExactReal
+    abs_m: ExactReal
+
+    @cached_property
+    def l(self) -> ExactReal:
+        return const(Fraction(27, 64)) * self.abs_t / (self.abs_t - self.abs_m)
+
+    @cached_property
+    def p(self) -> ExactReal:
+        return ((2 * self.abs_t + 3 * self.abs_m) / (2 * self.abs_t - 2 * self.abs_m)).sqrt()
+
+    @cached_property
+    def c_const(self) -> ExactReal:
+        return 1 / (const(4) * self.p * self.P * (2 * self.l).fmax(1).pow(self.lam - 1))
 
 
 def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
@@ -166,15 +185,12 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
     min_abs = const(min_sq).sqrt()
 
     k = 16 * n1 * n2 * n12
-    L = const(Fraction(27, k)) * (abs_t - abs_m) ** 2
-    P = const(k) * (2 * abs_t + 3 * abs_m) / min_abs**3
-    l = const(Fraction(27, 64)) * abs_t / (abs_t - abs_m)
-    p = ((2 * abs_t + 3 * abs_m) / (2 * abs_t - 2 * abs_m)).sqrt()
     if not _positive(27 * (t2 + m_sq) - k, -54, t2 * m_sq):  # 27(t + m) - k > 54 sqrt(tm)
         raise TheoremInapplicable("L <= 1, the theorem gives nothing")
+    L = const(Fraction(27, k)) * (abs_t - abs_m) ** 2
+    P = const(k) * (2 * abs_t + 3 * abs_m) / min_abs**3
     lam = 1 + P.log() / L.log()
-    c_const = 1 / (const(4) * p * P * (2 * l).fmax(1).pow(lam - 1))
-    return GapReport(M_sq=m_sq, L=L, P=P, l=l, p=p, lam=lam, c_const=c_const)
+    return GapReport(M_sq=m_sq, L=L, P=P, lam=lam, abs_t=abs_t, abs_m=abs_m)
 
 
 def _positive(a: int, b: int, n: int) -> bool:
@@ -199,12 +215,15 @@ def _power(c: int, d: int, n: int, e: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GapPrincipleResult:
-    """Exact bound on abs_sq(d) plus the certified internals behind it."""
+    """Exact bound on abs_sq(d), the checks behind it and lambda's enclosure.
+
+    Plain data only: the certified quantities themselves come from
+    jz_quantities(b, a, a * b * c).
+    """
 
     bound_abs_sq: int
     k_constant: int
     lambda_enclosure: tuple[Fraction, Fraction]
-    report: GapReport
     checks: dict[str, bool]
 
 
@@ -257,7 +276,7 @@ def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
     failures = gap_hypotheses(a, b, c)
     if failures:
         raise PreconditionViolated(failures)
-    report = jz_quantities(b, a, a * b * c)
+    lam = jz_quantities(b, a, a * b * c).lam
     nc = c.abs_sq()
     checks = {"L > 1": True}  # enforced inside jz_quantities
     checks.update(_exact_checks(a.abs_sq(), b.abs_sq(), (b - a).abs_sq(), nc))
@@ -267,8 +286,7 @@ def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
     return GapPrincipleResult(
         bound_abs_sq=k20 * k20 * nc**50,
         k_constant=K_CONSTANT,
-        lambda_enclosure=report.lam.enclosure(),
-        report=report,
+        lambda_enclosure=lam.enclosure(),
         checks=checks,
     )
 

@@ -15,7 +15,9 @@ import pytest
 
 from diophiq.cli import main
 from diophiq.exactreal import sqrt_of
-from diophiq.gap import chain_certificate, gap_hypotheses, gap_principle, omega_lower_bound
+from diophiq.gap import (
+    chain_certificate, gap_hypotheses, gap_principle, jz_quantities, omega_lower_bound,
+)
 from diophiq.pell import build_system, compose_step, first_equation_holds
 from diophiq.ring import RingSpec, enumerate_up_to, sqrt_in_ring
 from diophiq.search import (
@@ -110,7 +112,7 @@ def test_criterion_4_gap_principle_internals():
         spec = rng.choice(RING_SET)
         a, b, c = _admissible_input(rng, spec)
         res = gap_principle(a, b, c)   # raises if any certification fails
-        rep = res.report
+        rep = jz_quantities(b, a, a * b * c)
         assert rep.p <= sqrt_21_16                      # |ac| >= 9 branch
         assert rep.l < Fraction(1, 2)                   # |ac| > 32/5 branch
         assert rep.L > 1

@@ -157,6 +157,18 @@ def test_gap_inapplicable_lists_failures(capsys):
     assert "|c| > |b|^15" in failures
 
 
+def test_gap_certification_failure_is_inapplicable(capsys, monkeypatch):
+    from diophiq import gap
+
+    monkeypatch.setattr(gap, "_exact_checks", lambda *args: {"lambda > 1": False})
+    code, rep = run_json(capsys, *GOLDEN["gap_d-11_criterion4"])
+    assert code == 1
+    assert rep["outcome"] == "inapplicable"
+    assert rep["payload"] == {
+        "reason": "certification failed: {'L > 1': True, 'lambda > 1': False}"
+    }
+
+
 def test_extend_finds_120(capsys):
     code, rep = run_json(
         capsys, "extend", "--d", "-1", "--elems", "1,0;3,0;8,0", "--bound", "1000"

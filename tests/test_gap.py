@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -125,6 +126,20 @@ def test_jz_worked_example():
     lo, hi = rep.p.enclosure()
     assert lo * lo < Fraction(2 * 100 + 9, 2 * 100 - 6) < hi * hi
     assert rep.lam > 1
+
+
+def test_jz_builds_l_p_c_on_first_access():
+    a, b, c = _admissible_triple(random.Random(5), D3)
+    rep = jz_quantities(b, a, a * b * c)
+    assert not {"l", "p", "c_const"} & set(vars(rep))
+    c_first = rep.c_const.enclosure()
+    assert {"l", "p", "c_const"} <= set(vars(rep))
+    assert rep.c_const is rep.c_const
+    # the enclosure does not depend on which node was evaluated first
+    other = jz_quantities(b, a, a * b * c)
+    lam = other.lam.enclosure()
+    assert other.c_const.enclosure() == c_first
+    assert rep.lam.enclosure() == lam
 
 
 def test_jz_degenerate_inputs():
@@ -262,6 +277,27 @@ def test_gap_principle_bound_is_exact_power():
     lo, hi = res.lambda_enclosure
     assert 1 < lo < hi < Fraction(19, 10)
     assert res.checks["210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"]
+
+
+def _exact_reals(value):
+    """Every ExactReal reachable from value through dataclass fields and containers."""
+    if isinstance(value, ExactReal):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    elif not isinstance(value, (tuple, list)):
+        return []
+    return [x for v in value for x in _exact_reals(v)]
+
+
+def test_gap_principle_result_is_plain_data():
+    a, b, c = _admissible_triple(random.Random(42), D1)
+    res = gap_principle(a, b, c)
+    assert res == gap_principle(a, b, c)
+    assert _exact_reals(res) == []
+    assert _exact_reals(jz_quantities(b, a, a * b * c))  # the walk does find them
 
 
 AUXILIARY = "210|b|^3|b-a|^3.8|a|^0.8 < (|ac|-1)^0.8"
@@ -476,10 +512,11 @@ def _certified_lines(triples):
     lines = []
     for a, b, c in triples:
         res = gap_principle(a, b, c)
+        rep = jz_quantities(b, a, a * b * c)
         lines.append(repr((
             a.spec.d, [(e.u, e.v) for e in (a, b, c)],
             res.lambda_enclosure, res.bound_abs_sq, sorted(res.checks.items()),
-            res.report.L.enclosure(), res.report.c_const.enclosure(),
+            rep.L.enclosure(), rep.c_const.enclosure(),
         )))
     return lines
 
