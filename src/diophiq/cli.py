@@ -89,15 +89,19 @@ def _fr(x: Fraction | int) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _elem_str(z: RingElem) -> str:
+    return f"{z.u},{z.v}"
+
+
 def _elems_str(elems) -> str:
-    return ";".join(f"{z.u},{z.v}" for z in elems)
+    return ";".join(map(_elem_str, elems))
 
 
 def _tuple_payload(t) -> dict:
     return {
         "d": str(t.spec.d),
         "elems": _elems_str(t.elems),
-        "witnesses": {f"{i},{j}": f"{w.u},{w.v}" for (i, j), w in sorted(t.witnesses.items())},
+        "witnesses": {f"{i},{j}": _elem_str(w) for (i, j), w in sorted(t.witnesses.items())},
     }
 
 
@@ -271,12 +275,12 @@ def cmd_extend(args) -> tuple[dict, str, dict]:
     except DiophError as exc:
         return config, "error", {"reason": str(exc)}
     exts = extend_tuple(t, args.bound * args.bound)
-    payload = {"extensions": [f"{z.u},{z.v}" for z in exts]}
+    payload = {"extensions": list(map(_elem_str, exts))}
     if len(t.elems) == 3:
         verified, failed = quadruple_extension_candidates(*t.elems)
         payload["regular_candidates"] = {
-            "verified": [f"{z.u},{z.v}" for z in verified],
-            "failed": [f"{z.u},{z.v}" for z in failed],
+            "verified": list(map(_elem_str, verified)),
+            "failed": list(map(_elem_str, failed)),
         }
     return config, "ok", payload
 

@@ -2,9 +2,7 @@
 
 Per ring: enumerate the nonzero elements inside the bound, build the pair
 graph (edge iff the product plus one is a square in the ring), and list
-m-cliques by backtracking over a degeneracy order.  Every tuple is verified
-by exactly one make_tuple, which takes each pair's square root: after the
-clique search, or on reading it back from the cache.
+m-cliques by backtracking over a degeneracy order.
 
 The sweep at bound |z|^2 <= B covers every squarefree |d| <= 4B plus one
 rational-integer pass, and that set is complete for every B.  A non-real
@@ -24,12 +22,12 @@ file per ring searched on its own.  The listed integral-basis rings past
 B + 1 are not searched; each takes the pass's tuples (d replaced) and
 counts.
 
-A sweep's workers ship each tuple as plain integers, its elements and the
-witnesses their make_tuple found (DiophTuple.to_row), and the parent rebuilds
-every reported tuple through DiophTuple.from_witnesses, which checks each
-witness by squaring it.  So no square root is taken twice, and every
-rational-only copy is checked in its own ring: its witnesses are rational
-integers, roots there as in the pass's ring.
+A tuple's square roots are taken once, by the make_tuple that builds it from
+the clique search's elements.  Every stored copy, a cache line, a worker's
+row or a rational-only ring's copy of the pass's tuple, is its elements and
+witnesses as plain integers (DiophTuple.to_row), read back through
+DiophTuple.from_witnesses, which squares each witness in the copy's own ring:
+a rational-only copy's witnesses are rational integers, roots there too.
 
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
@@ -45,6 +43,7 @@ import heapq
 import itertools
 import json
 import os
+import tempfile
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -243,6 +242,10 @@ def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
     return out, explored
 
 
+def _tuple_key(t: DiophTuple) -> tuple:
+    return tuple(z.canonical_key() for z in t.elems)
+
+
 def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResult:
     """Complete bounded search; see module docstring for the method.
 
@@ -259,11 +262,7 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
         adj, tested = _pair_graph(spec, vertices)
         limit = 1 if cfg.mode == "find-first" else None
         cliques, explored = _cliques_of_size(adj, cfg.target_size, limit)
-        tuples = []
-        for clique in cliques:
-            t = make_tuple(spec, [vertices[i] for i in clique])  # re-verification
-            tuples.append(t)
-        tuples.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
+        tuples = sorted((make_tuple(spec, [vertices[i] for i in c]) for c in cliques), key=_tuple_key)
         stats = SearchStats(len(vertices), tested, explored)
         if cfg.mode == "find-all":
             _cache_store(cache_dir, cfg, tuples, stats)
@@ -282,7 +281,7 @@ def naive_find_m_tuples(cfg: SearchConfig) -> tuple[DiophTuple, ...]:
     for combo in itertools.combinations(elems, cfg.target_size):
         if is_diophantine_tuple(spec, list(combo)):
             found.append(make_tuple(spec, list(combo)))
-    found.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
+    found.sort(key=_tuple_key)
     return tuple(found)
 
 
@@ -380,10 +379,7 @@ def census_double_regular_triples(
         for c in branches:
             t = make_tuple(spec, [a, b, c])
             triples[tuple(z.coords() for z in t.elems)] = t
-    found = sorted(
-        triples.values(), key=lambda t: tuple(z.canonical_key() for z in t.elems)
-    )
-    return DoubleRegularCensus(tuple(found), tuple(configs))
+    return DoubleRegularCensus(tuple(sorted(triples.values(), key=_tuple_key)), tuple(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +497,8 @@ def _cache_load(
     """(tuples, search stats) stored for cfg, or None to recompute."""
     if not cache_dir or cfg.mode != "find-all":
         return None
-    path = _cache_path(cache_dir, cfg)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:  # no file raises FileNotFoundError: a miss like any unreadable file
+        with open(_cache_path(cache_dir, cfg), "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         closing = json.loads(lines[-1]) if lines else {}
         counts = tuple(int(x) for x in closing.get("stats", ()))
@@ -513,17 +506,14 @@ def _cache_load(
             return None  # no closing line, tuples missing, or no stats: recompute
         tuples = []
         for line in lines[:-1]:
-            data = json.loads(line)
-            if data["d"] != cfg.spec.d:
-                return None
-            t = DiophTuple.from_json_dict(data)  # make_tuple: a cached tuple's one check
-            if len(t.elems) != cfg.target_size or not all(
+            t = DiophTuple.from_json_dict(json.loads(line))  # squares every witness; an older line has none
+            if t.spec.d != cfg.spec.d or len(t.elems) != cfg.target_size or not all(
                 cfg.min_abs_sq <= z.abs_sq() <= cfg.max_abs_sq for z in t.elems
             ):
                 return None  # a tuple of another query: recompute
             tuples.append(t)
     except Exception:
-        return None  # corrupt or stale cache: recompute
+        return None  # corrupt, stale or false (from_witnesses refused it): recompute
     return tuples, SearchStats(*counts)
 
 
@@ -532,9 +522,14 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTup
         return
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, cfg)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for t in tuples:
-            fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
-        fh.write(json.dumps({"count": len(tuples), "stats": list(stats)}) + "\n")
-    os.replace(tmp, path)
+    # a temp file of its own: sweeps sharing the directory may store one config at once
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            for t in tuples:
+                fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps({"count": len(tuples), "stats": list(stats)}) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)  # a unique name is never reused, so nothing else would remove it
+        raise

@@ -33,10 +33,10 @@ Row = tuple[tuple[int, ...], tuple[int, ...]]
 class DiophTuple:
     """A verified m-tuple: sorted elements plus one witness per pair.
 
-    witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  Construction
-    goes through make_tuple, which finds each root, or through from_witnesses,
-    which squares the roots make_tuple found; so holding a DiophTuple is
-    holding a proof.
+    witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  make_tuple
+    builds one from bare elements and finds each root; every stored copy (a
+    worker's row, a cache line) is read back through from_witnesses, which
+    squares those roots.  So holding a DiophTuple is holding a proof.
     """
 
     spec: RingSpec
@@ -44,14 +44,13 @@ class DiophTuple:
     witnesses: Mapping[tuple[int, int], RingElem]
 
     def to_json_dict(self) -> dict:
-        # the cache's line: no witnesses, from_json_dict finds them again through
-        # make_tuple, so a cached tuple is checked when it is read
-        return {"d": self.spec.d, "elems": [[z.u, z.v] for z in self.elems]}
+        """The cache's line: to_row's integers and the ring."""
+        elems, witnesses = self.to_row()
+        return {"d": self.spec.d, "elems": elems, "witnesses": witnesses}
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
-        spec = RingSpec(data["d"])
-        return make_tuple(spec, [spec.elem(u, v) for u, v in data["elems"]])
+        return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])
 
     def to_row(self) -> Row:
         """Plain integers for from_witnesses: the elements' coordinates
@@ -67,15 +66,17 @@ class DiophTuple:
     def from_witnesses(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> "DiophTuple":
         """The tuple that to_row wrote, checked by squaring, with no square root.
 
-        The elements must be nonzero and strictly increasing in canonical order,
-        and there must be one canonical witness w per pair (i, j), in to_row's
-        order, with w*w == elems[i]*elems[j] + 1 on the coordinates.  Raises
+        Every coordinate must be an int, the elements nonzero and strictly
+        increasing in canonical order, and one canonical witness w given per pair
+        (i, j), in to_row's order, with w*w == elems[i]*elems[j] + 1.  Raises
         NotDiophantine((i, j)) at the first pair whose witness fails that test.
         """
         items = tuple(RingElem(u, v, spec) for u, v in zip(elems[::2], elems[1::2]))
         pairs = list(combinations(range(len(items)), 2))
         if not items or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
             raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
+        if any(type(x) is not int for x in (*elems, *witnesses)):  # a cache line's 1.0 or true squares too
+            raise TypeError("coordinates must be ints")
         if any(z.is_zero() for z in items):
             raise ZeroElement("tuple elements must be nonzero")
         keys = [z.canonical_key() for z in items]

@@ -1,3 +1,4 @@
+import collections
 import functools
 import heapq
 import itertools
@@ -27,7 +28,7 @@ from diophiq.search import (
     rational_integer_pass,
     sweep_ring_list,
 )
-from diophiq.tuples import is_diophantine_pair, is_diophantine_tuple, make_tuple
+from diophiq.tuples import DiophTuple, is_diophantine_pair, is_diophantine_tuple, make_tuple
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -562,22 +563,24 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     second = find_m_tuples(cfg, cache_dir=cache)
     assert calls == [-1]  # the second search is served from cache
     assert _counts(second.stats) == _counts(first.stats) == (316, 49770, 854)
-    assert tuple(map(elems_of, first.tuples)) == tuple(map(elems_of, second.tuples))
+    assert second.tuples == first.tuples
     files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    assert files[0].name == "d-1_b100_m3.jsonl"
-    # a file of the older format, whose tuple lines also carry the witnesses, is a hit too
+    assert [f.name for f in files] == ["d-1_b100_m3.jsonl"]
+    # each tuple line is the row a sweep's worker ships, with its ring
     lines = files[0].read_text().splitlines()
-    assert all("witnesses" not in line for line in lines)
-    old = []
-    for line, t in zip(lines, first.tuples):
-        witnesses = [[i, j, list(w.coords())] for (i, j), w in sorted(t.witnesses.items())]
-        old.append(json.dumps(dict(json.loads(line), witnesses=witnesses), sort_keys=True))
+    rows = [t.to_row() for t in first.tuples]
+    assert [json.loads(line) for line in lines[:-1]] == [
+        {"d": -1, "elems": list(elems), "witnesses": list(witnesses)} for elems, witnesses in rows
+    ]
+    # a file of the older format, elements as pairs and no witnesses, is a miss:
+    # recomputed and rewritten as rows, with the same tuples and counts
+    old = [json.dumps({"d": -1, "elems": [list(z.coords()) for z in t.elems]}, sort_keys=True) for t in first.tuples]
     files[0].write_text("\n".join(old + lines[-1:]) + "\n")
     third = find_m_tuples(cfg, cache_dir=cache)
-    assert calls == [-1]
-    assert _counts(third.stats) == _counts(first.stats)
-    assert tuple(map(elems_of, third.tuples)) == tuple(map(elems_of, first.tuples))
+    assert calls == [-1, -1]
+    assert third.tuples == first.tuples and _counts(third.stats) == _counts(first.stats)
+    assert [f.name for f in tmp_path.iterdir()] == ["d-1_b100_m3.jsonl"]
+    assert files[0].read_text().splitlines() == lines
 
 
 def test_cache_corruption_triggers_recompute(tmp_path, monkeypatch):
@@ -631,15 +634,17 @@ def test_cache_closing_line_without_stats_triggers_recompute(tmp_path, monkeypat
 
 def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
     # each file holds one verified Diophantine tuple of another query and a
-    # matching closing line: the wrong size, an element above the bound, and
-    # an element below min_abs_sq
+    # matching closing line: the wrong size, an element above the bound, an
+    # element below min_abs_sq, and another ring
+    d2 = RingSpec(-2)
     stray = [
-        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), (1, 3, 8, 120), 18),
-        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), (1, 3, 120), 18),
-        ("d-1_b16_m3_min2.jsonl", SearchConfig(D1, 16, 3, min_abs_sq=2), (1, 3, 8), 12),
+        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 8, 120)], 18),
+        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 120)], 18),
+        ("d-1_b16_m3_min2.jsonl", SearchConfig(D1, 16, 3, min_abs_sq=2), [D1.elem(n) for n in (1, 3, 8)], 12),
+        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [d2.elem(-1), d2.elem(3), d2.elem(2, -2)], 18),
     ]
     for name, cfg, elems, count in stray:
-        t = make_tuple(D1, [D1.elem(n) for n in elems])
+        t = make_tuple(elems[0].spec, elems)
         closing = '{"count": 1, "stats": [1, 0, 1]}'
         (tmp_path / name).write_text(json.dumps(t.to_json_dict(), sort_keys=True) + "\n" + closing + "\n")
         calls = _count_pair_graphs(monkeypatch)
@@ -650,13 +655,15 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
 
 
 def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
-    # well formed, in the query's range and with a matching closing line, but
-    # 1*7 + 1 = 8 and 3*7 + 1 = 22 are not squares: only the load's
-    # make_tuple can refuse it, the one check a warm ring keeps
+    # a well-formed row in the query's range, with a matching closing line, but
+    # 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square): only the load's
+    # from_witnesses can refuse it, the one check a warm ring keeps
     cfg = SearchConfig(D1, 64, 3)
-    with pytest.raises(NotDiophantine):
-        make_tuple(D1, [D1.elem(n) for n in (1, 3, 7)])
-    line = json.dumps({"d": -1, "elems": [[1, 0], [3, 0], [7, 0]]}, sort_keys=True)
+    data = {"d": -1, "elems": [1, 0, 3, 0, 7, 0], "witnesses": [2, 0, 3, 0, 5, 0]}
+    with pytest.raises(NotDiophantine) as refused:
+        DiophTuple.from_json_dict(data)
+    assert refused.value.pair == (0, 2)
+    line = json.dumps(data, sort_keys=True)
     (tmp_path / "d-1_b64_m3.jsonl").write_text(line + '\n{"count": 1, "stats": [1, 0, 1]}\n')
     calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=str(tmp_path))
@@ -666,16 +673,16 @@ def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
 
 
 def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
-    # one make_tuple per tuple, in the worker's cache load or the rational
-    # pass; the parent only squares the witnesses they ship
+    # a warm sweep takes square roots only in the rational pass, which uses no
+    # cache; the workers' cache loads and the parent square stored witnesses
     cache = str(tmp_path)
     cold = quintuple_sweep(64, 3, workers=1, cache_dir=cache)  # |z| <= 8 holds {1, 3, 8}
-    calls = {"worker": 0, "parent": 0}
+    calls = collections.Counter()
     inside = []
 
     def counting(fn):
         def wrapped(*args):
-            calls["worker" if inside else "parent"] += 1
+            calls[fn.__name__, inside[-1].__name__ if inside else "parent"] += 1
             return fn(*args)
 
         return wrapped
@@ -694,12 +701,41 @@ def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
     monkeypatch.setattr(tuples, "make_tuple", counting(tuples.make_tuple))
     monkeypatch.setattr(search, "_sweep_one", worker_side(search._sweep_one))
     monkeypatch.setattr(search, "rational_integer_pass", worker_side(search.rational_integer_pass))
+    monkeypatch.setattr(DiophTuple, "from_witnesses", staticmethod(counting(DiophTuple.from_witnesses)))
     warm = quintuple_sweep(64, 3, workers=1, cache_dir=cache)
     assert warm == cold
     folded = set(_folded_rings(64))
     searched = sum(t.spec.d not in folded for t in warm.tuples)
     assert warm.rational_pass_tuples and len(warm.tuples) > searched
-    assert calls == {"worker": searched + len(warm.rational_pass_tuples), "parent": 0}
+    assert calls == {
+        ("make_tuple", "rational_integer_pass"): len(warm.rational_pass_tuples),
+        ("from_witnesses", "_sweep_one"): searched,
+        ("from_witnesses", "parent"): len(warm.tuples),
+    }
+
+
+def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
+    # two sweeps sharing a cache directory may store one ring at once: here
+    # the second store runs between the first one's write and its rename
+    cfg = SearchConfig(D1, 64, 3)
+    res = find_m_tuples(cfg)
+    replace = os.replace
+    raced = []
+
+    def racing(src, dst):
+        if not raced:
+            raced.append(src)
+            search._cache_store(str(tmp_path), cfg, list(res.tuples), res.stats)
+        replace(src, dst)
+
+    monkeypatch.setattr(search.os, "replace", racing)
+    search._cache_store(str(tmp_path), cfg, list(res.tuples), res.stats)
+    assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
+    # a store that fails part-way leaves no temp file and the stored file as it was
+    with pytest.raises(AttributeError):
+        search._cache_store(str(tmp_path), cfg, [res.tuples[0], None], res.stats)
+    assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
+    assert search._cache_load(str(tmp_path), cfg) == (list(res.tuples), res.stats)
 
 
 @pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])

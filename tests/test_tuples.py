@@ -215,6 +215,9 @@ def test_from_witnesses_refuses_a_false_or_malformed_row(spec):
             DiophTuple.from_witnesses(spec, elems[:-1], witnesses)  # a coordinate missing
         with pytest.raises(ValueError):
             DiophTuple.from_witnesses(spec, elems[-2:] + elems[:-2], witnesses)  # not in canonical order
+        for bad in (float(elems[0]), True):  # a cache line's 1.0 or true would square like 1 but print apart
+            with pytest.raises(TypeError):
+                DiophTuple.from_witnesses(spec, (bad,) + elems[1:], witnesses)
     with pytest.raises(ValueError):
         DiophTuple.from_witnesses(spec, (), ())
 
