@@ -209,7 +209,7 @@ def cmd_verify(args) -> tuple[dict, str, dict]:
     except (ZeroElement, DuplicateElement) as exc:
         return config, "error", {"reason": str(exc)}
     payload = _tuple_payload(t)
-    checks: dict = {}
+    checks: dict[str, str] = {}
     if len(t.elems) >= 3:
         bad = pair_products_not_square(t)
         checks["pair_products_not_square"] = "ok" if bad is None else f"violated at {bad}"
@@ -221,7 +221,7 @@ def cmd_verify(args) -> tuple[dict, str, dict]:
         checks["omega_margin"] = str(margin)
         checks["forbidden_double_regular"] = str(forbidden_double_regular(*t.elems)).lower()
     payload["checks"] = checks
-    violation = any(v.startswith("violated") for v in checks.values() if isinstance(v, str))
+    violation = any(v.startswith("violated") for v in checks.values())
     outcome = "violation" if violation or checks.get("forbidden_double_regular") == "true" else "ok"
     return config, outcome, payload
 

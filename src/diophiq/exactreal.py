@@ -43,10 +43,10 @@ class _NeedMorePrecision(Exception):
     """Internal: a domain bound (log of a near-zero interval) is unresolved."""
 
 
-def _certified(fn, cap: int = PREC_CAP):
-    """First result of fn(prec) that is not None, prec = 128, 256, ... <= cap."""
+def _certified(fn):
+    """First result of fn(prec) that is not None, prec = 128, 256, ... <= PREC_CAP."""
     prec = PREC_START
-    while prec <= cap:
+    while prec <= PREC_CAP:
         try:
             result = fn(prec)
         except _NeedMorePrecision:
@@ -54,7 +54,7 @@ def _certified(fn, cap: int = PREC_CAP):
         if result is not None:
             return result
         prec *= 2
-    raise UndecidableComparison(f"still undecided at {cap} bits")
+    raise UndecidableComparison(f"still undecided at {PREC_CAP} bits")
 
 
 def _exact_sqrt(x: Fraction) -> Fraction | None:
@@ -204,7 +204,7 @@ class ExactReal:
             for a, b in zip(self.args, other.args)
         )
 
-    def compare(self, other: Number, cap: int = PREC_CAP) -> int:
+    def compare(self, other: Number) -> int:
         """-1, 0 or +1 with a certified direction; 0 only for certified ties."""
         other = ExactReal.of(other)
         if self.exact is not None and other.exact is not None:
@@ -224,7 +224,7 @@ class ExactReal:
                 return 0  # both values pinned to the same dyadic point
             return None
 
-        return _certified(decide, cap)
+        return _certified(decide)
 
     def __lt__(self, other: Number) -> bool:
         return self.compare(other) < 0

@@ -15,8 +15,9 @@ Four layers, all exact or certified:
                         K^2 * abs_sq(c)^50, K = 4728^20, the checks and the
                         rational enclosure of lambda;
 * chain_certificate  -- the cascading lower-bound chain on indices
-                        4, 5, 7, 10, ..., 43 carried on exact integers,
-                        ending in the final contradiction.
+                        4, 5, 7, 10, ..., 43, derived in one pass on exact
+                        integers; the one threshold test
+                        lb(a25)^14 > 8^126 * K^40 decides the contradiction.
 
 Upper bounds and hypothesis checks are carried on squared absolute values
 (integers) so every chain step compares exact big integers.  Each check of
@@ -267,6 +268,11 @@ def _exact_checks(na: int, nb: int, nbma: int, nc: int) -> dict[str, bool]:
     }
 
 
+def _gap_bound(n: int) -> int:
+    """K^40 * n^50: the gap principle's bound on abs_sq(d) for abs_sq(c) = n."""
+    return K_CONSTANT**40 * n**50
+
+
 def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
     """Exact bound abs_sq(d) < K^2 * abs_sq(c)^50 with K = 4728^20.
 
@@ -282,9 +288,8 @@ def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
     checks.update(_exact_checks(a.abs_sq(), b.abs_sq(), (b - a).abs_sq(), nc))
     if not all(checks.values()):
         raise TheoremInapplicable(f"certification failed: {checks}")
-    k20 = K_CONSTANT**20
     return GapPrincipleResult(
-        bound_abs_sq=k20 * k20 * nc**50,
+        bound_abs_sq=_gap_bound(nc),
         k_constant=K_CONSTANT,
         lambda_enclosure=lam.enclosure(),
         checks=checks,
@@ -331,10 +336,11 @@ class ChainCertificate:
 def chain_certificate(m: int) -> ChainCertificate:
     """Replay the cascading lower-bound chain for an assumed sorted m-tuple.
 
-    Starts from abs_sq(a4) >= 4 and abs_sq(a5) >= 256, applies the squared
-    recurrence lb(a_{k+3}) = ceil(lb(a_k)^2/64) along 7, 10, ..., and checks the
-    final exact contradiction lb(a43) > K^2 * lb(a25)^50 when m >= 43.
-    All arithmetic is exact big integers.
+    From abs_sq(a4) >= 4 and abs_sq(a5) >= 256 one pass derives lb(a_i) =
+    lb(a_{i-1}), raised at i = 10, 13, ... to ceil(lb(a_{i-3})^2/64).  For m >= 43
+    one exact test decides: six lemma steps give abs_sq(a43) >= x^64/8^126 for
+    x = abs_sq(a25) >= lb(a25), the gap principle gives abs_sq(a43) < K^40 * x^50,
+    and both hold for no x with x^14 > 8^126 * K^40.
     """
     if m < 5:
         raise ValueError("chain needs at least five elements")
@@ -344,19 +350,16 @@ def chain_certificate(m: int) -> ChainCertificate:
         "abs_sq(a5) >= 256: no Diophantine quintuple with elements of absolute value <= 16",
     ]
     top = min(m, 43)
-    for idx in range(6, top + 1):
-        lb[idx] = lb[idx - 1]  # sortedness
-    for k in range(7, top - 2, 3):
-        sq = lb[k] * lb[k]
-        derived = -(-sq // 64)  # ceiling division: abs_sq is an integer
-        if derived > lb[k + 3]:
-            for idx in range(k + 3, top + 1):
-                if derived > lb[idx]:
-                    lb[idx] = derived
-            steps.append(
-                f"abs_sq(a{k + 3}) >= abs_sq(a{k})^2/64 = {derived}"
-                f" (lower-bound lemma on indices {k}..{k + 3})"
-            )
+    for i in range(6, top + 1):
+        lb[i] = lb[i - 1]  # sortedness
+        if i >= 10 and i % 3 == 1:
+            derived = -(-lb[i - 3] ** 2 // 64)  # ceiling division: abs_sq is an integer
+            if derived > lb[i]:
+                lb[i] = derived
+                steps.append(
+                    f"abs_sq(a{i}) >= abs_sq(a{i - 3})^2/64 = {derived}"
+                    f" (lower-bound lemma on indices {i - 3}..{i})"
+                )
 
     applicability: dict[str, bool] = {}
     upper_rhs = None
@@ -367,19 +370,16 @@ def chain_certificate(m: int) -> ChainCertificate:
         applicability["|a7| >= 3/2 |a4|"] = 4 * lb[5] >= 9 * 64
         applicability["|a7| > 5"] = lb[7] > 25
         applicability["|a25| > |a7|^15"] = lb[7] ** 49 > 8**126
-        k20 = K_CONSTANT**20
-        upper_rhs = k20 * k20 * lb[25] ** 50
+        upper_rhs = _gap_bound(lb[25])
         steps.append(f"gap principle on (a4, a7, a25, a_(25+k)): abs_sq(a_(25+k)) < {K_CONSTANT}^40 * abs_sq(a25)^50")
         # paper-threshold consistency: lb(|a25|) = 2^67 far exceeds 1.784e9
         applicability["|a25| > 1.784e9"] = isqrt(lb[25]) > 1_784_000_000
     if m >= 43 and all(applicability.values()):
-        if lb[43] > upper_rhs:
+        threshold = lb[25] ** 14 > 8**126 * K_CONSTANT**40
+        applicability["lb(a25)^14 > 8^126 * K^40"] = threshold
+        if threshold:
             contradiction_at = 43
-            steps.append(
-                "abs_sq(a43) lower bound exceeds the gap-principle upper bound: contradiction"
-            )
-        # equivalent threshold form, also exact
-        applicability["lb(a25)^14 > 8^126 * K^40"] = lb[25] ** 14 > 8**126 * K_CONSTANT**40
+            steps.append("abs_sq(a43) lower bound exceeds the gap-principle upper bound: contradiction")
     return ChainCertificate(
         m=m,
         k_constant=K_CONSTANT,

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NotAQuadruple, NotASolution, NotATriple, PostconditionViolated
+from .errors import DuplicateElement, NotAQuadruple, NotASolution, NotATriple, NotDiophantine
+from .errors import PostconditionViolated, ZeroElement
 from .ring import RingElem, canonical_sqrt
-from .tuples import is_diophantine_tuple
+from .tuples import is_diophantine_tuple, make_tuple
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,12 @@ class PellSolution:
 
 
 def build_system(a: RingElem, b: RingElem, c: RingElem) -> PellSystem:
-    """Sort the triple and attach canonical witnesses s, t."""
-    if not is_diophantine_tuple(a.spec, [a, b, c]):
-        raise NotATriple(f"{a}, {b}, {c}")
-    a, b, c = sorted((a, b, c), key=RingElem.canonical_key)
-    one = a.spec.one
-    s = canonical_sqrt(a * c + one)
-    t = canonical_sqrt(b * c + one)
-    if s is None or t is None:
-        raise PostconditionViolated(f"ac + 1 and bc + 1 squares for {a}, {b}, {c}")
-    return PellSystem(a, b, c, s, t)
+    """Sort the triple and take s, t from its verified witnesses (0, 2) and (1, 2)."""
+    try:
+        triple = make_tuple(a.spec, [a, b, c])
+    except (NotDiophantine, ZeroElement, DuplicateElement):
+        raise NotATriple(f"{a}, {b}, {c}") from None
+    return PellSystem(*triple.elems, triple.witnesses[(0, 2)], triple.witnesses[(1, 2)])
 
 
 def first_equation_holds(sys: PellSystem, z: RingElem, x: RingElem) -> bool:

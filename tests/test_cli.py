@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import diophiq
 from diophiq.cli import main
 
 DATA = Path(__file__).parent / "data"
+CHAIN_DIGEST = DATA / "chain_reports_digest.json"
 
 # stored reports of fixed inputs: DATA/<name>.json in --format json and
 # DATA/<name>.txt in the default text format
@@ -383,3 +385,20 @@ def test_cli_import_loads_no_certified_arithmetic():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out == "[]\nTrue\n"
+
+
+def _chain_report_lines(capsys):
+    """One line per m in 4..60: m, then the exit code and stdout of
+    `chain --m m` in JSON and in the default text format."""
+    lines = []
+    for m in range(4, 61):
+        json_code, json_out = run_cli(capsys, "chain", "--m", str(m), "--format", "json")
+        text_code, text_out = run_cli(capsys, "chain", "--m", str(m))
+        lines.append(repr((m, json_code, json_out, text_code, text_out)))
+    return lines
+
+
+def test_chain_reports_digest_is_pinned(capsys):
+    lines = _chain_report_lines(capsys)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert {"m": [4, 60], "sha256": digest} == json.loads(CHAIN_DIGEST.read_text())

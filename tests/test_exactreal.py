@@ -36,7 +36,7 @@ def test_certified_comparisons():
     # sqrt(2)^2 vs 2 is a tie the interval route cannot certify; it must
     # raise rather than return an uncertified answer.
     with pytest.raises(UndecidableComparison):
-        (s2 * s2).compare(2, cap=512)
+        (s2 * s2).compare(2)
 
 
 def test_exact_tie_is_zero():

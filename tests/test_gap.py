@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from diophiq import gap
+from diophiq.cli import main
 from diophiq.errors import (
     DegenerateInput, PreconditionViolated, TheoremInapplicable, UndecidableComparison,
 )
@@ -497,6 +498,21 @@ def test_chain_above_43_still_contradicts():
     assert chain_certificate(50).contradiction_at == 43
 
 
+def test_chain_threshold_alone_decides_the_contradiction(monkeypatch, capsys):
+    # lb(a25)^14 = 2^1876: K = 2^37 gives 8^126 * K^40 = 2^1858 below it,
+    # K = 2^38 gives 2^1898 above it; every other entry is free of K
+    monkeypatch.setattr(gap, "K_CONSTANT", 2**37)
+    assert chain_certificate(43).contradiction_at == 43
+    monkeypatch.setattr(gap, "K_CONSTANT", 2**38)
+    cert = chain_certificate(43)
+    assert cert.contradiction_at is None
+    assert cert.applicability["lb(a25)^14 > 8^126 * K^40"] is False
+    assert list(cert.applicability)[-1] == "lb(a25)^14 > 8^126 * K^40"
+    assert cert.upper_bound_rhs == 2**1520 * 2**6700
+    assert main(["chain", "--m", "43"]) == 1
+    assert capsys.readouterr().out.startswith("chain: inapplicable")
+
+
 GAP_DIGEST = Path(__file__).parent / "data" / "gap_principle_digest.json"
 
 
@@ -528,7 +544,7 @@ def test_gap_principle_digest_is_pinned():
 
 
 def test_gap_principle_makes_no_interval_comparison(monkeypatch):
-    def refuse(self, other, cap=None):
+    def refuse(self, other):
         raise AssertionError("gap_principle called ExactReal.compare")
 
     monkeypatch.setattr(ExactReal, "compare", refuse)

@@ -21,6 +21,22 @@ def test_src_has_no_assert_statement():
     assert found == []
 
 
+def test_src_imports_only_stdlib_and_mpmath():
+    # mpmath is the one declared dependency; numpy may be installed but is not declared
+    found = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"mpmath"}
+    ]
+    assert found == []
+
+
 def test_postcondition_survives_optimize_flag():
     # 3^2 = 1*8 + 1 and 5^2 = 3*8 + 1, so s = 5 is a wrong witness for {1, 3, 8}
     code = (
