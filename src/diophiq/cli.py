@@ -155,7 +155,7 @@ def _ring_input(args) -> tuple[RingSpec, list[RingElem], dict]:
 
 
 def cmd_search(args) -> tuple[dict, str, dict]:
-    b_sq = args.bound_sq if args.bound_sq is not None else args.bound * args.bound
+    b_sq = args.bound_sq if args.bound_sq is not None else (16 if args.bound is None else args.bound) ** 2
     config = {
         "bound_abs_sq": str(b_sq),
         "size": str(args.size),
@@ -277,7 +277,7 @@ def cmd_extend(args) -> tuple[dict, str, dict]:
     exts = extend_tuple(t, args.bound * args.bound)
     payload = {"extensions": list(map(_elem_str, exts))}
     if len(t.elems) == 3:
-        verified, failed = quadruple_extension_candidates(*t.elems)
+        verified, failed = quadruple_extension_candidates(t)
         payload["regular_candidates"] = {
             "verified": list(map(_elem_str, verified)),
             "failed": list(map(_elem_str, failed)),
@@ -304,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_search.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=int, help="ring parameter (negative squarefree)")
     group.add_argument("--sweep", action="store_true", help="run over the complete ring cutoff set")
-    p_search.add_argument("--bound", type=_nonnegative_int, default=16, help="max |z| (squared internally)")
-    p_search.add_argument("--bound-sq", type=int, default=None, help="max abs_sq directly (overrides --bound)")
+    # no default: argparse lets through a conflicting value that is the default
+    bound = p_search.add_mutually_exclusive_group()
+    bound.add_argument("--bound", type=_nonnegative_int, help="max |z| (squared internally; default 16)")
+    bound.add_argument("--bound-sq", type=int, help="max abs_sq directly, in place of --bound")
     p_search.add_argument("--min-sq", type=int, default=1, help="min abs_sq filter on elements")
     p_search.add_argument("--size", type=int, required=True, help="tuple size m")
     p_search.add_argument("--mode", choices=("find-all", "find-first", "count"), default="find-all")

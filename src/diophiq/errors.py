@@ -15,10 +15,6 @@ class ZeroElement(DiophError):
     """Zero is not allowed as a tuple element."""
 
 
-class EqualElements(DiophError):
-    """Pair operations require two distinct elements."""
-
-
 class DuplicateElement(DiophError):
     """Tuple elements must be pairwise distinct."""
 
@@ -31,22 +27,6 @@ class NotDiophantine(DiophError):
         super().__init__(message or f"product of elements {pair} plus one is not a square")
 
 
-class NotAPair(DiophError):
-    """The two elements do not form a Diophantine pair."""
-
-
-class NotATriple(DiophError):
-    """The three elements do not form a Diophantine triple."""
-
-
-class NotAQuadruple(DiophError):
-    """The four elements do not form a Diophantine quadruple."""
-
-
-class NotASolution(DiophError):
-    """The value pair does not satisfy the Pell-type equation."""
-
-
 class PreconditionViolated(DiophError):
     """A hypothesis check failed; carries the list of failing hypotheses."""
 
@@ -57,10 +37,6 @@ class PreconditionViolated(DiophError):
 
 class PostconditionViolated(DiophError):
     """An exact arithmetic identity the code relies on does not hold."""
-
-
-class DegenerateInput(DiophError):
-    """Inputs for which the requested quantities are undefined."""
 
 
 class TheoremInapplicable(DiophError):

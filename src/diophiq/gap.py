@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import K_CONSTANT
-from .errors import DegenerateInput, PreconditionViolated, TheoremInapplicable
+from .errors import PreconditionViolated, TheoremInapplicable
 from .exactreal import ExactReal, const, sqrt_of
 from .pell import PellSolution, build_system, first_equation_holds, second_equation_holds
 from .ring import RingElem
@@ -166,19 +166,19 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
 
     Exact inputs are the squared absolute values; every derived quantity is
     exact where the square roots resolve to rationals and a certified
-    interval otherwise.  Raises DegenerateInput unless a1 != a2, both
+    interval otherwise.  Raises PreconditionViolated unless a1 != a2, both
     nonzero and |T| > M; raises TheoremInapplicable when L <= 1.
     """
     if a1 == a2:
-        raise DegenerateInput("a1 and a2 must be distinct")
+        raise PreconditionViolated(["a1 != a2"])
     if a1.is_zero() or a2.is_zero():
-        raise DegenerateInput("a1 and a2 must be nonzero")
+        raise PreconditionViolated(["a1 and a2 nonzero"])
     n1, n2 = a1.abs_sq(), a2.abs_sq()
     n12 = (a1 - a2).abs_sq()
     t2 = T.abs_sq()
     m_sq = max(n1, n2)
     if t2 <= m_sq:
-        raise DegenerateInput("|T| > max(|a1|, |a2|) required")
+        raise PreconditionViolated(["|T| > max(|a1|, |a2|)"])
 
     abs_t = const(t2).sqrt()
     abs_m = const(m_sq).sqrt()

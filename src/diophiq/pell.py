@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DuplicateElement, NotAQuadruple, NotASolution, NotATriple, NotDiophantine
-from .errors import PostconditionViolated, ZeroElement
-from .ring import RingElem, canonical_sqrt
-from .tuples import is_diophantine_tuple, make_tuple
+from .errors import PostconditionViolated, PreconditionViolated
+from .ring import RingElem
+from .tuples import make_tuple
 
 
 @dataclass(frozen=True)
@@ -46,11 +45,11 @@ class PellSolution:
 
 
 def build_system(a: RingElem, b: RingElem, c: RingElem) -> PellSystem:
-    """Sort the triple and take s, t from its verified witnesses (0, 2) and (1, 2)."""
-    try:
-        triple = make_tuple(a.spec, [a, b, c])
-    except (NotDiophantine, ZeroElement, DuplicateElement):
-        raise NotATriple(f"{a}, {b}, {c}") from None
+    """Sort the triple and take s, t from its verified witnesses (0, 2) and (1, 2).
+
+    Raises make_tuple's error when {a, b, c} is not a Diophantine triple.
+    """
+    triple = make_tuple(a.spec, [a, b, c])
     return PellSystem(*triple.elems, triple.witnesses[(0, 2)], triple.witnesses[(1, 2)])
 
 
@@ -63,16 +62,12 @@ def second_equation_holds(sys: PellSystem, z: RingElem, y: RingElem) -> bool:
 
 
 def solution_from_extension(sys: PellSystem, d: RingElem) -> PellSolution:
-    """Canonical (x, y, z) for an exact extension d of the system's triple."""
-    spec = sys.a.spec
-    if not is_diophantine_tuple(spec, [sys.a, sys.b, sys.c, d]):
-        raise NotAQuadruple(f"{sys.a}, {sys.b}, {sys.c}, {d}")
-    one = spec.one
-    x = canonical_sqrt(sys.a * d + one)
-    y = canonical_sqrt(sys.b * d + one)
-    z = canonical_sqrt(sys.c * d + one)
-    if x is None or y is None or z is None:
-        raise PostconditionViolated(f"ad + 1, bd + 1 and cd + 1 squares for d = {d}")
+    """Canonical (x, y, z) for an exact extension d of the system's triple:
+    the witnesses make_tuple finds for {a, b, c, d}, whose error it raises
+    when d is no extension."""
+    quad = make_tuple(sys.a.spec, [sys.a, sys.b, sys.c, d])
+    i = quad.elems.index(d)
+    x, y, z = (quad.witnesses[tuple(sorted((i, quad.elems.index(e))))] for e in (sys.a, sys.b, sys.c))
     sol = PellSolution(x, y, z)
     if not (first_equation_holds(sys, sol.z, sol.x) and second_equation_holds(sys, sol.z, sol.y)):
         raise PostconditionViolated(f"the Pell system at d = {d}")
@@ -92,7 +87,7 @@ def compose_step(
     """
     z, x = zx
     if not first_equation_holds(sys, z, x):
-        raise NotASolution(f"({z}, {x}) does not solve the first equation")
+        raise PreconditionViolated([f"({z}, {x}) solves the first equation"])
     if direction == "forward":
         out = (sys.s * z + sys.c * x, sys.s * x + sys.a * z)
     else:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import NotAPair
+from .errors import NotDiophantine
 from .ring import (
     RingElem,
     RingSpec,
@@ -60,14 +60,7 @@ from .ring import (
     sqrt_coords,
     sqrt_in_ring,
 )
-from .tuples import (
-    DiophTuple,
-    Row,
-    is_diophantine_tuple,
-    make_tuple,
-    quadruple_extension_candidates,
-    regular_extensions,
-)
+from .tuples import DiophTuple, Row, c_plus_minus, is_diophantine_tuple, make_tuple, regular_extensions
 
 
 @dataclass(frozen=True)
@@ -364,7 +357,7 @@ def census_double_regular_triples(
     for a, b in itertools.combinations(enumerate_up_to(spec, max_abs_sq, min_abs_sq), 2):
         try:
             branches = regular_extensions(a, b)
-        except NotAPair:
+        except NotDiophantine:
             continue
         if len(branches) != 2:
             continue  # r = 0, or a branch is 0, a or b
@@ -469,12 +462,13 @@ def quintuple_sweep(
 
 
 def _violates_strong_bound(t: DiophTuple) -> bool:
-    """Conjectured |d| >= 4|ab| for non-standard extensions; recorded, not fatal."""
-    a, b, c, d = t.elems[:4]
-    verified, _failed = quadruple_extension_candidates(a, b, c)
-    if d in verified:
-        return False
-    return d.abs_sq() < 16 * a.abs_sq() * b.abs_sq()
+    """Conjectured |d| >= 4|ab| for non-standard extensions; recorded, not fatal.
+
+    t is verified, so its fourth element d is a standard extension of the
+    first three exactly when it is one of their c_plus_minus.
+    """
+    a, b, _c, d = t.elems[:4]
+    return d not in c_plus_minus(t) and d.abs_sq() < 16 * a.abs_sq() * b.abs_sq()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A Diophantine m-tuple is a set of m distinct nonzero ring elements such
 that the product of any two distinct elements plus one is a perfect square
 in the ring.  Every check here is definition-level and exact: witnesses are
-actual square roots, stored and re-verified by squaring.
+actual square roots, stored and re-verified by squaring.  make_tuple finds
+them; a derived check (c_plus_minus, quadruple_extension_candidates) takes
+the verified DiophTuple and reads its witnesses, taking no root again.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateElement,
-    EqualElements,
     MixedRings,
-    NotAPair,
-    NotATriple,
     NotDiophantine,
     PostconditionViolated,
     PreconditionViolated,
@@ -95,16 +94,6 @@ class DiophTuple:
         return DiophTuple(spec, items, out)
 
 
-def is_diophantine_pair(a: RingElem, b: RingElem) -> RingElem | None:
-    """Canonical witness r with r*r == a*b + 1, or None if none exists."""
-    a._check(b)
-    if a.is_zero() or b.is_zero():
-        raise ZeroElement("tuple elements must be nonzero")
-    if a == b:
-        raise EqualElements("pair elements must be distinct")
-    return canonical_sqrt(a * b + a.spec.one)
-
-
 def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
     """Sort, verify all pairwise products, and assemble the witness map.
 
@@ -147,10 +136,9 @@ def regular_extensions(a: RingElem, b: RingElem) -> tuple[RingElem, ...]:
 
     Each returned c satisfies ac+1 = (a+r)^2 and bc+1 = (b+r)^2, hence
     {a, b, c} is a Diophantine triple; this is still re-verified exactly.
+    Raises make_tuple's error when {a, b} is not a Diophantine pair.
     """
-    r = is_diophantine_pair(a, b)
-    if r is None:
-        raise NotAPair(f"{a}, {b}")
+    r = make_tuple(a.spec, [a, b]).witnesses[(0, 1)]
     out = []
     for c in (a + b + 2 * r, a + b - 2 * r):
         if c.is_zero() or c == a or c == b or c in out:
@@ -161,20 +149,19 @@ def regular_extensions(a: RingElem, b: RingElem) -> tuple[RingElem, ...]:
     return tuple(sorted(out, key=RingElem.canonical_key))
 
 
-def quadruple_extension_candidates(
-    a: RingElem, b: RingElem, c: RingElem
-) -> tuple[tuple[RingElem, ...], tuple[RingElem, ...]]:
-    """Candidates a+b+c+2abc±2rst, split into verified and failed extensions.
+def quadruple_extension_candidates(t: DiophTuple) -> tuple[tuple[RingElem, ...], tuple[RingElem, ...]]:
+    """The candidates c_plus_minus(t), split into verified and failed extensions of t.
 
     The formula is derived under sign conventions the ring does not fix, so
-    every candidate is checked against the definition instead of trusted;
-    both sign choices of rst give the same unordered candidate set.
+    every candidate d is checked against the definition instead of trusted:
+    e*d + 1 must be a square for each e in t, whose own pairs are verified.
     """
+    one = t.spec.one
     verified, failed = [], []
-    for d in set(c_plus_minus(a, b, c)):
-        if d.is_zero() or d in (a, b, c):
+    for d in set(c_plus_minus(t)):
+        if d.is_zero() or d in t.elems:
             continue
-        if is_diophantine_tuple(a.spec, [a, b, c, d]):
+        if all(sqrt_in_ring(e * d + one) for e in t.elems):
             verified.append(d)
         else:
             failed.append(d)
@@ -182,19 +169,17 @@ def quadruple_extension_candidates(
     return tuple(sorted(verified, key=key)), tuple(sorted(failed, key=key))
 
 
-def c_plus_minus(a: RingElem, b: RingElem, d: RingElem) -> tuple[RingElem, RingElem]:
-    """(c+, c-) = a+b+d+2abd ± 2rxy for the triple {a, b, d}.
+def c_plus_minus(t: DiophTuple) -> tuple[RingElem, RingElem]:
+    """(c+, c-) = a+b+d+2abd ± 2rxy for the first three elements a, b, d of t.
 
-    r*x*y, the product of the canonical pair witnesses, is independent of order.
+    r, x and y are t's witnesses of the pairs (0, 1), (0, 2) and (1, 2).
     Postcondition checked exactly: c+ * c- == a^2+b^2+d^2-2ab-2ad-2bd-4.
     """
-    try:
-        r, x, y = make_tuple(a.spec, [a, b, d]).witnesses.values()
-    except (NotDiophantine, ZeroElement, DuplicateElement):
-        raise NotATriple(f"{a}, {b}, {d}") from None
+    a, b, d = t.elems[:3]
+    rxy = t.witnesses[(0, 1)] * t.witnesses[(0, 2)] * t.witnesses[(1, 2)]
     base = a + b + d + 2 * (a * b * d)
-    c_plus = base + 2 * (r * x * y)
-    c_minus = base - 2 * (r * x * y)
+    c_plus = base + 2 * rxy
+    c_minus = base - 2 * rxy
     four = a.spec.elem(4)
     rhs = a * a + b * b + d * d - 2 * (a * b) - 2 * (a * d) - 2 * (b * d) - four
     if c_plus * c_minus != rhs:

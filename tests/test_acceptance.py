@@ -27,7 +27,7 @@ from diophiq.search import (
     naive_find_m_tuples,
     quintuple_sweep,
 )
-from diophiq.errors import NotAPair
+from diophiq.errors import NotDiophantine
 from diophiq.tuples import (
     forbidden_double_regular,
     make_tuple,
@@ -184,7 +184,7 @@ def test_criterion_7_algebra_property_suite():
             a, b = rng.sample(elems, 2)
             try:
                 exts = regular_extensions(a, b)
-            except NotAPair:
+            except NotDiophantine:
                 continue
             for c in exts:
                 systems.append(build_system(a, b, c))

@@ -195,6 +195,39 @@ def test_negative_bound_is_usage_error(capsys, argv):
     assert "--bound" in capsys.readouterr().err
 
 
+def test_bound_and_bound_sq_together_is_usage_error(capsys):
+    # --bound-sq used to override --bound silently, also a --bound equal to its default
+    for bound in ("3", "16"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--d", "-1", "--bound", bound, "--bound-sq", "30", "--size", "3"])
+        assert exc.value.code == 2
+        assert "--bound-sq: not allowed with argument --bound" in capsys.readouterr().err
+    code, rep = run_json(capsys, "search", "--d", "-1", "--size", "3", "--mode", "count")
+    assert code == 0
+    assert rep["config"]["bound_abs_sq"] == "256"  # --bound defaults to 16
+
+
+@pytest.mark.parametrize("d", ["-1", "-3"])
+def test_extend_verifies_its_triple_once(capsys, monkeypatch, d):
+    # the triple's pairs are rooted once; the regular candidates read its witnesses
+    from diophiq import cli, search, tuples
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return wrapped
+
+    for module in (cli, search, tuples):
+        monkeypatch.setattr(module, "make_tuple", counting(tuples.make_tuple))
+    code, rep = run_json(capsys, "extend", "--d", d, "--elems", "1,0;3,0;8,0", "--bound", "130")
+    assert code == 0 and rep["payload"]["regular_candidates"]["verified"] == ["120,0"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_nonpositive_threads_is_usage_error(capsys, threads):
     with pytest.raises(SystemExit) as exc:

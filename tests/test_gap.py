@@ -14,7 +14,7 @@ import pytest
 from diophiq import gap
 from diophiq.cli import main
 from diophiq.errors import (
-    DegenerateInput, PreconditionViolated, TheoremInapplicable, UndecidableComparison,
+    PreconditionViolated, TheoremInapplicable, UndecidableComparison,
 )
 from diophiq.exactreal import ExactReal, const
 from diophiq.gap import (
@@ -144,11 +144,11 @@ def test_jz_builds_l_p_c_on_first_access():
 
 
 def test_jz_degenerate_inputs():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(PreconditionViolated):
         jz_quantities(D1.elem(3), D1.elem(3), D1.elem(100))
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(PreconditionViolated):
         jz_quantities(D1.elem(3), D1.elem(1), D1.elem(3))  # |T| = M
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(PreconditionViolated):
         jz_quantities(D1.elem(3), D1.elem(1), D1.elem(2))  # |T| < M
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from diophiq.errors import NotAQuadruple, NotASolution, NotATriple
+from diophiq.errors import NotDiophantine, PreconditionViolated
 from diophiq.pell import (
     build_system,
     compose_step,
@@ -23,7 +23,7 @@ def test_build_system_classical():
 def test_build_system_sorts_and_verifies():
     sys = build_system(D1.elem(8), D1.elem(1), D1.elem(3))
     assert (sys.a.u, sys.b.u, sys.c.u) == (1, 3, 8)
-    with pytest.raises(NotATriple):
+    with pytest.raises(NotDiophantine):
         build_system(D1.elem(1), D1.elem(3), D1.elem(7))
 
 
@@ -41,7 +41,7 @@ def test_solution_from_extension():
     assert (sol.x.u, sol.y.u, sol.z.u) == (11, 19, 31)
     # az^2 - cx^2 = a - c re-verified: 961 - 8*121 = -7
     assert sys.a * sol.z * sol.z - sys.c * sol.x * sol.x == D1.elem(-7)
-    with pytest.raises(NotAQuadruple):
+    with pytest.raises(NotDiophantine):
         solution_from_extension(sys, D1.elem(7))
 
 
@@ -55,7 +55,7 @@ def test_compose_step_chain():
     # backward undoes forward
     assert compose_step(sys, z3, "backward") == z2
     assert compose_step(sys, z2, "backward") == z1
-    with pytest.raises(NotASolution):
+    with pytest.raises(PreconditionViolated):
         compose_step(sys, (D1.elem(3), D1.elem(1)))
 
 

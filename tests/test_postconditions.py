@@ -37,6 +37,21 @@ def test_src_imports_only_stdlib_and_mpmath():
     assert found == []
 
 
+def test_every_error_class_is_raised():
+    # a class no source line raises only renames a failure another class reports
+    tree = ast.parse((SRC / "errors.py").read_text())
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"DiophError"}
+    raised = {
+        name.id
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, ast.Name)
+    }
+    assert declared and declared - raised == set()
+
+
 def test_postcondition_survives_optimize_flag():
     # 3^2 = 1*8 + 1 and 5^2 = 3*8 + 1, so s = 5 is a wrong witness for {1, 3, 8}
     code = (

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from diophiq import search, tuples
 from diophiq.errors import NotDiophantine
-from diophiq.ring import RingElem, RingSpec, enumerate_up_to, iter_disk_coords
+from diophiq.ring import RingElem, RingSpec, canonical_sqrt, enumerate_up_to, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
     _cliques_of_size,
@@ -28,7 +28,7 @@ from diophiq.search import (
     rational_integer_pass,
     sweep_ring_list,
 )
-from diophiq.tuples import DiophTuple, is_diophantine_pair, is_diophantine_tuple, make_tuple
+from diophiq.tuples import DiophTuple, is_diophantine_tuple, make_tuple
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -99,7 +99,7 @@ def test_census_pairs_have_two_admissible_regular_branches(d):
     census = census_double_regular_triples(spec, 1, 20)
     expected = []
     for a, b in itertools.combinations(enumerate_up_to(spec, 20), 2):
-        r = is_diophantine_pair(a, b)
+        r = canonical_sqrt(a * b + spec.one)
         if r is None:
             continue
         branch = {a + b - 2 * r, a + b + 2 * r}
@@ -712,6 +712,36 @@ def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
         ("from_witnesses", "_sweep_one"): searched,
         ("from_witnesses", "parent"): len(warm.tuples),
     }
+
+
+def test_strong_bound_check_takes_no_square_root(monkeypatch):
+    # every quadruple of the sweep is verified by the make_tuple that builds it;
+    # the strong-bound check reads that tuple's witnesses instead of re-rooting
+    calls = collections.Counter()
+    checking, checked = [], []
+    strong_bound = search._violates_strong_bound
+
+    def counting(fn):
+        def wrapped(*args):
+            calls["check" if checking else "search"] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def check(t):
+        checking.append(t)
+        try:
+            return strong_bound(t)
+        finally:
+            checked.append(checking.pop())
+
+    monkeypatch.setattr(search, "make_tuple", counting(search.make_tuple))
+    monkeypatch.setattr(tuples, "make_tuple", counting(tuples.make_tuple))
+    monkeypatch.setattr(search, "_violates_strong_bound", check)
+    rep = quintuple_sweep(256, 4, workers=1)
+    assert rep.tuples and checked == list(rep.tuples)
+    assert rep.conjecture_violations == ()
+    assert calls["search"] > 0 and calls["check"] == 0
 
 
 def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):

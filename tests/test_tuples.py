@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from diophiq.errors import (
     DuplicateElement,
-    EqualElements,
-    NotAPair,
     NotDiophantine,
     PreconditionViolated,
     ZeroElement,
@@ -17,7 +15,6 @@ from diophiq.tuples import (
     DiophTuple,
     c_plus_minus,
     forbidden_double_regular,
-    is_diophantine_pair,
     is_diophantine_tuple,
     make_tuple,
     pair_products_not_square,
@@ -38,23 +35,16 @@ def ints(spec, *ns):
 
 
 def test_pair_basics():
-    assert is_diophantine_pair(D1.elem(1), D1.elem(3)) == D1.elem(2)
+    assert make_tuple(D1, ints(D1, 1, 3)).witnesses[(0, 1)] == D1.elem(2)
     # {-2, 2*sqrt(-3)} extends: -2 * 2sqrt(-3) + 1 = 1 - 4sqrt(-3) = (2-sqrt(-3))^2
-    assert is_diophantine_pair(D3.elem(-2), TWO_ROOT3) is not None
+    assert is_diophantine_tuple(D3, [D3.elem(-2), TWO_ROOT3])
     # "13 is not a square": -2sqrt(-3) * 2sqrt(-3) + 1 = 13
-    assert is_diophantine_pair(NEG_TWO_ROOT3, TWO_ROOT3) is None
-
-
-def test_pair_preconditions():
-    with pytest.raises(ZeroElement):
-        is_diophantine_pair(D1.zero, D1.elem(3))
-    with pytest.raises(EqualElements):
-        is_diophantine_pair(D1.elem(3), D1.elem(3))
+    assert not is_diophantine_tuple(D3, [NEG_TWO_ROOT3, TWO_ROOT3])
 
 
 def test_pair_with_zero_witness():
     # {-1, 1}: product plus one is 0 = 0^2, a valid pair with witness 0
-    assert is_diophantine_pair(D1.elem(-1), D1.elem(1)) == D1.zero
+    assert make_tuple(D1, ints(D1, -1, 1)).witnesses[(0, 1)] == D1.zero
 
 
 def test_make_tuple_classical_quadruple():
@@ -96,25 +86,23 @@ def test_regular_extensions():
 
 
 def test_quadruple_extension_candidates():
-    ok, bad = quadruple_extension_candidates(D1.elem(1), D1.elem(3), D1.elem(8))
+    ok, bad = quadruple_extension_candidates(make_tuple(D1, ints(D1, 1, 3, 8)))
     assert ok == (D1.elem(120),)
     assert bad == ()
-    ok2, bad2 = quadruple_extension_candidates(D1.elem(1), D1.elem(3), D1.elem(120))
+    ok2, bad2 = quadruple_extension_candidates(make_tuple(D1, ints(D1, 1, 3, 120)))
     assert set(ok2) == {D1.elem(8), D1.elem(1680)}
     assert bad2 == ()
 
 
 def test_c_plus_minus_fixed_point():
-    cp, cm = c_plus_minus(D1.elem(1), D1.elem(3), D1.elem(120))
+    cp, cm = c_plus_minus(make_tuple(D1, ints(D1, 1, 3, 120)))
     assert {cp, cm} == {D1.elem(1680), D1.elem(8)}
     assert (cp * cm).u == 1 + 9 + 14400 - 6 - 240 - 720 - 4
 
 
 def test_c_plus_minus_regular_case_gives_zero():
     # d = a+b+2r makes one branch vanish
-    a, b = D1.elem(1), D1.elem(3)
-    d = D1.elem(8)
-    cp, cm = c_plus_minus(a, b, d)
+    cp, cm = c_plus_minus(make_tuple(D1, ints(D1, 1, 3, 8)))
     assert cp.is_zero() or cm.is_zero()
 
 
@@ -127,7 +115,7 @@ def _random_triples(spec, count, seed):
         a, b = rng.sample(elems, 2)
         try:
             exts = regular_extensions(a, b)
-        except NotAPair:
+        except NotDiophantine:
             continue
         for c in exts:
             found.append((a, b, c))
@@ -139,7 +127,7 @@ def _random_triples(spec, count, seed):
 @pytest.mark.parametrize("spec", RINGS)
 def test_c_plus_minus_identity_on_random_triples(spec):
     for a, b, d in _random_triples(spec, 100, seed=spec.d):
-        cp, cm = c_plus_minus(a, b, d)  # asserts the product identity internally
+        cp, cm = c_plus_minus(make_tuple(spec, [a, b, d]))  # asserts the product identity internally
         four = spec.elem(4)
         rhs = a * a + b * b + d * d - 2 * (a * b) - 2 * (a * d) - 2 * (b * d) - four
         assert cp * cm == rhs
