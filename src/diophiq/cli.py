@@ -15,11 +15,12 @@ to the exit code:
     error          2  (the input is refused: the report gives the reason)
 
 An input refused before any report (by argparse, or by a ValueError such
-as an unusable --cache-dir) prints one stderr line and exits 2.
+as an unusable --cache-dir) prints one stderr line and exits 2.  A reader
+closing stdout early (`| head`) changes neither the exit code nor stderr.
 
-Importing this module loads only the search layer.  `verify` (its
-quadruple checks), `gap` and `chain` load `gap`, and with it `exactreal`,
-`pell` and mpmath, when they run; `search` and `extend` never load them.
+Importing this module loads only the search layer.  Only `gap` and `chain`
+load `gap`, and with it `exactreal`, `pell` and mpmath, when they run;
+`search`, `verify` and `extend` never load them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .search import SearchConfig, extend_tuple, find_m_tuples, quintuple_sweep
 from .tuples import (
     forbidden_double_regular,
     make_tuple,
+    omega_lower_bound,
     pair_products_not_square,
     quadruple_extension_candidates,
 )
@@ -210,20 +212,20 @@ def cmd_verify(args) -> tuple[dict, str, dict]:
         return config, "error", {"reason": str(exc)}
     payload = _tuple_payload(t)
     checks: dict[str, str] = {}
+    violation = False
     if len(t.elems) >= 3:
         bad = pair_products_not_square(t)
         checks["pair_products_not_square"] = "ok" if bad is None else f"violated at {bad}"
-    if len(t.elems) == 4 and min(z.abs_sq() for z in t.elems) >= 4:
-        from .gap import omega_lower_bound
-
+        violation = bad is not None
+    if len(t.elems) == 4 and t.elems[0].abs_sq() >= 4:  # t is sorted: every |z| >= 2
         ok, margin = omega_lower_bound(t)
+        forbidden = forbidden_double_regular(t)
         checks["omega_lower_bound"] = "ok" if ok else "violated"
         checks["omega_margin"] = str(margin)
-        checks["forbidden_double_regular"] = str(forbidden_double_regular(*t.elems)).lower()
+        checks["forbidden_double_regular"] = str(forbidden).lower()
+        violation = violation or not ok or forbidden
     payload["checks"] = checks
-    violation = any(v.startswith("violated") for v in checks.values())
-    outcome = "violation" if violation or checks.get("forbidden_double_regular") == "true" else "ok"
-    return config, outcome, payload
+    return config, "violation" if violation else "ok", payload
 
 
 def cmd_gap(args) -> tuple[dict, str, dict]:
@@ -339,29 +341,25 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     """Join '--elems -2,0;...' into '--elems=...' so leading minus signs in
     element lists are not mistaken for option flags."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--elems" and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--elems" else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_normalize_argv(argv))
     try:
         config, outcome, payload = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES["error"]
-    _emit(_report(args.command, config, outcome, payload), args.format)
+    try:
+        _emit(_report(args.command, config, outcome, payload), args.format)
+    except BrokenPipeError:  # the reader closed stdout; the rest goes to devnull, so exit's flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_CODES[outcome]
 
 

@@ -3,9 +3,9 @@
 Four layers, all exact or certified:
 
 * approx_check       -- the two simultaneous-approximation inequalities a
-                        Pell solution must satisfy, built from exact ring
-                        quotients; every certified comparison goes through
-                        exactreal;
+                        solution of a built PellSystem must satisfy, from
+                        exact ring quotients; every certified comparison
+                        goes through exactreal;
 * jz_quantities      -- the constant set (L, P, l, p, lambda, c) of the
                         simultaneous-approximation theorem, as certified
                         exact-or-interval scalars; L, P and lambda are built
@@ -39,9 +39,8 @@ from math import isqrt
 from . import K_CONSTANT
 from .errors import PreconditionViolated, TheoremInapplicable
 from .exactreal import ExactReal, const, sqrt_of
-from .pell import PellSolution, build_system, first_equation_holds, second_equation_holds
+from .pell import PellSolution, PellSystem, first_equation_holds, second_equation_holds
 from .ring import RingElem
-from .tuples import DiophTuple
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +59,9 @@ class ApproxReport:
     slack_cap2: Fraction
 
 
-def approx_check(a: RingElem, b: RingElem, c: RingElem, sol: PellSolution) -> ApproxReport:
-    """Certify both approximation inequalities for a solution of the system.
+def approx_check(sys: PellSystem, sol: PellSolution) -> ApproxReport:
+    """Certify both approximation inequalities for a solution of the system;
+    the hypotheses |c| > 4|b| and |a| >= 2 read its sorted triple (a, b, c).
 
     theta_1 = +-(s/a)sqrt(a/c) approximated by sx/(az), theta_2 analogue with
     t and y; each attained distance must fall below
@@ -70,19 +70,18 @@ def approx_check(a: RingElem, b: RingElem, c: RingElem, sol: PellSolution) -> Ap
     not chosen a priori: the minimum of the two branch distances is taken.
     Raises TheoremInapplicable naming every margin certified false.
     """
+    a, b, c = sys.a, sys.b, sys.c
     failures = []
     if c.abs_sq() <= 16 * b.abs_sq():
         failures.append("|c| > 4|b|")
     if a.abs_sq() < 4:
         failures.append("|a| >= 2")
-    sys = build_system(a, b, c)
     if sol.z.is_zero():
         failures.append("z != 0")
     elif not (first_equation_holds(sys, sol.z, sol.x) and second_equation_holds(sys, sol.z, sol.y)):
         failures.append("(x, y, z) solves both equations")
     if failures:
         raise PreconditionViolated(failures)
-    a, b, c = sys.a, sys.b, sys.c
 
     nc, nz = c.abs_sq(), sol.z.abs_sq()
     cap = 21 * sqrt_of(nc) / (16 * sqrt_of(a.abs_sq()) * nz)
@@ -297,23 +296,8 @@ def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
 
 
 # ---------------------------------------------------------------------------
-# Omega-style lower bound and the contradiction chain
+# the contradiction chain
 # ---------------------------------------------------------------------------
-
-
-def omega_lower_bound(quad: DiophTuple) -> tuple[bool, int]:
-    """Exact check 64*abs_sq(d) >= abs_sq(a)*abs_sq(b) for a sorted quadruple.
-
-    Returns (holds, margin) with margin = 64*abs_sq(d) - abs_sq(a)*abs_sq(b);
-    a negative margin would be a reportable counterexample to the theory.
-    """
-    if len(quad.elems) != 4:
-        raise PreconditionViolated(["need exactly four elements"])
-    if any(z.abs_sq() < 4 for z in quad.elems):
-        raise PreconditionViolated(["all elements need |z| >= 2"])
-    na, nb, _, nd = (z.abs_sq() for z in quad.elems)
-    margin = 64 * nd - na * nb
-    return margin >= 0, margin
 
 
 @dataclass(frozen=True)
@@ -379,7 +363,7 @@ def chain_certificate(m: int) -> ChainCertificate:
         applicability["lb(a25)^14 > 8^126 * K^40"] = threshold
         if threshold:
             contradiction_at = 43
-            steps.append("abs_sq(a43) lower bound exceeds the gap-principle upper bound: contradiction")
+            steps.append("lb(a25)^14 > 8^126 * K^40, so abs_sq(a43) exceeds the gap-principle bound: contradiction")
     return ChainCertificate(
         m=m,
         k_constant=K_CONSTANT,

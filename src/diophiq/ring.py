@@ -14,7 +14,8 @@ floating point.
 
 The norm 4*N(u + v*w) = (2u - t*v)^2 + |D|*v^2 bounds both coordinates of
 a disk, and in the doubled coordinates z = (X + Y*sqrt(t^2 - 4n))/2,
-X = 2u - t*v, Y = v, a square root is found in closed form.
+X = 2u - t*v, Y = v, a square root is found in closed form.  sqrt_in_ring
+is the one root function: it returns the canonical root or None.
 """
 
 from __future__ import annotations
@@ -214,26 +215,17 @@ def sqrt_coords(spec: RingSpec, wu: int, wv: int, r: int) -> tuple[int, int] | N
     return u, y
 
 
-def sqrt_in_ring(w: RingElem) -> tuple[RingElem, ...]:
-    """All z in the ring with z*z == w; empty, {0}, or a +/- pair.
+def sqrt_in_ring(w: RingElem) -> RingElem | None:
+    """The canonical root of w, the z with z*z == w maximal in canonical
+    order (the other root is -z), or None when w is not a square.
 
     Necessary condition from norm multiplicativity: abs_sq(w) must be a
-    perfect square in Z; sqrt_coords then gives the root in closed form.
+    perfect square in Z; sqrt_coords then gives a root in closed form.
     """
     n = w.abs_sq()
     r = isqrt(n)
     root = sqrt_coords(w.spec, w.u, w.v, r) if r * r == n else None
     if root is None:
-        return ()
-    z = RingElem(*root, w.spec)
-    if z.is_zero():
-        return (z,)
-    return tuple(sorted((z, -z), key=RingElem.canonical_key))
-
-
-def canonical_sqrt(w: RingElem) -> RingElem | None:
-    """The square root maximal in canonical order, or None if w is not a square."""
-    roots = sqrt_in_ring(w)
-    if not roots:
         return None
-    return roots[-1]
+    z = RingElem(*root, w.spec)
+    return max(z, -z, key=RingElem.canonical_key)

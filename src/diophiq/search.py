@@ -267,13 +267,15 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
 
 
 def naive_find_m_tuples(cfg: SearchConfig) -> tuple[DiophTuple, ...]:
-    """Independent oracle: plain nested combinations with full verification."""
+    """Independent oracle: plain nested combinations, each verified once by make_tuple."""
     spec = cfg.spec
     elems = [z for z in enumerate_up_to(spec, cfg.max_abs_sq) if z.abs_sq() >= cfg.min_abs_sq]
     found = []
     for combo in itertools.combinations(elems, cfg.target_size):
-        if is_diophantine_tuple(spec, list(combo)):
-            found.append(make_tuple(spec, list(combo)))
+        try:
+            found.append(make_tuple(spec, combo))
+        except NotDiophantine:
+            continue
     found.sort(key=_tuple_key)
     return tuple(found)
 
@@ -321,7 +323,7 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
         for d in candidates
         if not d.is_zero()
         and d not in t.elems
-        and all(sqrt_in_ring(e * d + one) for e in others)
+        and all(sqrt_in_ring(e * d + one) is not None for e in others)
     ]
     return sorted(out, key=RingElem.canonical_key)
 
@@ -488,27 +490,30 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
 def _cache_load(
     cache_dir: str | None, cfg: SearchConfig
 ) -> tuple[list[DiophTuple], SearchStats] | None:
-    """(tuples, search stats) stored for cfg, or None to recompute."""
+    """(tuples, search stats) stored for cfg, or None to recompute; the tuples
+    strictly increasing in _tuple_key order and the counts ints, as stored."""
     if not cache_dir or cfg.mode != "find-all":
         return None
     try:  # no file raises FileNotFoundError: a miss like any unreadable file
         with open(_cache_path(cache_dir, cfg), "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         closing = json.loads(lines[-1]) if lines else {}
-        counts = tuple(int(x) for x in closing.get("stats", ()))
-        if closing.get("count") != len(lines) - 1 or len(counts) != 3:
-            return None  # no closing line, tuples missing, or no stats: recompute
-        tuples = []
+        counts = (closing.get("count"), *closing.get("stats", ()))
+        if len(counts) != 4 or any(type(x) is not int for x in counts) or counts[0] != len(lines) - 1:
+            return None  # no closing line, tuples missing, or no int stats: recompute
+        tuples, key = [], ()
         for line in lines[:-1]:
             t = DiophTuple.from_json_dict(json.loads(line))  # squares every witness; an older line has none
-            if t.spec.d != cfg.spec.d or len(t.elems) != cfg.target_size or not all(
-                cfg.min_abs_sq <= z.abs_sq() <= cfg.max_abs_sq for z in t.elems
+            k = _tuple_key(t)  # t's elements are in canonical order: k[0] has the least norm, k[-1] the largest
+            if k <= key or t.spec.d != cfg.spec.d or len(k) != cfg.target_size or not (
+                cfg.min_abs_sq <= k[0][0] and k[-1][0] <= cfg.max_abs_sq
             ):
-                return None  # a tuple of another query: recompute
+                return None  # out of order, repeated, or a tuple of another query: recompute
             tuples.append(t)
+            key = k
     except Exception:
         return None  # corrupt, stale or false (from_witnesses refused it): recompute
-    return tuples, SearchStats(*counts)
+    return tuples, SearchStats(*counts[1:])
 
 
 def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], stats: SearchStats) -> None:

@@ -4,8 +4,10 @@ A Diophantine m-tuple is a set of m distinct nonzero ring elements such
 that the product of any two distinct elements plus one is a perfect square
 in the ring.  Every check here is definition-level and exact: witnesses are
 actual square roots, stored and re-verified by squaring.  make_tuple finds
-them; a derived check (c_plus_minus, quadruple_extension_candidates) takes
-the verified DiophTuple and reads its witnesses, taking no root again.
+them.  c_plus_minus, quadruple_extension_candidates, forbidden_double_regular,
+omega_lower_bound and pair_products_not_square take the verified DiophTuple,
+read its witnesses and canonical order, and root none of its pairs again;
+regular_extensions squares its closed-form witnesses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from .ring import RingElem, RingSpec, canonical_sqrt, sqrt_in_ring
+from .ring import RingElem, RingSpec, sqrt_in_ring
 
 # a tuple as plain integers: its elements' coordinates, then its witnesses'
 Row = tuple[tuple[int, ...], tuple[int, ...]]
@@ -89,7 +91,7 @@ class DiophTuple:
             if (wu * wu - n * ww, 2 * wu * wv - t * ww) != (au * bu - n * ab + 1, au * bv + av * bu - t * ab):
                 raise NotDiophantine((i, j))
             if wu < 0 or (wu == 0 and wv < 0):
-                raise ValueError(f"witness of {(i, j)} is not the canonical root")  # canonical_sqrt's
+                raise ValueError(f"witness of {(i, j)} is not the canonical root")  # sqrt_in_ring's
             out[(i, j)] = RingElem(wu, wv, spec)
         return DiophTuple(spec, items, out)
 
@@ -114,12 +116,11 @@ def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
         raise DuplicateElement(f"elements not pairwise distinct: {listed} repeated")
     items.sort(key=RingElem.canonical_key)
     witnesses: dict[tuple[int, int], RingElem] = {}
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            w = canonical_sqrt(items[i] * items[j] + spec.one)
-            if w is None:
-                raise NotDiophantine((i, j))
-            witnesses[(i, j)] = w
+    for i, j in combinations(range(len(items)), 2):
+        w = sqrt_in_ring(items[i] * items[j] + spec.one)
+        if w is None:
+            raise NotDiophantine((i, j))
+        witnesses[(i, j)] = w
     return DiophTuple(spec, tuple(items), witnesses)
 
 
@@ -134,16 +135,19 @@ def is_diophantine_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> bool:
 def regular_extensions(a: RingElem, b: RingElem) -> tuple[RingElem, ...]:
     """The nonzero regular completions a+b+2r and a+b-2r of the pair {a, b}.
 
-    Each returned c satisfies ac+1 = (a+r)^2 and bc+1 = (b+r)^2, hence
-    {a, b, c} is a Diophantine triple; this is still re-verified exactly.
-    Raises make_tuple's error when {a, b} is not a Diophantine pair.
+    Each returned c = a+b+2s (s = +-r) satisfies ac+1 = (a+s)^2 and
+    bc+1 = (b+s)^2, hence {a, b, c} is a Diophantine triple; both identities
+    are checked by squaring.  Raises make_tuple's error when {a, b} is not a
+    Diophantine pair.
     """
     r = make_tuple(a.spec, [a, b]).witnesses[(0, 1)]
+    one = a.spec.one
     out = []
-    for c in (a + b + 2 * r, a + b - 2 * r):
+    for s in (r, -r):
+        c = a + b + 2 * s
         if c.is_zero() or c == a or c == b or c in out:
             continue
-        if not is_diophantine_tuple(a.spec, [a, b, c]):
+        if (a + s) * (a + s) != a * c + one or (b + s) * (b + s) != b * c + one:
             raise PostconditionViolated(f"regular completion {c} of {a}, {b}")
         out.append(c)
     return tuple(sorted(out, key=RingElem.canonical_key))
@@ -161,7 +165,7 @@ def quadruple_extension_candidates(t: DiophTuple) -> tuple[tuple[RingElem, ...],
     for d in set(c_plus_minus(t)):
         if d.is_zero() or d in t.elems:
             continue
-        if all(sqrt_in_ring(e * d + one) for e in t.elems):
+        if all(sqrt_in_ring(e * d + one) is not None for e in t.elems):
             verified.append(d)
         else:
             failed.append(d)
@@ -187,20 +191,37 @@ def c_plus_minus(t: DiophTuple) -> tuple[RingElem, RingElem]:
     return c_plus, c_minus
 
 
-def forbidden_double_regular(a: RingElem, b: RingElem, c: RingElem, d: RingElem) -> bool:
-    """True iff {c, d} is exactly {a+b-2r, a+b+2r} for a root r of ab+1.
+def _admissible_quadruple(t: DiophTuple) -> tuple[RingElem, ...]:
+    """t's elements, refused unless t has four and |a| >= 2 (t is sorted)."""
+    if len(t.elems) != 4:
+        raise PreconditionViolated(["need exactly four elements"])
+    if t.elems[0].abs_sq() < 4:
+        raise PreconditionViolated(["all elements need |z| >= 2"])
+    return t.elems
+
+
+def forbidden_double_regular(t: DiophTuple) -> bool:
+    """True iff the quadruple t = {a, b, c, d} has {c, d} = {a+b-2r, a+b+2r},
+    r its witness of ab + 1.
 
     Refutation check: no verified Diophantine quadruple with all elements of
     absolute value >= 2 may return True.
     """
-    for z in (a, b, c, d):
-        if z.is_zero():
-            raise PreconditionViolated(["all elements must be nonzero"])
-    if not (4 <= a.abs_sq() <= b.abs_sq() <= c.abs_sq() <= d.abs_sq()):
-        raise PreconditionViolated(["need 2 <= |a| <= |b| <= |c| <= |d|"])
+    a, b, c, d = _admissible_quadruple(t)
     # -r gives the same pair {a+b-2r, a+b+2r}, so one root decides
-    r = canonical_sqrt(a * b + a.spec.one)
-    return r is not None and {c, d} == {a + b - 2 * r, a + b + 2 * r}
+    r = t.witnesses[(0, 1)]
+    return {c, d} == {a + b - 2 * r, a + b + 2 * r}
+
+
+def omega_lower_bound(t: DiophTuple) -> tuple[bool, int]:
+    """Exact check 64*abs_sq(d) >= abs_sq(a)*abs_sq(b) for the quadruple t.
+
+    Returns (holds, margin) with margin = 64*abs_sq(d) - abs_sq(a)*abs_sq(b);
+    a negative margin would be a reportable counterexample to the theory.
+    """
+    na, nb, _, nd = (z.abs_sq() for z in _admissible_quadruple(t))
+    margin = 64 * nd - na * nb
+    return margin >= 0, margin
 
 
 def pair_products_not_square(t: DiophTuple) -> tuple[int, int] | None:
@@ -210,8 +231,7 @@ def pair_products_not_square(t: DiophTuple) -> tuple[int, int] | None:
     answer on a verified triple would contradict the underlying theory and
     is treated by callers as a reportable violation.
     """
-    for i in range(len(t.elems)):
-        for j in range(i + 1, len(t.elems)):
-            if sqrt_in_ring(t.elems[i] * t.elems[j]):
-                return (i, j)
+    for i, j in combinations(range(len(t.elems)), 2):
+        if sqrt_in_ring(t.elems[i] * t.elems[j]) is not None:
+            return (i, j)
     return None

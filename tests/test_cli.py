@@ -115,6 +115,25 @@ def test_verify_classical_quadruple(capsys):
     assert len(rep["payload"]["witnesses"]) == 6
 
 
+def test_verify_roots_each_pair_once(capsys, monkeypatch):
+    # make_tuple roots the six ab + 1 and pair_products_not_square the six ab;
+    # the Omega and double-regular checks read the verified quadruple
+    from diophiq import ring, search, tuples
+
+    calls = []
+    root = ring.sqrt_in_ring
+
+    def counting(w):
+        calls.append(w)
+        return root(w)
+
+    for module in (ring, search, tuples):
+        monkeypatch.setattr(module, "sqrt_in_ring", counting)
+    code, rep = run_json(capsys, *GOLDEN["verify_d-1_2_4_12_420"])
+    assert code == 0 and rep["payload"]["checks"]["forbidden_double_regular"] == "false"
+    assert len(calls) == 12
+
+
 def test_verify_violation_pair(capsys):
     code, rep = run_json(capsys, "verify", "--d", "-3", "--elems", "-2,0;2,0;2,4;-2,-4")
     assert code == 1
@@ -400,14 +419,15 @@ def test_cache_dir_has_no_environment_default(capsys, monkeypatch, tmp_path):
 
 
 def test_cli_import_loads_no_certified_arithmetic():
-    # search and extend run on the search layer alone; gap, exactreal, pell
-    # and mpmath load only when verify (quadruple checks), gap or chain runs
+    # search, extend and verify (a quadruple's checks too) run on the search
+    # layer alone; gap, exactreal, pell and mpmath load only when gap or chain runs
     src = str(Path(diophiq.__file__).parents[1])
     code = (
         "import contextlib, io, sys, diophiq.cli\n"
         "certified = ('diophiq.gap', 'diophiq.exactreal', 'diophiq.pell', 'mpmath')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    diophiq.cli.main(['extend', '--d', '-1', '--elems=1,0;3,0;8,0', '--bound', '30'])\n"
+        "    diophiq.cli.main(['verify', '--d', '-1', '--elems=2,0;4,0;12,0;420,0'])\n"
         "print(sorted(m for m in certified if m in sys.modules))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    diophiq.cli.main(['chain', '--m', '43'])\n"
@@ -435,3 +455,46 @@ def test_chain_reports_digest_is_pinned(capsys):
     lines = _chain_report_lines(capsys)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert {"m": [4, 60], "sha256": digest} == json.loads(CHAIN_DIGEST.read_text())
+
+
+def test_broken_pipe_exits_with_the_outcome_code():
+    # a reader that stops after one line (`| head -1`) closes the pipe while the
+    # 152 kB report is still being written: no traceback, and exit 0 for "ok"
+    src = str(Path(diophiq.__file__).parents[1])
+    argv = ["search", "--d", "-1", "--bound", "16", "--size", "3", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diophiq.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def _swap_first_two(lines):
+    return [lines[1], lines[0], *lines[2:]]
+
+
+def _repeat_first(lines):
+    return [lines[0], lines[0], *lines[2:]]
+
+
+def _stats_not_ints(lines):
+    return [*lines[:-1], json.dumps({"count": len(lines) - 1, "stats": [84.9, "3486", True]})]
+
+
+@pytest.mark.parametrize("corrupt", [_swap_first_two, _repeat_first, _stats_not_ints])
+def test_corrupted_cache_file_is_recomputed(capsys, tmp_path, corrupt):
+    # tuples out of order or repeated, or counts that int() would accept, are a
+    # miss: the warm run recomputes, rewrites the file and prints the cold report
+    argv = ["search", "--d", "-2", "--bound", "6", "--size", "3", "--cache-dir", str(tmp_path), "--format", "json"]
+    cold = run_cli(capsys, *argv)
+    (path,) = tmp_path.iterdir()
+    stored = path.read_text()
+    lines = stored.splitlines()
+    assert json.loads(lines[-1]) == {"count": 38, "stats": [84, 3486, 158]}
+    path.write_text("\n".join(corrupt(lines)) + "\n")
+    assert run_cli(capsys, *argv) == cold
+    assert path.read_text() == stored

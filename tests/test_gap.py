@@ -25,11 +25,10 @@ from diophiq.gap import (
     gap_hypotheses,
     gap_principle,
     jz_quantities,
-    omega_lower_bound,
 )
 from diophiq.pell import build_system, solution_from_extension
 from diophiq.ring import RingSpec
-from diophiq.tuples import make_tuple
+from diophiq.tuples import make_tuple, omega_lower_bound
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -71,7 +70,7 @@ def test_approx_check_positive():
         sol = solution_from_extension(sys, spec.elem(*ext))
         if d == -1:  # triple {2, 4, 420} extended by 12: |c|=420 > 4|b|=16, |a|=2
             assert (sol.x.u, sol.y.u, sol.z.u) == (5, 7, 71)
-        rep = approx_check(a, b, c, sol)
+        rep = approx_check(sys, sol)
         assert isinstance(rep, ApproxReport)
         assert rep.slack_theta1 > 0, d
         assert rep.slack_cap1 > 0, d
@@ -85,10 +84,10 @@ def test_approx_check_false_margin_names_inequality(monkeypatch):
     monkeypatch.setattr(gap, "_branch_distance", lambda *args: const(1))
     d, triple, ext = APPROX_CASES[1]
     spec = RingSpec(d)
-    a, b, c = (spec.elem(u, v) for u, v in triple)
-    sol = solution_from_extension(build_system(a, b, c), spec.elem(*ext))
+    sys = build_system(*(spec.elem(u, v) for u, v in triple))
+    sol = solution_from_extension(sys, spec.elem(*ext))
     with pytest.raises(TheoremInapplicable) as ei:
-        approx_check(a, b, c, sol)
+        approx_check(sys, sol)
     assert "|theta_1 - q_1| <= bound_1" in str(ei.value)
     assert "|theta_2 - q_2| <= bound_2" in str(ei.value)
     assert "bound_1 < cap" not in str(ei.value)
@@ -99,19 +98,29 @@ def test_approx_check_gap_precondition():
     sys = build_system(D1.elem(1), D1.elem(3), D1.elem(8))
     sol = solution_from_extension(sys, D1.elem(120))
     with pytest.raises(PreconditionViolated) as ei:
-        approx_check(D1.elem(1), D1.elem(3), D1.elem(8), sol)
+        approx_check(sys, sol)
     assert "|c| > 4|b|" in ei.value.failures
     assert "|a| >= 2" in ei.value.failures
 
 
 def test_approx_check_unit_a_rejected():
     # |a| = 1 alone trips the hypothesis even when the gap condition holds
-    a, b, c = D1.elem(1), D1.elem(3), D1.elem(120)
-    sys = build_system(a, b, c)
+    sys = build_system(D1.elem(1), D1.elem(3), D1.elem(120))
     sol = solution_from_extension(sys, D1.elem(8))
     with pytest.raises(PreconditionViolated) as ei:
-        approx_check(a, b, c, sol)
+        approx_check(sys, sol)
     assert "|a| >= 2" in ei.value.failures
+
+
+def test_approx_check_hypotheses_read_the_sorted_triple():
+    # built from (3, 1, 120), the system's triple is (1, 3, 120): |a| = 1 is
+    # refused whatever order the caller gave
+    sys = build_system(D1.elem(3), D1.elem(1), D1.elem(120))
+    assert (sys.a, sys.b, sys.c) == (D1.elem(1), D1.elem(3), D1.elem(120))
+    sol = solution_from_extension(sys, D1.elem(8))
+    with pytest.raises(PreconditionViolated) as ei:
+        approx_check(sys, sol)
+    assert ei.value.failures == ["|a| >= 2"]
 
 
 # --- jz_quantities ----------------------------------------------------------

@@ -8,7 +8,6 @@ from diophiq.errors import MixedRings
 from diophiq.ring import (
     RingElem,
     RingSpec,
-    canonical_sqrt,
     elements_with_abs_sq,
     enumerate_up_to,
     is_squarefree,
@@ -135,13 +134,13 @@ def test_conj_is_ring_homomorphism_and_involution(spec, a, b):
 
 
 def test_sqrt_in_ring():
-    assert sqrt_in_ring(D3.zero) == (D3.zero,)
+    assert sqrt_in_ring(D3.zero) == D3.zero
     # 13 is not a square in d=-3
-    assert sqrt_in_ring(D3.elem(13, 0)) == ()
-    roots = sqrt_in_ring(D3.elem(5, 8))
-    assert set(roots) == {D3.elem(3, 2), D3.elem(-3, -2)}
-    assert canonical_sqrt(D3.elem(5, 8)) == D3.elem(3, 2)
-    assert canonical_sqrt(D3.elem(13, 0)) is None
+    assert sqrt_in_ring(D3.elem(13, 0)) is None
+    # the roots of 5 + 8w are +-(3 + 2w); the canonical one is the larger in canonical order
+    assert sqrt_in_ring(D3.elem(5, 8)) == D3.elem(3, 2)
+    assert sqrt_in_ring(D3.elem(-3, 2) * D3.elem(-3, 2)) == D3.elem(3, -2)
+    assert sqrt_in_ring(D1.elem(0, -1) * D1.elem(0, -1)) == D1.elem(0, 1)
 
 
 @given(
@@ -152,11 +151,9 @@ def test_sqrt_in_ring():
 def test_sqrt_round_trip(spec, a):
     z = spec.elem(*a)
     w = z * z
-    roots = sqrt_in_ring(w)
-    assert z in roots
-    for r in roots:
-        assert r * r == w
-        assert -r in roots or r.is_zero()
+    root = sqrt_in_ring(w)
+    assert root in (z, -z)
+    assert root.canonical_key() >= (-root).canonical_key()
 
 
 def _sqrt_by_norm_form(w: RingElem) -> tuple[RingElem, ...]:
@@ -191,7 +188,9 @@ def test_sqrt_matches_norm_form_search(spec, a, kind):
         "norm": spec.elem(z.abs_sq()),     # likewise
         "times_conj": z * z.conj() * z,    # abs_sq = abs_sq(z)^3
     }[kind]
-    assert sqrt_in_ring(w) == _sqrt_by_norm_form(w)
+    root, roots = sqrt_in_ring(w), _sqrt_by_norm_form(w)
+    assert root == (roots[-1] if roots else None)
+    assert set(roots) == (set() if root is None else {root, -root})
 
 
 def test_elements_with_abs_sq():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from diophiq import search, tuples
 from diophiq.errors import NotDiophantine
-from diophiq.ring import RingElem, RingSpec, canonical_sqrt, enumerate_up_to, iter_disk_coords
+from diophiq.ring import RingElem, RingSpec, elements_with_abs_sq, enumerate_up_to, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
     _cliques_of_size,
@@ -93,20 +93,42 @@ def test_census_double_regular_matches_paper():
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7])
 def test_census_pairs_have_two_admissible_regular_branches(d):
-    # oracle: both branches a+b-2r, a+b+2r of the canonical root r are
-    # distinct, nonzero and outside {a, b}
+    # oracle: both branches a+b-2r, a+b+2r of a root r of ab + 1 (either
+    # root gives the same pair), found by norm-form search, are distinct,
+    # nonzero and outside {a, b}
     spec = RingSpec(d)
     census = census_double_regular_triples(spec, 1, 20)
     expected = []
     for a, b in itertools.combinations(enumerate_up_to(spec, 20), 2):
-        r = canonical_sqrt(a * b + spec.one)
-        if r is None:
+        w = a * b + spec.one
+        roots = [z for z in elements_with_abs_sq(spec, isqrt(w.abs_sq())) if z * z == w]
+        if not roots:
             continue
+        r = roots[0]
         branch = {a + b - 2 * r, a + b + 2 * r}
         if len(branch) == 2 and not any(c.is_zero() or c in (a, b) for c in branch):
             expected.append(((a, b), branch))
     assert expected
     assert [(c["pair"], set(c["branches"])) for c in census.configurations] == expected
+
+
+def test_census_roots_each_triple_once(monkeypatch):
+    # regular_extensions squares its closed-form witnesses, so make_tuple runs
+    # once per pair of the 68 elements, once per configuration's union and
+    # once per triple, two per configuration
+    calls = []
+    make = tuples.make_tuple
+
+    def counting(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(search, "make_tuple", counting)
+    monkeypatch.setattr(tuples, "make_tuple", counting)
+    census = census_double_regular_triples(D1, 1, 20)
+    configs = len(census.configurations)
+    assert (configs, len(census.triples)) == (106, 150)
+    assert len(calls) == 68 * 67 // 2 + configs + 2 * configs == 2596
 
 
 def test_clique_search_equals_naive_oracle():

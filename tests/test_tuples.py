@@ -134,22 +134,23 @@ def test_c_plus_minus_identity_on_random_triples(spec):
 
 
 def test_forbidden_double_regular():
-    assert forbidden_double_regular(
-        D3.elem(-2), D3.elem(2), NEG_TWO_ROOT3, TWO_ROOT3
-    )
-    assert not forbidden_double_regular(
-        D1.elem(1) * 2, D1.elem(2) * 2, D1.elem(6) * 2, D1.elem(210) * 2
-    )
+    # the lemma: no verified quadruple is double regular, so the True branch
+    # needs a hand-built DiophTuple; {-2, 2, -+2sqrt(-3)} fails only at
+    # 12 + 1 = 13, and the check reads no witness but r = sqrt(-3) of ab + 1
+    r = make_tuple(D3, [D3.elem(-2), D3.elem(2)]).witnesses[(0, 1)]
+    elems = (D3.elem(-2), D3.elem(2), NEG_TWO_ROOT3, TWO_ROOT3)
+    assert forbidden_double_regular(DiophTuple(D3, elems, {(0, 1): r}))
+    assert not is_diophantine_tuple(D3, elems)
     with pytest.raises(PreconditionViolated):
-        forbidden_double_regular(D1.elem(1), D1.elem(3), D1.elem(8), D1.elem(120))
+        forbidden_double_regular(make_tuple(D1, ints(D1, 1, 3, 8, 120)))  # |a| = 1
     with pytest.raises(PreconditionViolated):
-        forbidden_double_regular(D1.elem(1), D1.elem(3), D1.zero, D1.elem(8))
+        forbidden_double_regular(make_tuple(D1, ints(D1, 2, 4, 12)))
 
 
 def test_forbidden_quadruple_2_4_12_420():
     # {2,4,12,420}: 12 is a regular completion of {2,4} but 420 is not the
     # other branch (that would be 0), so the configuration is allowed.
-    assert not forbidden_double_regular(*ints(D1, 2, 4, 12, 420))
+    assert not forbidden_double_regular(make_tuple(D1, ints(D1, 2, 4, 12, 420)))
 
 
 @pytest.mark.parametrize("spec", RINGS)
