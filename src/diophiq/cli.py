@@ -18,6 +18,12 @@ An input refused before any report (by argparse, or by a ValueError such
 as an unusable --cache-dir) prints one stderr line and exits 2.  A reader
 closing stdout early (`| head`) changes neither the exit code nor stderr.
 
+The JSON format is written by _json, the one report writer: the bytes of
+json.dumps(report, sort_keys=True, indent=2), whose indent makes the stdlib
+fall back to its pure-Python encoder, written directly.  A report holds
+only dicts with str keys, lists, str and int, and _json refuses any other
+value (a float, bool or None) rather than print it some other way.
+
 Importing this module loads only the search layer.  Only `gap` and `chain`
 load `gap`, and with it `exactreal`, `pell` and mpmath, when they run;
 `search`, `verify` and `extend` never load them.
@@ -26,10 +32,10 @@ load `gap`, and with it `exactreal`, `pell` and mpmath, when they run;
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import K_CONSTANT
 from .errors import (
@@ -118,9 +124,48 @@ def _report(command: str, config: dict, outcome: str, payload: dict) -> dict:
     }
 
 
+def _json(report: dict) -> str:
+    """json.dumps(report, sort_keys=True, indent=2) for a report of dicts
+    with str keys, lists, str and int; TypeError for any other value."""
+    out: list[str] = []
+    write = out.append
+
+    def put(value, indent: str) -> None:
+        kind = type(value)
+        if kind is str:
+            write(encode_basestring_ascii(value))
+        elif kind is int:
+            write(int.__repr__(value))
+        elif kind is not dict and kind is not list:
+            raise TypeError(f"no report form for {kind.__name__} {value!r}")
+        elif not value:
+            write("{}" if kind is dict else "[]")
+        else:
+            inner = indent + "  "
+            sep, comma = ("{" if kind is dict else "[") + inner, "," + inner
+            if kind is list:
+                for item in value:
+                    write(sep)
+                    put(item, inner)
+                    sep = comma
+            elif any(type(k) is not str for k in value):
+                raise TypeError(f"report keys must be str: {list(value)!r}")
+            else:
+                for k, item in sorted(value.items()):
+                    write(sep)
+                    write(encode_basestring_ascii(k))
+                    write(": ")
+                    put(item, inner)
+                    sep = comma
+            write(indent + ("]" if kind is list else "}"))
+
+    put(report, "\n")
+    return "".join(out)
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json(report))
         return
     print(f"{report['command']}: {report['outcome']}")
     for key, value in sorted(report["config"].items()):

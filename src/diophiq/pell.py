@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import PostconditionViolated, PreconditionViolated
-from .ring import RingElem
-from .tuples import make_tuple
+from .errors import NotDiophantine, PostconditionViolated, PreconditionViolated
+from .ring import RingElem, sqrt_in_ring
+from .tuples import canonical_elements, make_tuple
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,23 @@ def second_equation_holds(sys: PellSystem, z: RingElem, y: RingElem) -> bool:
 
 
 def solution_from_extension(sys: PellSystem, d: RingElem) -> PellSolution:
-    """Canonical (x, y, z) for an exact extension d of the system's triple:
-    the witnesses make_tuple finds for {a, b, c, d}, whose error it raises
-    when d is no extension."""
-    quad = make_tuple(sys.a.spec, [sys.a, sys.b, sys.c, d])
-    i = quad.elems.index(d)
-    x, y, z = (quad.witnesses[tuple(sorted((i, quad.elems.index(e))))] for e in (sys.a, sys.b, sys.c))
-    sol = PellSolution(x, y, z)
+    """Canonical (x, y, z) for an exact extension d of the system's triple.
+
+    The triple's own pairs were rooted by build_system, so only e*d + 1 is
+    rooted, for each e of the triple.  The refusals are make_tuple's on
+    {a, b, c, d}: canonical_elements' errors, and NotDiophantine carrying
+    the first failing pair indexed in the sorted quadruple.
+    """
+    one = sys.a.spec.one
+    quad = canonical_elements(sys.a.spec, [sys.a, sys.b, sys.c, d])
+    i = quad.index(d)
+    roots = {}
+    for k, e in enumerate(quad):  # the pairs with d, in make_tuple's order
+        if k != i:
+            roots[e] = sqrt_in_ring(e * d + one)
+            if roots[e] is None:
+                raise NotDiophantine((min(i, k), max(i, k)))
+    sol = PellSolution(roots[sys.a], roots[sys.b], roots[sys.c])
     if not (first_equation_holds(sys, sol.z, sol.x) and second_equation_holds(sys, sol.z, sol.y)):
         raise PostconditionViolated(f"the Pell system at d = {d}")
     return sol

@@ -25,9 +25,14 @@ counts.
 A tuple's square roots are taken once, by the make_tuple that builds it from
 the clique search's elements.  Every stored copy, a cache line, a worker's
 row or a rational-only ring's copy of the pass's tuple, is its elements and
-witnesses as plain integers (DiophTuple.to_row), read back through
-DiophTuple.from_witnesses, which squares each witness in the copy's own ring:
-a rational-only copy's witnesses are rational integers, roots there too.
+witnesses as plain integers (DiophTuple.to_row).  _cache_load checks a cache
+line's form on those integers: ring, size, int coordinates, canonical order
+and norm range.  The one check of its arithmetic is DiophTuple.from_witnesses,
+which squares each witness in the copy's own ring (a rational-only copy's
+witnesses are rational integers, roots there too): find_m_tuples runs it on a
+hit, and a sweep's parent on every row, so a pool worker ships a hit's rows
+as read.  A row it refuses sends the ring back through find_m_tuples, which
+recomputes it and rewrites the file, so a false line never changes a result.
 
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import NotDiophantine
+from .errors import NotDiophantine, ZeroElement
 from .ring import (
     RingElem,
     RingSpec,
@@ -239,16 +244,27 @@ def _tuple_key(t: DiophTuple) -> tuple:
     return tuple(z.canonical_key() for z in t.elems)
 
 
+def _from_rows(spec: RingSpec, rows: list[Row]) -> list[DiophTuple] | None:
+    """Each row checked by DiophTuple.from_witnesses in spec's ring, or None
+    if it refuses one."""
+    try:
+        return [DiophTuple.from_witnesses(spec, *row) for row in rows]
+    except (NotDiophantine, ZeroElement, TypeError, ValueError):
+        return None
+
+
 def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResult:
     """Complete bounded search; see module docstring for the method.
 
     Results are canonicalized (elements sorted, tuples sorted, duplicates
     impossible by construction) so identical configs give identical output
-    regardless of scheduling.
+    regardless of scheduling.  A cache hit's rows are checked by
+    from_witnesses; if it refuses one, the search runs and rewrites the file.
     """
     cached = _cache_load(cache_dir, cfg)
-    if cached is not None:
-        tuples, stats = cached
+    tuples = _from_rows(cfg.spec, cached[0]) if cached is not None else None
+    if tuples is not None:
+        stats = cached[1]
     else:
         spec = cfg.spec
         vertices = enumerate_up_to(spec, cfg.max_abs_sq, cfg.min_abs_sq)
@@ -413,8 +429,15 @@ class SweepReport:
 
 
 def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[Row], SearchStats]:
+    """One pooled ring's rows and counts: a cache hit's as read, for the
+    parent's from_witnesses to check, or else its search's, stored."""
     d, b_sq, size, cache_dir = args
-    res = find_m_tuples(SearchConfig(RingSpec(d), b_sq, size), cache_dir)
+    cfg = SearchConfig(RingSpec(d), b_sq, size)
+    cached = _cache_load(cache_dir, cfg)
+    if cached is not None:
+        return d, *cached
+    res = find_m_tuples(cfg)  # no cache_dir: a miss reads the file once
+    _cache_store(cache_dir, cfg, list(res.tuples), res.stats)
     return d, [t.to_row() for t in res.tuples], res.stats
 
 
@@ -442,10 +465,15 @@ def quintuple_sweep(
     shared_rows = [t.to_row() for t in shared.tuples]
     raw += [(d, shared_rows, shared.stats) for d in rational_only]
     raw.sort(key=lambda item: -item[0])
-    found = []
-    for d, rows, _stats in raw:
+    found, ring_stats = [], []
+    for d, rows, stats in raw:
         spec = RingSpec(d)
-        found += [DiophTuple.from_witnesses(spec, *row) for row in rows]
+        tuples = _from_rows(spec, rows)
+        if tuples is None:  # a false cache line: the ring's own search refuses it and rewrites the file
+            res = find_m_tuples(SearchConfig(spec, b_sq, size), cache_dir)
+            tuples, stats = list(res.tuples), res.stats
+        found += tuples
+        ring_stats.append(stats)
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
     return SweepReport(
         rings_checked=tuple(rings),
@@ -459,7 +487,7 @@ def quintuple_sweep(
             "rings": len(rings),
         },
         conjecture_violations=violations,
-        stats=SearchStats(*map(sum, zip(*(stats for _d, _t, stats in raw)))),
+        stats=SearchStats(*map(sum, zip(*ring_stats))),
     )
 
 
@@ -487,11 +515,16 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
     return os.path.join(cache_dir, name + ".jsonl")
 
 
-def _cache_load(
-    cache_dir: str | None, cfg: SearchConfig
-) -> tuple[list[DiophTuple], SearchStats] | None:
-    """(tuples, search stats) stored for cfg, or None to recompute; the tuples
-    strictly increasing in _tuple_key order and the counts ints, as stored."""
+def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], SearchStats] | None:
+    """(rows, search stats) stored for cfg, or None to recompute.
+
+    Checks each line's form on its integers, with no RingElem or RingSpec
+    built: cfg's ring, cfg's size, int coordinates, elements strictly
+    increasing in canonical order (abs_sq, u, v) within the line and lines
+    in _tuple_key order, every norm in cfg's range, and a closing line with
+    the int counts.  Whether each witness squares to its pair's product plus
+    one is left to the caller's from_witnesses.
+    """
     if not cache_dir or cfg.mode != "find-all":
         return None
     try:  # no file raises FileNotFoundError: a miss like any unreadable file
@@ -501,19 +534,25 @@ def _cache_load(
         counts = (closing.get("count"), *closing.get("stats", ()))
         if len(counts) != 4 or any(type(x) is not int for x in counts) or counts[0] != len(lines) - 1:
             return None  # no closing line, tuples missing, or no int stats: recompute
-        tuples, key = [], ()
+        d, t, n, m = cfg.spec.d, cfg.spec.t, cfg.spec.n, cfg.target_size
+        rows, key = [], ()
         for line in lines[:-1]:
-            t = DiophTuple.from_json_dict(json.loads(line))  # squares every witness; an older line has none
-            k = _tuple_key(t)  # t's elements are in canonical order: k[0] has the least norm, k[-1] the largest
-            if k <= key or t.spec.d != cfg.spec.d or len(k) != cfg.target_size or not (
+            data = json.loads(line)
+            elems, witnesses = tuple(data["elems"]), tuple(data["witnesses"])  # an older line has no witnesses
+            if data["d"] != d or len(elems) != 2 * m or len(witnesses) != m * (m - 1) or any(
+                type(x) is not int for x in (*elems, *witnesses)
+            ):
+                return None  # another ring or size, or not int coordinates: recompute
+            k = tuple((u * (u - t * v) + n * v * v, u, v) for u, v in zip(elems[::2], elems[1::2]))
+            if k <= key or any(a >= b for a, b in zip(k, k[1:])) or not (
                 cfg.min_abs_sq <= k[0][0] and k[-1][0] <= cfg.max_abs_sq
             ):
-                return None  # out of order, repeated, or a tuple of another query: recompute
-            tuples.append(t)
+                return None  # out of order, repeated, or a norm outside the query: recompute
+            rows.append((elems, witnesses))
             key = k
     except Exception:
-        return None  # corrupt, stale or false (from_witnesses refused it): recompute
-    return tuples, SearchStats(*counts[1:])
+        return None  # corrupt or stale: recompute
+    return rows, SearchStats(*counts[1:])
 
 
 def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], stats: SearchStats) -> None:

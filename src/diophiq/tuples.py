@@ -35,9 +35,11 @@ class DiophTuple:
     """A verified m-tuple: sorted elements plus one witness per pair.
 
     witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  make_tuple
-    builds one from bare elements and finds each root; every stored copy (a
-    worker's row, a cache line) is read back through from_witnesses, which
-    squares those roots.  So holding a DiophTuple is holding a proof.
+    builds one from bare elements and finds each root.  A stored copy (a
+    cache line, a worker's row) becomes one only through from_witnesses, which
+    squares those roots: the cache load checks a line's form, not its
+    arithmetic, so find_m_tuples squares a hit's rows and a sweep's parent
+    every row it reports, each once.  So holding a DiophTuple is holding a proof.
     """
 
     spec: RingSpec
@@ -51,6 +53,7 @@ class DiophTuple:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
+        """to_json_dict's line read back through from_witnesses."""
         return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])
 
     def to_row(self) -> Row:
@@ -96,12 +99,9 @@ class DiophTuple:
         return DiophTuple(spec, items, out)
 
 
-def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
-    """Sort, verify all pairwise products, and assemble the witness map.
-
-    Raises NotDiophantine carrying the first violating pair (i, j) in the
-    sorted order.
-    """
+def canonical_elements(spec: RingSpec, elems: Iterable[RingElem]) -> list[RingElem]:
+    """elems in canonical order, refused unless there is one, each is a
+    nonzero element of spec's ring, and no two are equal."""
     items = list(elems)
     if not items:
         raise ValueError("empty tuple")
@@ -115,6 +115,16 @@ def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
         listed = ";".join(f"{z.u},{z.v}" for z in repeated)
         raise DuplicateElement(f"elements not pairwise distinct: {listed} repeated")
     items.sort(key=RingElem.canonical_key)
+    return items
+
+
+def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
+    """Sort, verify all pairwise products, and assemble the witness map.
+
+    Raises canonical_elements' refusals, and NotDiophantine carrying the
+    first violating pair (i, j) in the sorted order.
+    """
+    items = canonical_elements(spec, elems)
     witnesses: dict[tuple[int, int], RingElem] = {}
     for i, j in combinations(range(len(items)), 2):
         w = sqrt_in_ring(items[i] * items[j] + spec.one)

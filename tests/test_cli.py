@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import diophiq
-from diophiq.cli import main
+from diophiq.cli import _json, main
 
 DATA = Path(__file__).parent / "data"
 CHAIN_DIGEST = DATA / "chain_reports_digest.json"
@@ -382,6 +384,39 @@ def test_golden_report(capsys, name, fmt):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (DATA / f"{name}.{'json' if fmt == 'json' else 'txt'}").read_text()
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+def test_report_writer_matches_json_dumps_on_goldens(path):
+    value = json.loads(path.read_text())
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# nested payloads of str and int, the report's value types: empty containers,
+# non-ASCII text, control characters and ints of any size included
+PAYLOADS = st.recursive(
+    st.text() | st.integers() | st.integers(min_value=-(10**40), max_value=10**40),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(PAYLOADS)
+@example({})
+@example([])
+@example({"": [], "\u00e9\u2028\U0001f600": {"\x00\x1f\x7f\"\\/": -(10**30)}})
+def test_report_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), True, False, None, (1, 2), {1: "a"}, {"a": [0, None]}, {"a": {"b": 2.0}}, [{(1,): 1}]],
+    ids=repr,
+)
+def test_report_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        _json(value)
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_REPORTS))

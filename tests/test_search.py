@@ -678,8 +678,8 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
 
 def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
     # a well-formed row in the query's range, with a matching closing line, but
-    # 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square): only the load's
-    # from_witnesses can refuse it, the one check a warm ring keeps
+    # 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square): the load passes its
+    # form, and only find_m_tuples' from_witnesses on the hit can refuse it
     cfg = SearchConfig(D1, 64, 3)
     data = {"d": -1, "elems": [1, 0, 3, 0, 7, 0], "witnesses": [2, 0, 3, 0, 5, 0]}
     with pytest.raises(NotDiophantine) as refused:
@@ -694,9 +694,43 @@ def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
     assert res.tuples == fresh.tuples and _counts(res.stats) == _counts(fresh.stats)
 
 
+def _swap_first_two_elements(data):
+    xs = data["elems"]
+    data["elems"] = xs[2:4] + xs[:2] + xs[4:]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: data["elems"].__setitem__(0, 1.0),
+        lambda data: data["witnesses"].__setitem__(1, False),
+        lambda data: data.__setitem__("d", -2),
+        lambda data: data.__setitem__("elems", data["elems"][:-2]),
+        lambda data: data.__setitem__("witnesses", data["witnesses"][:-2]),
+        lambda data: data["elems"].__setitem__(slice(0, 2), [0, 0]),
+        _swap_first_two_elements,
+        lambda data: data.pop("witnesses"),
+    ],
+    ids=["float", "bool", "ring", "size", "witnesses", "zero", "order", "no-witnesses"],
+)
+def test_cache_load_checks_each_line_on_its_integers(tmp_path, corrupt):
+    # the form checks a pool worker makes before it ships a hit's rows unchecked
+    cfg = SearchConfig(D1, 64, 3)
+    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert search._cache_load(str(tmp_path), cfg) == ([t.to_row() for t in res.tuples], res.stats)
+    path = tmp_path / "d-1_b64_m3.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    data = json.loads(lines[-2])  # the last tuple: no line after it to be out of order with
+    corrupt(data)
+    lines[-2] = json.dumps(data, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    assert search._cache_load(str(tmp_path), cfg) is None
+
+
 def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
     # a warm sweep takes square roots only in the rational pass, which uses no
-    # cache; the workers' cache loads and the parent square stored witnesses
+    # cache; a worker ships a cache hit's rows as read, and the parent squares
+    # each reported tuple's stored witnesses once
     cache = str(tmp_path)
     cold = quintuple_sweep(64, 3, workers=1, cache_dir=cache)  # |z| <= 8 holds {1, 3, 8}
     calls = collections.Counter()
@@ -728,12 +762,55 @@ def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
     assert warm == cold
     folded = set(_folded_rings(64))
     searched = sum(t.spec.d not in folded for t in warm.tuples)
-    assert warm.rational_pass_tuples and len(warm.tuples) > searched
+    assert warm.rational_pass_tuples and len(warm.tuples) > searched > 0
     assert calls == {
         ("make_tuple", "rational_integer_pass"): len(warm.rational_pass_tuples),
-        ("from_witnesses", "_sweep_one"): searched,
         ("from_witnesses", "parent"): len(warm.tuples),
     }
+
+
+def _plant(path, line):
+    """Put the tuple line in the cache file at path in place of the line that
+    follows it in _tuple_key order, so the file stays in order."""
+    def key(text):
+        data = json.loads(text)
+        spec, xs = RingSpec(data["d"]), data["elems"]
+        return tuple(spec.elem(u, v).canonical_key() for u, v in zip(xs[::2], xs[1::2]))
+
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, old in enumerate(lines[:-1]) if key(old) > key(line))
+    assert at + 1 == len(lines) - 1 or key(line) < key(lines[at + 1])
+    lines[at] = line + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_warm_sweep_recomputes_false_and_out_of_range_lines(tmp_path, monkeypatch, workers):
+    # a false line passes the worker's load, which checks form only, and the
+    # parent's from_witnesses refuses it; an out-of-range line is a miss in
+    # the worker.  Either way the ring is searched again and its file rewritten
+    cache = tmp_path / "cache"
+    cold = quintuple_sweep(64, 3, workers=1, cache_dir=str(cache))
+    files = {p.name: p.read_bytes() for p in cache.iterdir()}
+    false = {"d": -1, "elems": [1, 0, 3, 0, 7, 0], "witnesses": [2, 0, 3, 0, 5, 0]}  # 1*7 + 1 = 8
+    beyond = {"d": -2, "elems": [1, 0, 3, 0, 120, 0], "witnesses": [2, 0, 11, 0, 19, 0]}  # abs_sq(120) > 64
+    DiophTuple.from_json_dict(beyond)  # a true triple, of a larger bound
+    for data in (false, beyond):
+        _plant(cache / f"d{data['d']}_b64_m3.jsonl", json.dumps(data, sort_keys=True))
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} != files
+    reruns = []
+    find = search.find_m_tuples
+
+    def recording(cfg, cache_dir=None):
+        if cache_dir:
+            reruns.append(cfg.spec.d)
+        return find(cfg, cache_dir)
+
+    monkeypatch.setattr(search, "find_m_tuples", recording)
+    warm = quintuple_sweep(64, 3, workers=workers, cache_dir=str(cache))
+    assert warm == cold
+    assert reruns == [-1]  # the parent's search of the ring whose row it refused
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
 
 
 def test_strong_bound_check_takes_no_square_root(monkeypatch):
@@ -787,7 +864,7 @@ def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
     with pytest.raises(AttributeError):
         search._cache_store(str(tmp_path), cfg, [res.tuples[0], None], res.stats)
     assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
-    assert search._cache_load(str(tmp_path), cfg) == (list(res.tuples), res.stats)
+    assert search._cache_load(str(tmp_path), cfg) == ([t.to_row() for t in res.tuples], res.stats)
 
 
 @pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])
