@@ -15,8 +15,9 @@ to the exit code:
     error          2  (the input is refused: the report gives the reason)
 
 An input refused before any report (by argparse, or by a ValueError such
-as an unusable --cache-dir) prints one stderr line and exits 2.  A reader
-closing stdout early (`| head`) changes neither the exit code nor stderr.
+as an unusable --cache-dir or a cache store that fails) prints one stderr
+line and exits 2.  A reader closing stdout early (`| head`) changes neither
+the exit code nor stderr.
 
 The JSON format is written by _json, the one report writer: the bytes of
 json.dumps(report, sort_keys=True, indent=2), whose indent makes the stdlib
@@ -209,39 +210,41 @@ def cmd_search(args) -> tuple[dict, str, dict]:
         "mode": args.mode,
         "expect_empty": str(bool(args.expect_empty)).lower(),
     }
-    if args.cache_dir:
-        try:  # here, not at the first cache write: exit 1 means "tuple found"
+    try:  # first the directory, before any ring is searched, then each store into it
+        if args.cache_dir:
             os.makedirs(args.cache_dir, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"--cache-dir {args.cache_dir} is not a usable directory: {exc.strerror}") from None
-    if args.sweep:
-        if args.mode != "find-all" or args.min_sq != 1:
-            raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")
-        config["sweep"] = "true"
-        rep = quintuple_sweep(b_sq, args.size, workers=args.threads, cache_dir=args.cache_dir)
-        payload = {
-            "rings_checked": str(len(rep.rings_checked)),
-            "completeness": {k: str(v) for k, v in rep.completeness.items()},
-            "tuples": [_tuple_payload(t) for t in rep.tuples],
-            "rational_pass_tuples": [",".join(map(str, xs)) for xs in rep.rational_pass_tuples],
-            "conjecture_violations": [_tuple_payload(t) for t in rep.conjecture_violations],
-        }
-        stats, found = rep.stats, not rep.is_empty
-    else:
-        if args.threads is not None:
-            raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
-        config["d"] = str(args.d)
-        if args.min_sq != 1:
-            config["min_sq"] = str(args.min_sq)
-        cfg = SearchConfig(
-            RingSpec(args.d), b_sq, args.size, mode=args.mode, min_abs_sq=args.min_sq
-        )
-        res = find_m_tuples(cfg, cache_dir=args.cache_dir)
-        payload = {
-            "count": str(res.count),
-            "tuples": [_tuple_payload(t) for t in res.tuples],
-        }
-        stats, found = res.stats, res.count > 0
+        if args.sweep:
+            if args.mode != "find-all" or args.min_sq != 1:
+                raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")
+            config["sweep"] = "true"
+            rep = quintuple_sweep(b_sq, args.size, workers=args.threads, cache_dir=args.cache_dir)
+            payload = {
+                "rings_checked": str(len(rep.rings_checked)),
+                "completeness": {k: str(v) for k, v in rep.completeness.items()},
+                "tuples": [_tuple_payload(t) for t in rep.tuples],
+                "rational_pass_tuples": [",".join(map(str, xs)) for xs in rep.rational_pass_tuples],
+                "conjecture_violations": [_tuple_payload(t) for t in rep.conjecture_violations],
+            }
+            stats, found = rep.stats, not rep.is_empty
+        else:
+            if args.threads is not None:
+                raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
+            config["d"] = str(args.d)
+            if args.min_sq != 1:
+                config["min_sq"] = str(args.min_sq)
+            cfg = SearchConfig(
+                RingSpec(args.d), b_sq, args.size, mode=args.mode, min_abs_sq=args.min_sq
+            )
+            res = find_m_tuples(cfg, cache_dir=args.cache_dir)
+            payload = {
+                "count": str(res.count),
+                "tuples": [_tuple_payload(t) for t in res.tuples],
+            }
+            stats, found = res.stats, res.count > 0
+    except OSError as exc:  # a usage error: exit 1 would read as "tuple found"
+        if not args.cache_dir:
+            raise
+        raise ValueError(f"--cache-dir {args.cache_dir} is not a usable directory: {exc.strerror}") from None
     # last key, so the text format prints it after the tuples
     payload["stats"] = {k: str(v) for k, v in stats._asdict().items()}
     return config, "violation" if args.expect_empty and found else "ok", payload

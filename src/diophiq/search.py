@@ -25,14 +25,14 @@ counts.
 A tuple's square roots are taken once, by the make_tuple that builds it from
 the clique search's elements.  Every stored copy, a cache line, a worker's
 row or a rational-only ring's copy of the pass's tuple, is its elements and
-witnesses as plain integers (DiophTuple.to_row).  _cache_load checks a cache
-line's form on those integers: ring, size, int coordinates, canonical order
-and norm range.  The one check of its arithmetic is DiophTuple.from_witnesses,
-which squares each witness in the copy's own ring (a rational-only copy's
-witnesses are rational integers, roots there too): find_m_tuples runs it on a
-hit, and a sweep's parent on every row, so a pool worker ships a hit's rows
-as read.  A row it refuses sends the ring back through find_m_tuples, which
-recomputes it and rewrites the file, so a false line never changes a result.
+witnesses as plain integers (DiophTuple.to_row), and _from_rows is the one
+gate back: DiophTuple.from_witnesses squares each witness in the config's
+ring (a rational-only copy's witnesses are rational integers, roots there
+too), and the config's size, norm range and tuple order are checked.
+_cache_load checks only each line's ring and the closing counts.  A sweep's
+parent loads every pooled ring's file and pools only the misses.  If the
+gate refuses a row, _admit searches the ring again and rewrites its file, so
+a stored copy never changes a result.
 
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
@@ -244,13 +244,28 @@ def _tuple_key(t: DiophTuple) -> tuple:
     return tuple(z.canonical_key() for z in t.elems)
 
 
-def _from_rows(spec: RingSpec, rows: list[Row]) -> list[DiophTuple] | None:
-    """Each row checked by DiophTuple.from_witnesses in spec's ring, or None
-    if it refuses one."""
+def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
+    """The one gate from stored rows to DiophTuples: from_witnesses in cfg's
+    ring, cfg's size and norm range, and strictly increasing _tuple_key order.
+    None if it refuses a row."""
     try:
-        return [DiophTuple.from_witnesses(spec, *row) for row in rows]
+        tuples = [DiophTuple.from_witnesses(cfg.spec, *row) for row in rows]
     except (NotDiophantine, ZeroElement, TypeError, ValueError):
         return None
+    keys = [_tuple_key(t) for t in tuples]  # a key's norms run from k[0][0] up to k[-1][0]
+    fits = all(len(k) == cfg.target_size and cfg.min_abs_sq <= k[0][0] <= k[-1][0] <= cfg.max_abs_sq for k in keys)
+    return tuples if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
+
+
+def _admit(cfg: SearchConfig, cache_dir: str | None, rows: list[Row], stats: SearchStats) -> tuple[list, SearchStats]:
+    """Stored rows and their counts as the gate lets them through, or, if it
+    refuses a row, cfg's own search, whose result rewrites cfg's file."""
+    tuples = _from_rows(cfg, rows)
+    if tuples is not None:
+        return tuples, stats
+    res = find_m_tuples(cfg)
+    _cache_store(cache_dir, cfg, list(res.tuples), res.stats)
+    return list(res.tuples), res.stats
 
 
 def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResult:
@@ -258,13 +273,11 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
 
     Results are canonicalized (elements sorted, tuples sorted, duplicates
     impossible by construction) so identical configs give identical output
-    regardless of scheduling.  A cache hit's rows are checked by
-    from_witnesses; if it refuses one, the search runs and rewrites the file.
+    regardless of scheduling.  A cache hit's rows go through _admit.
     """
     cached = _cache_load(cache_dir, cfg)
-    tuples = _from_rows(cfg.spec, cached[0]) if cached is not None else None
-    if tuples is not None:
-        stats = cached[1]
+    if cached is not None:
+        tuples, stats = _admit(cfg, cache_dir, *cached)
     else:
         spec = cfg.spec
         vertices = enumerate_up_to(spec, cfg.max_abs_sq, cfg.min_abs_sq)
@@ -429,14 +442,11 @@ class SweepReport:
 
 
 def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[Row], SearchStats]:
-    """One pooled ring's rows and counts: a cache hit's as read, for the
-    parent's from_witnesses to check, or else its search's, stored."""
+    """A pooled ring whose file the parent could not use: its search, stored,
+    as rows and counts for the parent's gate."""
     d, b_sq, size, cache_dir = args
     cfg = SearchConfig(RingSpec(d), b_sq, size)
-    cached = _cache_load(cache_dir, cfg)
-    if cached is not None:
-        return d, *cached
-    res = find_m_tuples(cfg)  # no cache_dir: a miss reads the file once
+    res = find_m_tuples(cfg)  # no cache_dir: the parent has read the file once already
     _cache_store(cache_dir, cfg, list(res.tuples), res.stats)
     return d, [t.to_row() for t in res.tuples], res.stats
 
@@ -452,26 +462,22 @@ def quintuple_sweep(
     for size 5 at bound 16)."""
     shared = rational_integer_pass(b_sq, size)  # first: its config refuses a bad b_sq or size
     rings = sweep_ring_list(b_sq)
-    # integral-basis rings past the witness cutoff: the rational pass is their search
-    rational_only = {d for d in rings if d % 4 != 1 and -d > b_sq + 1}
-    jobs = [(d, b_sq, size, cache_dir) for d in rings if d not in rational_only]
+    cfgs = {d: SearchConfig(RingSpec(d), b_sq, size) for d in rings}
+    shared_copy = ([t.to_row() for t in shared.tuples], shared.stats)
+    # integral-basis rings past the witness cutoff take the rational pass's copy; the rest their file, or None
+    stored = {d: shared_copy if d % 4 != 1 and -d > b_sq + 1 else _cache_load(cache_dir, cfgs[d]) for d in rings}
+    jobs = [(d, b_sq, size, cache_dir) for d in rings if stored[d] is None]
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sweep_one, jobs, chunksize=16))
+            searched = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
-        raw = [_sweep_one(j) for j in jobs]
-    shared_rows = [t.to_row() for t in shared.tuples]
-    raw += [(d, shared_rows, shared.stats) for d in rational_only]
-    raw.sort(key=lambda item: -item[0])
+        searched = [_sweep_one(j) for j in jobs]
+    stored.update((d, (rows, stats)) for d, rows, stats in searched)
     found, ring_stats = [], []
-    for d, rows, stats in raw:
-        spec = RingSpec(d)
-        tuples = _from_rows(spec, rows)
-        if tuples is None:  # a false cache line: the ring's own search refuses it and rewrites the file
-            res = find_m_tuples(SearchConfig(spec, b_sq, size), cache_dir)
-            tuples, stats = list(res.tuples), res.stats
+    for d in rings:
+        tuples, stats = _admit(cfgs[d], cache_dir, *stored[d])
         found += tuples
         ring_stats.append(stats)
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
@@ -516,14 +522,12 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
 
 
 def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], SearchStats] | None:
-    """(rows, search stats) stored for cfg, or None to recompute.
+    """(rows, search stats) stored for cfg, or None to search.
 
-    Checks each line's form on its integers, with no RingElem or RingSpec
-    built: cfg's ring, cfg's size, int coordinates, elements strictly
-    increasing in canonical order (abs_sq, u, v) within the line and lines
-    in _tuple_key order, every norm in cfg's range, and a closing line with
-    the int counts.  Whether each witness squares to its pair's product plus
-    one is left to the caller's from_witnesses.
+    The rows are as read, for the caller's gate.  Checked here is only what
+    rows cannot show: each line's ring, and a closing line that counts them
+    and holds int stats of cfg's search: elements its disk points in range,
+    pairs_tested n(n-1)/2 of those, cliques_explored nonnegative.
     """
     if not cache_dir or cfg.mode != "find-all":
         return None
@@ -531,28 +535,19 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], Se
         with open(_cache_path(cache_dir, cfg), "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         closing = json.loads(lines[-1]) if lines else {}
-        counts = (closing.get("count"), *closing.get("stats", ()))
-        if len(counts) != 4 or any(type(x) is not int for x in counts) or counts[0] != len(lines) - 1:
-            return None  # no closing line, tuples missing, or no int stats: recompute
-        d, t, n, m = cfg.spec.d, cfg.spec.t, cfg.spec.n, cfg.target_size
-        rows, key = [], ()
+        count, stats = closing.get("count"), SearchStats(*closing.get("stats", ()))
+        rows = []
         for line in lines[:-1]:
             data = json.loads(line)
-            elems, witnesses = tuple(data["elems"]), tuple(data["witnesses"])  # an older line has no witnesses
-            if data["d"] != d or len(elems) != 2 * m or len(witnesses) != m * (m - 1) or any(
-                type(x) is not int for x in (*elems, *witnesses)
-            ):
-                return None  # another ring or size, or not int coordinates: recompute
-            k = tuple((u * (u - t * v) + n * v * v, u, v) for u, v in zip(elems[::2], elems[1::2]))
-            if k <= key or any(a >= b for a, b in zip(k, k[1:])) or not (
-                cfg.min_abs_sq <= k[0][0] and k[-1][0] <= cfg.max_abs_sq
-            ):
-                return None  # out of order, repeated, or a norm outside the query: recompute
-            rows.append((elems, witnesses))
-            key = k
+            if data["d"] != cfg.spec.d:
+                return None  # another ring's line: search
+            rows.append((tuple(data["elems"]), tuple(data["witnesses"])))  # an older line has no witnesses
     except Exception:
-        return None  # corrupt or stale: recompute
-    return rows, SearchStats(*counts[1:])
+        return None  # corrupt or stale: search
+    n = sum(nw >= cfg.min_abs_sq for _u, _v, nw in iter_disk_coords(cfg.spec, cfg.max_abs_sq))
+    if count != len(rows) or any(type(x) is not int for x in stats) or stats[:2] != (n, n * (n - 1) // 2):
+        return None  # tuples missing, or counts not of this search: search
+    return (rows, stats) if stats.cliques_explored >= 0 else None
 
 
 def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], stats: SearchStats) -> None:

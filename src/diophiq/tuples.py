@@ -36,10 +36,9 @@ class DiophTuple:
 
     witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  make_tuple
     builds one from bare elements and finds each root.  A stored copy (a
-    cache line, a worker's row) becomes one only through from_witnesses, which
-    squares those roots: the cache load checks a line's form, not its
-    arithmetic, so find_m_tuples squares a hit's rows and a sweep's parent
-    every row it reports, each once.  So holding a DiophTuple is holding a proof.
+    cache line, a worker's row) becomes one only through from_witnesses,
+    which squares those roots, run once on each row by the search's one gate
+    for stored rows.  So holding a DiophTuple is holding a proof.
     """
 
     spec: RingSpec

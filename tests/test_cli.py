@@ -520,10 +520,26 @@ def _stats_not_ints(lines):
     return [*lines[:-1], json.dumps({"count": len(lines) - 1, "stats": [84.9, "3486", True]})]
 
 
-@pytest.mark.parametrize("corrupt", [_swap_first_two, _repeat_first, _stats_not_ints])
+def _with_stats(*stats):
+    return lambda lines: [*lines[:-1], json.dumps({"count": len(lines) - 1, "stats": list(stats)})]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _swap_first_two,
+        _repeat_first,
+        _stats_not_ints,
+        # n(n-1)/2 of its elements, but not the 84 disk points of the search
+        pytest.param(_with_stats(1084, 1084 * 1083 // 2, 158), id="_stats_elements"),
+        pytest.param(_with_stats(84, 3487, 158), id="_stats_pairs_tested"),
+        pytest.param(_with_stats(84, 3486, -1), id="_stats_cliques_explored"),
+    ],
+)
 def test_corrupted_cache_file_is_recomputed(capsys, tmp_path, corrupt):
-    # tuples out of order or repeated, or counts that int() would accept, are a
-    # miss: the warm run recomputes, rewrites the file and prints the cold report
+    # tuples out of order or repeated, counts that int() would accept, or counts
+    # of another search: the warm run searches again, rewrites the file and
+    # prints the cold report
     argv = ["search", "--d", "-2", "--bound", "6", "--size", "3", "--cache-dir", str(tmp_path), "--format", "json"]
     cold = run_cli(capsys, *argv)
     (path,) = tmp_path.iterdir()
@@ -533,3 +549,25 @@ def test_corrupted_cache_file_is_recomputed(capsys, tmp_path, corrupt):
     path.write_text("\n".join(corrupt(lines)) + "\n")
     assert run_cli(capsys, *argv) == cold
     assert path.read_text() == stored
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["search", "--d", "-1", "--bound", "4", "--size", "3"], "d-1_b16_m3.jsonl"),
+        (["search", "--sweep", "--bound", "3", "--size", "3", "--threads", "1"], "d-1_b9_m3.jsonl"),
+        (["search", "--sweep", "--bound", "3", "--size", "3", "--threads", "2"], "d-1_b9_m3.jsonl"),
+    ],
+    ids=["single", "sweep", "sweep-pooled"],
+)
+def test_failed_cache_store_is_usage_error(capsys, tmp_path, argv, name):
+    # exit 1 is "tuple found" under --expect-empty; a result that cannot be
+    # stored, here over a directory in the file's place, is exit 2 with one
+    # stderr line, and the store leaves no temp file behind
+    (tmp_path / name).mkdir()
+    code = main([*argv, "--expect-empty", "--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --cache-dir {tmp_path} is not a usable directory: Is a directory\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

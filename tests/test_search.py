@@ -655,19 +655,21 @@ def test_cache_closing_line_without_stats_triggers_recompute(tmp_path, monkeypat
 
 
 def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
-    # each file holds one verified Diophantine tuple of another query and a
-    # matching closing line: the wrong size, an element above the bound, an
-    # element below min_abs_sq, and another ring
+    # each file holds one verified Diophantine tuple of another query: the
+    # wrong size (with and without a norm out of range), an
+    # element above the bound, an element below min_abs_sq, and another ring;
+    # the closing line holds the query's own counts, so the gate is what refuses
     d2 = RingSpec(-2)
     stray = [
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 8, 120)], 18),
+        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3)], 18),
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 120)], 18),
         ("d-1_b16_m3_min2.jsonl", SearchConfig(D1, 16, 3, min_abs_sq=2), [D1.elem(n) for n in (1, 3, 8)], 12),
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [d2.elem(-1), d2.elem(3), d2.elem(2, -2)], 18),
     ]
     for name, cfg, elems, count in stray:
         t = make_tuple(elems[0].spec, elems)
-        closing = '{"count": 1, "stats": [1, 0, 1]}'
+        closing = json.dumps({"count": 1, "stats": list(find_m_tuples(cfg).stats)})
         (tmp_path / name).write_text(json.dumps(t.to_json_dict(), sort_keys=True) + "\n" + closing + "\n")
         calls = _count_pair_graphs(monkeypatch)
         res = find_m_tuples(cfg, cache_dir=str(tmp_path))
@@ -678,15 +680,16 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
 
 def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
     # a well-formed row in the query's range, with a matching closing line, but
-    # 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square): the load passes its
-    # form, and only find_m_tuples' from_witnesses on the hit can refuse it
+    # 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square): the load reads it,
+    # and only the gate's from_witnesses can refuse it
     cfg = SearchConfig(D1, 64, 3)
     data = {"d": -1, "elems": [1, 0, 3, 0, 7, 0], "witnesses": [2, 0, 3, 0, 5, 0]}
     with pytest.raises(NotDiophantine) as refused:
         DiophTuple.from_json_dict(data)
     assert refused.value.pair == (0, 2)
     line = json.dumps(data, sort_keys=True)
-    (tmp_path / "d-1_b64_m3.jsonl").write_text(line + '\n{"count": 1, "stats": [1, 0, 1]}\n')
+    closing = json.dumps({"count": 1, "stats": list(find_m_tuples(cfg).stats)})
+    (tmp_path / "d-1_b64_m3.jsonl").write_text(line + "\n" + closing + "\n")
     calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=str(tmp_path))
     assert calls == [-1]  # recomputed
@@ -713,24 +716,30 @@ def _swap_first_two_elements(data):
     ],
     ids=["float", "bool", "ring", "size", "witnesses", "zero", "order", "no-witnesses"],
 )
-def test_cache_load_checks_each_line_on_its_integers(tmp_path, corrupt):
-    # the form checks a pool worker makes before it ships a hit's rows unchecked
+def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corrupt):
+    # a malformed line is refused end to end, by the load (another ring, no
+    # witnesses) or by the gate (every other case): the ring is searched again,
+    # and the result and the file are the cold ones
     cfg = SearchConfig(D1, 64, 3)
-    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert search._cache_load(str(tmp_path), cfg) == ([t.to_row() for t in res.tuples], res.stats)
+    cold = find_m_tuples(cfg, cache_dir=str(tmp_path))
+    assert search._cache_load(str(tmp_path), cfg) == ([t.to_row() for t in cold.tuples], cold.stats)
     path = tmp_path / "d-1_b64_m3.jsonl"
+    stored = path.read_bytes()
     lines = path.read_text().splitlines(keepends=True)
     data = json.loads(lines[-2])  # the last tuple: no line after it to be out of order with
     corrupt(data)
     lines[-2] = json.dumps(data, sort_keys=True) + "\n"
     path.write_text("".join(lines))
-    assert search._cache_load(str(tmp_path), cfg) is None
+    calls = _count_pair_graphs(monkeypatch)
+    assert find_m_tuples(cfg, cache_dir=str(tmp_path)) == cold
+    assert calls == [-1]  # searched again
+    assert path.read_bytes() == stored
 
 
 def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
     # a warm sweep takes square roots only in the rational pass, which uses no
-    # cache; a worker ships a cache hit's rows as read, and the parent squares
-    # each reported tuple's stored witnesses once
+    # cache; the parent reads every pooled ring's file, runs no worker, and
+    # squares each reported tuple's stored witnesses once
     cache = str(tmp_path)
     cold = quintuple_sweep(64, 3, workers=1, cache_dir=cache)  # |z| <= 8 holds {1, 3, 8}
     calls = collections.Counter()
@@ -786,9 +795,9 @@ def _plant(path, line):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_warm_sweep_recomputes_false_and_out_of_range_lines(tmp_path, monkeypatch, workers):
-    # a false line passes the worker's load, which checks form only, and the
-    # parent's from_witnesses refuses it; an out-of-range line is a miss in
-    # the worker.  Either way the ring is searched again and its file rewritten
+    # both lines are read by the parent's load, which checks no row, and
+    # refused by the parent's gate: a false witness and a norm past the
+    # bound.  Each ring is searched again and its file rewritten
     cache = tmp_path / "cache"
     cold = quintuple_sweep(64, 3, workers=1, cache_dir=str(cache))
     files = {p.name: p.read_bytes() for p in cache.iterdir()}
@@ -798,19 +807,66 @@ def test_warm_sweep_recomputes_false_and_out_of_range_lines(tmp_path, monkeypatc
     for data in (false, beyond):
         _plant(cache / f"d{data['d']}_b64_m3.jsonl", json.dumps(data, sort_keys=True))
     assert {p.name: p.read_bytes() for p in cache.iterdir()} != files
-    reruns = []
-    find = search.find_m_tuples
+    stores = []
+    store = search._cache_store
 
-    def recording(cfg, cache_dir=None):
+    def recording(cache_dir, cfg, found, stats):
         if cache_dir:
-            reruns.append(cfg.spec.d)
-        return find(cfg, cache_dir)
+            stores.append(cfg.spec.d)
+        return store(cache_dir, cfg, found, stats)
 
-    monkeypatch.setattr(search, "find_m_tuples", recording)
+    monkeypatch.setattr(search, "_cache_store", recording)
     warm = quintuple_sweep(64, 3, workers=workers, cache_dir=str(cache))
     assert warm == cold
-    assert reruns == [-1]  # the parent's search of the ring whose row it refused
+    assert stores == [-1, -2]  # the parent's searches of the rings whose rows its gate refused
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
+
+
+def _serial_pool(monkeypatch, cpus):
+    """Put a stand-in for ProcessPoolExecutor in place, on cpus CPUs: it
+    maps in-process and records max_workers and the rings of the jobs it
+    maps.  Returns those two lists."""
+    requested, mapped = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            jobs = list(jobs)
+            mapped.extend(job[0] for job in jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    return requested, mapped
+
+
+def test_all_hit_sweep_starts_no_pool(tmp_path, monkeypatch):
+    # the parent reads every pooled ring's file and checks it; no hit is pickled
+    cold = quintuple_sweep(16, 3, workers=1, cache_dir=str(tmp_path))
+    requested, mapped = _serial_pool(monkeypatch, 4)
+    assert quintuple_sweep(16, 3, workers=2, cache_dir=str(tmp_path)) == cold
+    assert requested == mapped == []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sweep_pools_only_the_rings_that_missed(tmp_path, monkeypatch, k):
+    cold = quintuple_sweep(16, 3, workers=1, cache_dir=str(tmp_path))
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    gone = random.Random(k).sample([d for d in sweep_ring_list(16) if d not in _folded_rings(16)], k)
+    for d in gone:
+        (tmp_path / f"d{d}_b16_m3.jsonl").unlink()
+    requested, mapped = _serial_pool(monkeypatch, 8)
+    assert quintuple_sweep(16, 3, workers=100, cache_dir=str(tmp_path)) == cold
+    assert requested == [k] and sorted(mapped) == sorted(gone)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_strong_bound_check_takes_no_square_root(monkeypatch):
@@ -869,25 +925,7 @@ def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])
 def test_sweep_caps_workers_at_jobs_and_cpus(monkeypatch, b_sq, rings, cpus, expected):
-    requested = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    requested, _mapped = _serial_pool(monkeypatch, cpus)
     rep = quintuple_sweep(b_sq=b_sq, size=2, workers=100_000)
     assert len(rep.rings_checked) == rings
     assert requested == [expected]
