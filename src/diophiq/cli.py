@@ -15,9 +15,11 @@ to the exit code:
     error          2  (the input is refused: the report gives the reason)
 
 An input refused before any report (by argparse, or by a ValueError such
-as an unusable --cache-dir or a cache store that fails) prints one stderr
-line and exits 2.  A reader closing stdout early (`| head`) changes neither
-the exit code nor stderr.
+as an unusable --cache-dir, a cache store that fails, or an option the run
+would drop: --threads without --sweep, --mode or --min-sq with it, or
+--cache-dir with a --mode that stores nothing) prints one stderr line and
+exits 2.  A reader closing stdout early (`| head`) changes neither the exit
+code nor stderr.
 
 The JSON format is written by _json, the one report writer: the bytes of
 json.dumps(report, sort_keys=True, indent=2), whose indent makes the stdlib
@@ -203,6 +205,12 @@ def _ring_input(args) -> tuple[RingSpec, list[RingElem], dict]:
 
 
 def cmd_search(args) -> tuple[dict, str, dict]:
+    if args.sweep and (args.mode != "find-all" or args.min_sq != 1):
+        raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")
+    if not args.sweep and args.threads is not None:
+        raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
+    if args.cache_dir and args.mode != "find-all":
+        raise ValueError(f"--cache-dir needs --mode find-all: a {args.mode} search stores nothing")
     b_sq = args.bound_sq if args.bound_sq is not None else (16 if args.bound is None else args.bound) ** 2
     config = {
         "bound_abs_sq": str(b_sq),
@@ -214,8 +222,6 @@ def cmd_search(args) -> tuple[dict, str, dict]:
         if args.cache_dir:
             os.makedirs(args.cache_dir, exist_ok=True)
         if args.sweep:
-            if args.mode != "find-all" or args.min_sq != 1:
-                raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")
             config["sweep"] = "true"
             rep = quintuple_sweep(b_sq, args.size, workers=args.threads, cache_dir=args.cache_dir)
             payload = {
@@ -227,8 +233,6 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             }
             stats, found = rep.stats, not rep.is_empty
         else:
-            if args.threads is not None:
-                raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
             config["d"] = str(args.d)
             if args.min_sq != 1:
                 config["min_sq"] = str(args.min_sq)
@@ -363,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--mode", choices=("find-all", "find-first", "count"), default="find-all")
     p_search.add_argument("--expect-empty", action="store_true")
     p_search.add_argument("--threads", type=_positive_int, default=None, help="worker processes for the sweep")
-    p_search.add_argument("--cache-dir")
+    p_search.add_argument("--cache-dir", help="stored find-all results; a file with a false, out-of-range, misordered "
+                          "or other-ring row is refused whole, but one with rows removed and its count lowered passes")
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", parents=[ring_input], help="verify a tuple and its side conditions")

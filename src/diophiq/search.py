@@ -23,16 +23,15 @@ B + 1 are not searched; each takes the pass's tuples (d replaced) and
 counts.
 
 A tuple's square roots are taken once, by the make_tuple that builds it from
-the clique search's elements.  Every stored copy, a cache line, a worker's
-row or a rational-only ring's copy of the pass's tuple, is its elements and
-witnesses as plain integers (DiophTuple.to_row), and _from_rows is the one
-gate back: DiophTuple.from_witnesses squares each witness in the config's
-ring (a rational-only copy's witnesses are rational integers, roots there
-too), and the config's size, norm range and tuple order are checked.
-_cache_load checks only each line's ring and the closing counts.  A sweep's
-parent loads every pooled ring's file and pools only the misses.  If the
-gate refuses a row, _admit searches the ring again and rewrites its file, so
-a stored copy never changes a result.
+the clique search's elements.  Every stored copy (a cache line, a worker's
+row, a rational-only ring's copy of the pass's tuple) is to_row's integers,
+and _from_rows is the one gate back: from_witnesses squares each witness in
+the config's ring (a rational copy's witnesses are roots there too), and the
+config's size, norm range and tuple order are checked.  _cache_load gates a
+file after its ring and count checks: it is used whole or not at all, and a
+refused file is a miss like a missing one.  The gate refuses any false,
+out-of-range, misordered or other-ring row, but a file with rows removed and
+its count lowered still passes: an edited cache can shrink a result.
 
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import NotDiophantine, ZeroElement
+from .errors import NotDiophantine, PostconditionViolated, ZeroElement
 from .ring import (
     RingElem,
     RingSpec,
@@ -246,26 +245,15 @@ def _tuple_key(t: DiophTuple) -> tuple:
 
 def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
     """The one gate from stored rows to DiophTuples: from_witnesses in cfg's
-    ring, cfg's size and norm range, and strictly increasing _tuple_key order.
-    None if it refuses a row."""
+    ring, cfg's size and norm range, and strictly increasing _tuple_key order,
+    read from the keys from_witnesses built.  None if it refuses a row."""
     try:
-        tuples = [DiophTuple.from_witnesses(cfg.spec, *row) for row in rows]
+        checked = [DiophTuple.from_witnesses(cfg.spec, *row) for row in rows]
     except (NotDiophantine, ZeroElement, TypeError, ValueError):
         return None
-    keys = [_tuple_key(t) for t in tuples]  # a key's norms run from k[0][0] up to k[-1][0]
+    keys = [k for _t, k in checked]  # a tuple's norms run from k[0][0] up to k[-1][0]
     fits = all(len(k) == cfg.target_size and cfg.min_abs_sq <= k[0][0] <= k[-1][0] <= cfg.max_abs_sq for k in keys)
-    return tuples if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
-
-
-def _admit(cfg: SearchConfig, cache_dir: str | None, rows: list[Row], stats: SearchStats) -> tuple[list, SearchStats]:
-    """Stored rows and their counts as the gate lets them through, or, if it
-    refuses a row, cfg's own search, whose result rewrites cfg's file."""
-    tuples = _from_rows(cfg, rows)
-    if tuples is not None:
-        return tuples, stats
-    res = find_m_tuples(cfg)
-    _cache_store(cache_dir, cfg, list(res.tuples), res.stats)
-    return list(res.tuples), res.stats
+    return [t for t, _k in checked] if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
 
 
 def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResult:
@@ -273,11 +261,11 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
 
     Results are canonicalized (elements sorted, tuples sorted, duplicates
     impossible by construction) so identical configs give identical output
-    regardless of scheduling.  A cache hit's rows go through _admit.
+    regardless of scheduling.  A cache hit is _cache_load's gated tuples.
     """
     cached = _cache_load(cache_dir, cfg)
     if cached is not None:
-        tuples, stats = _admit(cfg, cache_dir, *cached)
+        tuples, stats = cached
     else:
         spec = cfg.spec
         vertices = enumerate_up_to(spec, cfg.max_abs_sq, cfg.min_abs_sq)
@@ -442,11 +430,11 @@ class SweepReport:
 
 
 def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[Row], SearchStats]:
-    """A pooled ring whose file the parent could not use: its search, stored,
-    as rows and counts for the parent's gate."""
+    """A ring whose file the parent's load missed or refused: its search,
+    stored, as rows and counts for the parent's gate."""
     d, b_sq, size, cache_dir = args
     cfg = SearchConfig(RingSpec(d), b_sq, size)
-    res = find_m_tuples(cfg)  # no cache_dir: the parent has read the file once already
+    res = find_m_tuples(cfg)  # no cache_dir: the parent's load has read the file once already
     _cache_store(cache_dir, cfg, list(res.tuples), res.stats)
     return d, [t.to_row() for t in res.tuples], res.stats
 
@@ -463,9 +451,10 @@ def quintuple_sweep(
     shared = rational_integer_pass(b_sq, size)  # first: its config refuses a bad b_sq or size
     rings = sweep_ring_list(b_sq)
     cfgs = {d: SearchConfig(RingSpec(d), b_sq, size) for d in rings}
-    shared_copy = ([t.to_row() for t in shared.tuples], shared.stats)
-    # integral-basis rings past the witness cutoff take the rational pass's copy; the rest their file, or None
-    stored = {d: shared_copy if d % 4 != 1 and -d > b_sq + 1 else _cache_load(cache_dir, cfgs[d]) for d in rings}
+    shared_rows = [t.to_row() for t in shared.tuples]
+    # a ring's file, or None to search; integral-basis rings past the witness cutoff take the pass's copy
+    stored = {d: _cache_load(cache_dir, cfg) for d, cfg in cfgs.items() if d % 4 == 1 or -d <= b_sq + 1}
+    stored.update((d, _own_rows(cfgs[d], shared_rows, shared.stats)) for d in rings if d not in stored)
     jobs = [(d, b_sq, size, cache_dir) for d in rings if stored[d] is None]
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
@@ -474,12 +463,8 @@ def quintuple_sweep(
             searched = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         searched = [_sweep_one(j) for j in jobs]
-    stored.update((d, (rows, stats)) for d, rows, stats in searched)
-    found, ring_stats = [], []
-    for d in rings:
-        tuples, stats = _admit(cfgs[d], cache_dir, *stored[d])
-        found += tuples
-        ring_stats.append(stats)
+    stored.update((d, _own_rows(cfgs[d], rows, stats)) for d, rows, stats in searched)
+    found = [t for d in rings for t in stored[d][0]]
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
     return SweepReport(
         rings_checked=tuple(rings),
@@ -493,8 +478,16 @@ def quintuple_sweep(
             "rings": len(rings),
         },
         conjecture_violations=violations,
-        stats=SearchStats(*map(sum, zip(*ring_stats))),
+        stats=SearchStats(*map(sum, zip(*(stored[d][1] for d in rings)))),
     )
+
+
+def _own_rows(cfg: SearchConfig, rows: list[Row], stats: SearchStats) -> tuple[list[DiophTuple], SearchStats]:
+    """Rows of the sweep's own search through the gate, which refuses them only if arithmetic broke."""
+    tuples = _from_rows(cfg, rows)
+    if tuples is None:
+        raise PostconditionViolated(f"the gate refused the search's own rows in d={cfg.spec.d}")
+    return tuples, stats
 
 
 def _violates_strong_bound(t: DiophTuple) -> bool:
@@ -521,13 +514,12 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
     return os.path.join(cache_dir, name + ".jsonl")
 
 
-def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], SearchStats] | None:
-    """(rows, search stats) stored for cfg, or None to search.
-
-    The rows are as read, for the caller's gate.  Checked here is only what
-    rows cannot show: each line's ring, and a closing line that counts them
-    and holds int stats of cfg's search: elements its disk points in range,
-    pairs_tested n(n-1)/2 of those, cliques_explored nonnegative.
+def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[DiophTuple], SearchStats] | None:
+    """(tuples, search stats) stored for cfg, or None to search: the file is
+    missing, malformed or refused.  Each line must be of cfg's ring, the
+    closing line must count them and hold int stats of cfg's search (elements
+    its disk points in range, pairs_tested n(n-1)/2 of those, cliques_explored
+    nonnegative), and _from_rows, the gate, must let every row through.
     """
     if not cache_dir or cfg.mode != "find-all":
         return None
@@ -547,7 +539,8 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], Se
     n = sum(nw >= cfg.min_abs_sq for _u, _v, nw in iter_disk_coords(cfg.spec, cfg.max_abs_sq))
     if count != len(rows) or any(type(x) is not int for x in stats) or stats[:2] != (n, n * (n - 1) // 2):
         return None  # tuples missing, or counts not of this search: search
-    return (rows, stats) if stats.cliques_explored >= 0 else None
+    tuples = _from_rows(cfg, rows) if stats.cliques_explored >= 0 else None
+    return None if tuples is None else (tuples, stats)
 
 
 def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], stats: SearchStats) -> None:

@@ -53,7 +53,7 @@ class DiophTuple:
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
         """to_json_dict's line read back through from_witnesses."""
-        return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])
+        return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])[0]
 
     def to_row(self) -> Row:
         """Plain integers for from_witnesses: the elements' coordinates
@@ -66,8 +66,9 @@ class DiophTuple:
         )
 
     @staticmethod
-    def from_witnesses(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> "DiophTuple":
-        """The tuple that to_row wrote, checked by squaring, with no square root.
+    def from_witnesses(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> tuple["DiophTuple", list]:
+        """The tuple that to_row wrote, checked by squaring, with no square root,
+        and the elements' canonical keys its order check built, for the caller's.
 
         Every coordinate must be an int, the elements nonzero and strictly
         increasing in canonical order, and one canonical witness w given per pair
@@ -95,7 +96,7 @@ class DiophTuple:
             if wu < 0 or (wu == 0 and wv < 0):
                 raise ValueError(f"witness of {(i, j)} is not the canonical root")  # sqrt_in_ring's
             out[(i, j)] = RingElem(wu, wv, spec)
-        return DiophTuple(spec, items, out)
+        return DiophTuple(spec, items, out), keys
 
 
 def canonical_elements(spec: RingSpec, elems: Iterable[RingElem]) -> list[RingElem]:

@@ -15,7 +15,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from diophiq import search, tuples
-from diophiq.errors import NotDiophantine
+from diophiq.errors import NotDiophantine, PostconditionViolated
 from diophiq.ring import RingElem, RingSpec, elements_with_abs_sq, enumerate_up_to, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
@@ -506,6 +506,49 @@ def test_pair_graph_unit_edge_cases():
         assert search._pair_graph(ring, units) == _direct_pair_graph(ring, units)
 
 
+# both bases, and each side of the cutoffs at B = 256: -257 is integral-basis
+# at the witness cutoff B + 1, -1019 half-integer just inside 4B, and -1022
+# integral-basis past B + 1, where every vertex is a rational integer
+ORACLE_RINGS = (-1, -2, -3, -7, -11, -19, -43, -163, -257, -1019, -1022)
+
+
+def _all_pairs_graph(spec, vertices):
+    """Adjacency by testing every vertex pair: a*b + 1 is an edge's witness
+    squared, so its norm is r^2 and its root lies among the elements of
+    abs_sq r, each squared.  Shares no code with sqrt_coords or the witness walk."""
+    tc, nc = spec.t, spec.n
+    roots = {}
+    adj = [set() for _ in vertices]
+    for (i, a), (j, b) in itertools.combinations(enumerate(vertices), 2):
+        ab = a.v * b.v
+        pu, pv = a.u * b.u - nc * ab + 1, a.u * b.v + a.v * b.u - tc * ab
+        norm = pu * (pu - tc * pv) + nc * pv * pv
+        r = isqrt(norm)
+        if r * r != norm:
+            continue
+        if r not in roots:
+            roots[r] = [(w.u, w.v) for w in elements_with_abs_sq(spec, r)]
+        if any((wu * wu - nc * wv * wv, 2 * wu * wv - tc * wv * wv) == (pu, pv) for wu, wv in roots[r]):
+            adj[i].add(j)
+            adj[j].add(i)
+    return adj
+
+
+def test_pair_graph_equals_all_pairs_oracle_at_bound_256():
+    # the witness walk's divisor window ceil(M/B) <= k <= isqrt(M) is proved
+    # only in _pair_graph's docstring; at its ends lie {5, 16} in d = -1
+    # (M = abs_sq(80) = 25 * 256) and {1, -1} (w = 0) in every ring
+    assert {RingSpec(d).t for d in ORACLE_RINGS} == {0, 1}
+    edges = 0
+    for d in ORACLE_RINGS:
+        spec = RingSpec(d)
+        vertices = _disk_vertices(spec, 256)
+        adj, _tested = search._pair_graph(spec, vertices)
+        assert adj == _all_pairs_graph(spec, vertices), d
+        edges += sum(map(len, adj)) // 2
+    assert edges == 14637
+
+
 def _folded_rings(b_sq):
     """Integral-basis rings of the sweep past the witness cutoff b_sq + 1."""
     return [d for d in sweep_ring_list(b_sq) if RingSpec(d).t == 0 and -d > b_sq + 1]
@@ -717,12 +760,12 @@ def _swap_first_two_elements(data):
     ids=["float", "bool", "ring", "size", "witnesses", "zero", "order", "no-witnesses"],
 )
 def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corrupt):
-    # a malformed line is refused end to end, by the load (another ring, no
-    # witnesses) or by the gate (every other case): the ring is searched again,
-    # and the result and the file are the cold ones
+    # one malformed line makes the load refuse the whole file, before the gate
+    # (another ring, no witnesses) or in it (every other case): the ring is
+    # searched again, and the result and the file are the cold ones
     cfg = SearchConfig(D1, 64, 3)
     cold = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert search._cache_load(str(tmp_path), cfg) == ([t.to_row() for t in cold.tuples], cold.stats)
+    assert search._cache_load(str(tmp_path), cfg) == (list(cold.tuples), cold.stats)
     path = tmp_path / "d-1_b64_m3.jsonl"
     stored = path.read_bytes()
     lines = path.read_text().splitlines(keepends=True)
@@ -730,6 +773,7 @@ def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corr
     corrupt(data)
     lines[-2] = json.dumps(data, sort_keys=True) + "\n"
     path.write_text("".join(lines))
+    assert search._cache_load(str(tmp_path), cfg) is None
     calls = _count_pair_graphs(monkeypatch)
     assert find_m_tuples(cfg, cache_dir=str(tmp_path)) == cold
     assert calls == [-1]  # searched again
@@ -778,6 +822,48 @@ def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
     }
 
 
+def test_gate_builds_one_canonical_key_per_stored_element(tmp_path, monkeypatch):
+    # from_witnesses' order check builds each element's key once, and the
+    # gate's size, range and cross-row order checks read the keys it returns
+    quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
+    calls = collections.Counter()
+    gating = []
+    canonical_key, from_rows = RingElem.canonical_key, search._from_rows
+
+    def counting(z):
+        calls["gate" if gating else "elsewhere"] += 1
+        return canonical_key(z)
+
+    def gate(cfg, rows):
+        gating.append(cfg)
+        try:
+            return from_rows(cfg, rows)
+        finally:
+            gating.pop()
+
+    monkeypatch.setattr(RingElem, "canonical_key", counting)
+    monkeypatch.setattr(search, "_from_rows", gate)
+    warm = quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
+    assert calls["gate"] == sum(len(t.elems) for t in warm.tuples) > 0
+
+
+def test_sweep_raises_when_the_gate_refuses_its_own_search(monkeypatch):
+    # a pooled ring's rows are the sweep's own search, not a stored file: a
+    # refusal there is broken arithmetic, raised, not searched around
+    sweep_one = search._sweep_one
+
+    def false_witness(job):
+        d, rows, stats = sweep_one(job)
+        if d == -1:
+            (elems, witnesses), *rest = rows
+            rows = [(elems, (witnesses[0] + 1, *witnesses[1:])), *rest]
+        return d, rows, stats
+
+    monkeypatch.setattr(search, "_sweep_one", false_witness)
+    with pytest.raises(PostconditionViolated, match="d=-1"):
+        quintuple_sweep(16, 3, workers=1)
+
+
 def _plant(path, line):
     """Put the tuple line in the cache file at path in place of the line that
     follows it in _tuple_key order, so the file stays in order."""
@@ -795,9 +881,9 @@ def _plant(path, line):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_warm_sweep_recomputes_false_and_out_of_range_lines(tmp_path, monkeypatch, workers):
-    # both lines are read by the parent's load, which checks no row, and
-    # refused by the parent's gate: a false witness and a norm past the
-    # bound.  Each ring is searched again and its file rewritten
+    # the parent's load refuses both files in its gate: a false witness and a
+    # norm past the bound.  Each ring is then a miss like a missing file: it
+    # goes to _sweep_one, pooled or not, and its file is rewritten
     cache = tmp_path / "cache"
     cold = quintuple_sweep(64, 3, workers=1, cache_dir=str(cache))
     files = {p.name: p.read_bytes() for p in cache.iterdir()}
@@ -816,9 +902,11 @@ def test_warm_sweep_recomputes_false_and_out_of_range_lines(tmp_path, monkeypatc
         return store(cache_dir, cfg, found, stats)
 
     monkeypatch.setattr(search, "_cache_store", recording)
+    requested, mapped = _serial_pool(monkeypatch, 2)
     warm = quintuple_sweep(64, 3, workers=workers, cache_dir=str(cache))
     assert warm == cold
-    assert stores == [-1, -2]  # the parent's searches of the rings whose rows its gate refused
+    assert stores == [-1, -2]  # _sweep_one's searches of the two refused rings, and no other
+    assert (requested, mapped) == (([2], [-1, -2]) if workers > 1 else ([], []))
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == files
 
 
@@ -920,7 +1008,7 @@ def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
     with pytest.raises(AttributeError):
         search._cache_store(str(tmp_path), cfg, [res.tuples[0], None], res.stats)
     assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
-    assert search._cache_load(str(tmp_path), cfg) == ([t.to_row() for t in res.tuples], res.stats)
+    assert search._cache_load(str(tmp_path), cfg) == (list(res.tuples), res.stats)
 
 
 @pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])
