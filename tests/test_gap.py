@@ -79,6 +79,19 @@ def test_approx_check_positive():
         assert abs(float(rep.slack_theta1) - _float_slack_theta1(sys, sol)) < 1e-9, d
 
 
+def test_approx_check_slacks_are_pinned():
+    # the exact Fraction endpoints of every margin, so a change in any
+    # interval operation or its operand order changes the digest
+    lines = []
+    for d, triple, ext in APPROX_CASES:
+        spec = RingSpec(d)
+        sys = build_system(*(spec.elem(u, v) for u, v in triple))
+        rep = approx_check(sys, solution_from_extension(sys, spec.elem(*ext)))
+        lines.append(repr(dataclasses.astuple(rep)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "60e41c6918af6f6aa09ef6a3ec3e6b0228c691abc6603a34ed3844424a98fc41"
+
+
 def test_approx_check_false_margin_names_inequality(monkeypatch):
     # a distance far above bound_i must be reported, not escalated
     monkeypatch.setattr(gap, "_branch_distance", lambda *args: const(1))
