@@ -4,12 +4,10 @@ Four layers, all exact or certified:
 
 * approx_check       -- the two simultaneous-approximation inequalities a
                         solution of a built PellSystem must satisfy, from
-                        exact ring quotients; every certified comparison
-                        goes through exactreal;
+                        exact ring quotients, certified by interval code;
 * jz_quantities      -- the constant set (L, P, l, p, lambda, c) of the
-                        simultaneous-approximation theorem, as certified
-                        exact-or-interval scalars; L, P and lambda are built
-                        at once, l, p and c on first access;
+                        simultaneous-approximation theorem, each one
+                        straight-line function of the working precision;
 * gap_principle      -- hypothesis and algebraic checks on exact integers,
                         returning plain data: the exact big-integer bound
                         K^2 * abs_sq(c)^50, K = 4728^20, the checks and the
@@ -32,13 +30,12 @@ loading this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 
 from . import K_CONSTANT
 from .errors import PreconditionViolated, TheoremInapplicable
-from .exactreal import ExactReal, const, sqrt_of
+from .exactreal import ExactReal, add, div, exp, fmax, fmin, log, mul, power, sqrt, sub
 from .pell import PellSolution, PellSystem, first_equation_holds, second_equation_holds
 from .ring import RingElem
 
@@ -83,16 +80,25 @@ def approx_check(sys: PellSystem, sol: PellSolution) -> ApproxReport:
     if failures:
         raise PreconditionViolated(failures)
 
-    nc, nz = c.abs_sq(), sol.z.abs_sq()
-    cap = 21 * sqrt_of(nc) / (16 * sqrt_of(a.abs_sq()) * nz)
+    na, nc, nz = a.abs_sq(), c.abs_sq(), sol.z.abs_sq()
+
+    def bound_of(nw: int, nce: int, ne: int) -> ExactReal:  # |w||c-e|/(|e|sqrt|ec|)/|z|^2
+        return ExactReal(lambda prec: div(
+            mul(sqrt(nw, prec), sqrt(nce, prec), prec),
+            mul(mul(sqrt(ne, prec), sqrt(sqrt(ne * nc, prec), prec), prec), nz, prec), prec,
+        ))
+
+    def slack(x: ExactReal, y: ExactReal) -> Fraction:  # certified lower end of x - y
+        return ExactReal(lambda prec: sub(x.fn(prec), y.fn(prec), prec)).enclosure()[0]
+
+    cap = ExactReal(lambda prec: div(mul(sqrt(nc, prec), 21, prec), mul(mul(sqrt(na, prec), 16, prec), nz, prec), prec))
     checks, slacks = {}, []
     for i, w, e, v in ((1, sys.s, a, sol.x), (2, sys.t, b, sol.y)):
-        ne = e.abs_sq()
         dist = _branch_distance(w * w, e * c, w * v, e * sol.z)  # theta^2 = w^2/(ec), q = wv/(ez)
-        bound = sqrt_of(w.abs_sq()) * sqrt_of((c - e).abs_sq()) / (sqrt_of(ne) * sqrt_of(ne * nc).sqrt() * nz)
-        checks[f"|theta_{i} - q_{i}| <= bound_{i}"] = dist <= bound
-        checks[f"bound_{i} < cap"] = bound < cap
-        slacks += [(bound - dist).enclosure()[0], (cap - bound).enclosure()[0]]
+        bound = bound_of(w.abs_sq(), (c - e).abs_sq(), e.abs_sq())
+        checks[f"|theta_{i} - q_{i}| <= bound_{i}"] = dist.compare(bound) <= 0
+        checks[f"bound_{i} < cap"] = bound.compare(cap) < 0
+        slacks += [slack(bound, dist), slack(cap, bound)]
     failing = [name for name, ok in checks.items() if not ok]
     if failing:
         raise TheoremInapplicable(f"approximation margins certified false: {failing}")
@@ -111,19 +117,25 @@ def _branch_distance(sq_num: RingElem, sq_den: RingElem, q_num: RingElem, q_den:
 
     theta = gamma + i*delta is the principal root: gamma = sqrt((|w|+Re w)/2),
     delta = sign(Im w)*sqrt((|w|-Re w)/2) for w = theta^2, where |w| is the
-    square root of the exact rational abs_sq(sq_num)/abs_sq(sq_den).
+    square root of the exact rational abs_sq(sq_num)/abs_sq(sq_den).  The
+    sign of delta is carried by q's imaginary part instead, which leaves
+    both distances unchanged.
     """
     x, y = _quotient(sq_num, sq_den)
-    r = sqrt_of(Fraction(sq_num.abs_sq(), sq_den.abs_sq()))
-    gamma = ((r + x) / 2).sqrt()
-    delta = ((r - x) / 2).sqrt()
-    if y < 0:
-        delta = -delta
+    w_sq = Fraction(sq_num.abs_sq(), sq_den.abs_sq())
     qx, qy = _quotient(q_num, q_den)
-    qy = sqrt_of(sq_num.spec.abs_disc) * qy
-    plus = ((gamma - qx) ** 2 + (delta - qy) ** 2).sqrt()
-    minus = ((gamma + qx) ** 2 + (delta + qy) ** 2).sqrt()
-    return -(-plus).fmax(-minus)
+    qy, abs_disc = (-qy if y < 0 else qy), sq_num.spec.abs_disc
+
+    def distance(prec: int):
+        r = sqrt(w_sq, prec)
+        gamma = sqrt(div(add(r, x, prec), 2, prec), prec)
+        delta = sqrt(div(sub(r, x, prec), 2, prec), prec)
+        qi = mul(sqrt(abs_disc, prec), qy, prec)
+        plus = add(power(sub(gamma, qx, prec), 2, prec), power(sub(delta, qi, prec), 2, prec), prec)
+        minus = add(power(add(gamma, qx, prec), 2, prec), power(add(delta, qi, prec), 2, prec), prec)
+        return fmin(sqrt(plus, prec), sqrt(minus, prec), prec)
+
+    return ExactReal(distance)
 
 
 # ---------------------------------------------------------------------------
@@ -133,31 +145,19 @@ def _branch_distance(sq_num: RingElem, sq_den: RingElem, q_num: RingElem, q_den:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Exact/certified record of the theorem quantities for one input.
+    """Certified record of the theorem quantities for one input.
 
-    L, P and lam are built with the record; l, p and c_const are built from
-    abs_t = |T| and abs_m = M on first access, since only L > 1 and lambda
-    enter the gap principle.
+    Each quantity is an ExactReal defined by one straight-line function of
+    the precision, evaluated only when a comparison or an enclosure asks.
     """
 
     M_sq: int
     L: ExactReal
     P: ExactReal
     lam: ExactReal
-    abs_t: ExactReal
-    abs_m: ExactReal
-
-    @cached_property
-    def l(self) -> ExactReal:
-        return const(Fraction(27, 64)) * self.abs_t / (self.abs_t - self.abs_m)
-
-    @cached_property
-    def p(self) -> ExactReal:
-        return ((2 * self.abs_t + 3 * self.abs_m) / (2 * self.abs_t - 2 * self.abs_m)).sqrt()
-
-    @cached_property
-    def c_const(self) -> ExactReal:
-        return 1 / (const(4) * self.p * self.P * (2 * self.l).fmax(1).pow(self.lam - 1))
+    l: ExactReal
+    p: ExactReal
+    c_const: ExactReal
 
 
 def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
@@ -172,25 +172,41 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
         raise PreconditionViolated(["a1 != a2"])
     if a1.is_zero() or a2.is_zero():
         raise PreconditionViolated(["a1 and a2 nonzero"])
-    n1, n2 = a1.abs_sq(), a2.abs_sq()
-    n12 = (a1 - a2).abs_sq()
-    t2 = T.abs_sq()
-    m_sq = max(n1, n2)
+    n1, n2, n12, t2 = a1.abs_sq(), a2.abs_sq(), (a1 - a2).abs_sq(), T.abs_sq()
+    m_sq, min_sq, k = max(n1, n2), min(n1, n2, n12), 16 * n1 * n2 * n12
     if t2 <= m_sq:
         raise PreconditionViolated(["|T| > max(|a1|, |a2|)"])
-
-    abs_t = const(t2).sqrt()
-    abs_m = const(m_sq).sqrt()
-    min_sq = min(n1, n2, n12)
-    min_abs = const(min_sq).sqrt()
-
-    k = 16 * n1 * n2 * n12
     if not _positive(27 * (t2 + m_sq) - k, -54, t2 * m_sq):  # 27(t + m) - k > 54 sqrt(tm)
         raise TheoremInapplicable("L <= 1, the theorem gives nothing")
-    L = const(Fraction(27, k)) * (abs_t - abs_m) ** 2
-    P = const(k) * (2 * abs_t + 3 * abs_m) / min_abs**3
-    lam = 1 + P.log() / L.log()
-    return GapReport(M_sq=m_sq, L=L, P=P, lam=lam, abs_t=abs_t, abs_m=abs_m)
+
+    # each quantity from |T|, M and the precision; one square root of each per evaluation
+    def L(abs_t, abs_m, prec: int):
+        return mul(Fraction(27, k), power(sub(abs_t, abs_m, prec), 2, prec), prec)
+
+    def P(abs_t, abs_m, prec: int):
+        top = mul(k, add(mul(abs_t, 2, prec), mul(abs_m, 3, prec), prec), prec)
+        return div(top, power(sqrt(min_sq, prec), 3, prec), prec)
+
+    def lam(abs_t, abs_m, prec: int):
+        return add(div(log(P(abs_t, abs_m, prec), prec), log(L(abs_t, abs_m, prec), prec), prec), 1, prec)
+
+    def l(abs_t, abs_m, prec: int):
+        return div(mul(Fraction(27, 64), abs_t, prec), sub(abs_t, abs_m, prec), prec)
+
+    def p(abs_t, abs_m, prec: int):
+        top = add(mul(abs_t, 2, prec), mul(abs_m, 3, prec), prec)
+        return sqrt(div(top, sub(mul(abs_t, 2, prec), mul(abs_m, 2, prec), prec), prec), prec)
+
+    def c(abs_t, abs_m, prec: int):  # 1/(4 p P max(2l, 1)^(lambda - 1))
+        base = fmax(mul(l(abs_t, abs_m, prec), 2, prec), 1, prec)
+        grown = exp(mul(log(base, prec), sub(lam(abs_t, abs_m, prec), 1, prec), prec), prec)
+        denominator = mul(mul(mul(4, p(abs_t, abs_m, prec), prec), P(abs_t, abs_m, prec), prec), grown, prec)
+        return div(1, denominator, prec)
+
+    def certified(quantity) -> ExactReal:
+        return ExactReal(lambda prec: quantity(sqrt(t2, prec), sqrt(m_sq, prec), prec))
+
+    return GapReport(m_sq, *map(certified, (L, P, lam, l, p, c)))
 
 
 def _positive(a: int, b: int, n: int) -> bool:

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from diophiq.cli import main
-from diophiq.exactreal import sqrt_of
 from diophiq.gap import (
     chain_certificate, gap_hypotheses, gap_principle, jz_quantities,
 )
@@ -108,15 +107,14 @@ def _admissible_input(rng: random.Random, spec: RingSpec):
 
 def test_criterion_4_gap_principle_internals():
     rng = random.Random(0x6A7)
-    sqrt_21_16 = sqrt_of(Fraction(21, 16))
     for _ in range(100):
         spec = rng.choice(RING_SET)
         a, b, c = _admissible_input(rng, spec)
         res = gap_principle(a, b, c)   # raises if any certification fails
         rep = jz_quantities(b, a, a * b * c)
-        assert rep.p <= sqrt_21_16                      # |ac| >= 9 branch
-        assert rep.l < Fraction(1, 2)                   # |ac| > 32/5 branch
-        assert rep.L > 1
+        assert rep.p.enclosure()[1] ** 2 <= Fraction(21, 16)   # |ac| >= 9 branch
+        assert rep.l.compare(Fraction(1, 2)) < 0        # |ac| > 32/5 branch
+        assert rep.L.compare(1) > 0
         lo, hi = res.lambda_enclosure                   # |c| > |b|^15 branch
         assert Fraction(1) < lo <= hi < Fraction(19, 10)
         assert res.bound_abs_sq == (4728**20) ** 2 * c.abs_sq() ** 50

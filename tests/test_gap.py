@@ -9,14 +9,13 @@ from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from diophiq import gap
 from diophiq.cli import main
-from diophiq.errors import (
-    PreconditionViolated, TheoremInapplicable, UndecidableComparison,
-)
-from diophiq.exactreal import ExactReal, const
+from diophiq.errors import PreconditionViolated, TheoremInapplicable
+from diophiq.exactreal import ExactReal
 from diophiq.gap import (
     ApproxReport,
     K_CONSTANT,
@@ -94,7 +93,7 @@ def test_approx_check_slacks_are_pinned():
 
 def test_approx_check_false_margin_names_inequality(monkeypatch):
     # a distance far above bound_i must be reported, not escalated
-    monkeypatch.setattr(gap, "_branch_distance", lambda *args: const(1))
+    monkeypatch.setattr(gap, "_branch_distance", lambda *args: ExactReal(lambda prec: 1))
     d, triple, ext = APPROX_CASES[1]
     spec = RingSpec(d)
     sys = build_system(*(spec.elem(u, v) for u, v in triple))
@@ -148,21 +147,30 @@ def test_jz_worked_example():
     assert rep.p.exact is None  # sqrt(209/194) is irrational
     lo, hi = rep.p.enclosure()
     assert lo * lo < Fraction(2 * 100 + 9, 2 * 100 - 6) < hi * hi
-    assert rep.lam > 1
+    assert rep.lam.compare(1) > 0
 
 
-def test_jz_builds_l_p_c_on_first_access():
+def test_gap_principle_evaluates_no_interval_of_l_p_or_c(monkeypatch):
+    # the report defines l, p and c with L, P and lambda, but gap_principle
+    # reads lambda's enclosure only, and only that is ever evaluated
+    reports, evaluated = [], []
+    jz, evaluate = gap.jz_quantities, ExactReal._eval
+
+    def recording_jz(*args):
+        reports.append(jz(*args))
+        return reports[-1]
+
+    def recording_eval(this, prec):
+        evaluated.append((this, prec))
+        return evaluate(this, prec)
+
+    monkeypatch.setattr(gap, "jz_quantities", recording_jz)
+    monkeypatch.setattr(ExactReal, "_eval", recording_eval)
     a, b, c = _admissible_triple(random.Random(5), D3)
-    rep = jz_quantities(b, a, a * b * c)
-    assert not {"l", "p", "c_const"} & set(vars(rep))
-    c_first = rep.c_const.enclosure()
-    assert {"l", "p", "c_const"} <= set(vars(rep))
-    assert rep.c_const is rep.c_const
-    # the enclosure does not depend on which node was evaluated first
-    other = jz_quantities(b, a, a * b * c)
-    lam = other.lam.enclosure()
-    assert other.c_const.enclosure() == c_first
-    assert rep.lam.enclosure() == lam
+    res = gap_principle(a, b, c)
+    [rep] = reports
+    assert evaluated == [(rep.lam, 128)]
+    assert res.lambda_enclosure == rep.lam.enclosure()
 
 
 def test_jz_degenerate_inputs():
@@ -177,11 +185,10 @@ def test_jz_degenerate_inputs():
 def test_jz_specialization_p_bound():
     # a1=b, a2=a, T=abc with |ac| >= 9 forces p <= sqrt(21/16); here
     # a=3, b=7, c=9 gives |ac| = 27 and p = sqrt(57/52), strictly below
-    from diophiq.exactreal import sqrt_of
-
     a, b, c = D1.elem(3), D1.elem(7), D1.elem(9)
     rep = jz_quantities(b, a, a * b * c)
-    assert rep.p < sqrt_of(Fraction(21, 16))
+    lo, hi = rep.p.enclosure()
+    assert lo * lo <= Fraction(57, 52) <= hi * hi < Fraction(21, 16)
 
 
 def test_jz_L_gt_1_under_strong_condition():
@@ -204,13 +211,33 @@ def test_jz_L_gt_1_under_strong_condition():
         if t.abs_sq() <= max(na, nb):
             continue
         rep = jz_quantities(b, a, t)
-        assert rep.L > 1
+        assert rep.L.compare(1) > 0
         count += 1
 
 
+def _iv_sign(expr):
+    """Sign of expr() in mpmath's interval context at 128, 256, ... 4096 bits:
+    the first certified one, 0 for the point 0, None if still undecided."""
+    old = mpmath.iv.prec
+    try:
+        for prec in (128, 256, 512, 1024, 2048, 4096):
+            mpmath.iv.prec = prec
+            value = expr(mpmath.iv)
+            if value.a > 0:
+                return 1
+            if value.b < 0:
+                return -1
+            if value.a == value.b == 0:
+                return 0
+    finally:
+        mpmath.iv.prec = old
+    return None
+
+
 def _l_exceeds_one_by_intervals(k, t2, m_sq):
-    """The interval comparison the integer predicate replaced, kept as its oracle."""
-    return const(Fraction(27, k)) * (const(t2).sqrt() - const(m_sq).sqrt()) ** 2 > 1
+    """L = 27/k (|T| - M)^2 > 1 in mpmath.iv, kept as the integer predicate's oracle;
+    multiplied through by k, so that the tie on squares is the point 0."""
+    return _iv_sign(lambda iv: 27 * (iv.sqrt(t2) - iv.sqrt(m_sq)) ** 2 - k) == 1
 
 
 def _l_exceeds_one(a1, a2, T):
@@ -254,8 +281,7 @@ def test_l_exceeds_one_is_false_at_the_exact_tie():
     D2 = RingSpec(-2)
     a1, a2 = D2.elem(-6), D2.elem(-4, -1)
     k = 16 * 36 * 18 * 6
-    L = const(Fraction(27, k)) * (const(54**2).sqrt() - const(36).sqrt()) ** 2
-    assert L.compare(1) == 0
+    assert 27 * (54 - 6) ** 2 == k
     assert not _l_exceeds_one_by_intervals(k, 54**2, 36)
     assert not _l_exceeds_one(a1, a2, D2.elem(54))
     assert _l_exceeds_one(a1, a2, D2.elem(55))
@@ -331,15 +357,15 @@ def _auxiliary_holds(na, nb, nbma, nc):
 
 
 def _auxiliary_by_intervals(na, nb, nbma, nc):
-    """The interval expression the integer predicate replaced, kept as its oracle."""
-    lhs = (
-        210
-        * const(nb).sqrt() ** 3
-        * const(nbma).sqrt().pow(Fraction(19, 5))
-        * const(na).sqrt().pow(Fraction(4, 5))
-    )
-    rhs = (const(na * nc).sqrt() - 1).pow(Fraction(4, 5))
-    return lhs < rhs
+    """The inequality in its fractional-power form in mpmath.iv, kept as the
+    integer predicate's oracle; None where no precision up to 4096 bits decides it."""
+
+    def rhs_minus_lhs(iv):
+        lhs = 210 * iv.sqrt(nb) ** 3 * iv.sqrt(nbma) ** (iv.mpf(19) / 5) * iv.sqrt(na) ** (iv.mpf(4) / 5)
+        return (iv.sqrt(na * nc) - 1) ** (iv.mpf(4) / 5) - lhs
+
+    sign = _iv_sign(rhs_minus_lhs)
+    return None if sign is None else sign == 1
 
 
 def test_auxiliary_inequality_matches_interval_form():
@@ -356,7 +382,7 @@ def test_auxiliary_inequality_matches_interval_form():
             nc = (root + 2**64) ** 2 // (na << 128) + rng.randint(-2, 2)
         else:
             nc = rng.randint(1, 10 ** rng.randint(1, 60))
-        nc = max(nc, 2)  # (|ac| - 1)^0.8 is an interval pow only for |ac| > 1
+        nc = max(nc, 2)  # |ac| > 1, so (|ac| - 1)^0.8 is a power of a positive number
         holds = _auxiliary_holds(na, nb, nbma, nc)
         assert holds == _auxiliary_by_intervals(na, nb, nbma, nc), (na, nb, nbma, nc)
         seen.add((i % 2, holds))
@@ -364,20 +390,21 @@ def test_auxiliary_inequality_matches_interval_form():
 
 
 def test_auxiliary_inequality_is_false_at_the_exact_tie():
-    # |ac| = 1 and b = a make both sides 0; the interval form could not decide
-    with pytest.raises(UndecidableComparison):
-        _auxiliary_by_intervals(1, 26, 0, 1)
+    # |ac| = 1 and b = a make both sides the point 0
+    assert _auxiliary_by_intervals(1, 26, 0, 1) is False
     assert not _auxiliary_holds(1, 26, 0, 1)
 
 
 def _lambda_by_intervals(na, nb, nbma, nc):
-    """lambda > 1 and lambda < 1.9 by the interval comparisons the exact checks replaced."""
+    """lambda > 1 and lambda < 1.9 in mpmath.iv, kept as the exact checks' oracle."""
     k, t, m, mu = 16 * na * nb * nbma, na * nb * nc, max(na, nb), min(na, nb, nbma)
-    abs_t, abs_m = const(t).sqrt(), const(m).sqrt()
-    L = const(Fraction(27, k)) * (abs_t - abs_m) ** 2
-    P = const(k) * (2 * abs_t + 3 * abs_m) / const(mu).sqrt() ** 3
-    lam = 1 + P.log() / L.log()
-    return lam > 1, lam < Fraction(19, 10)
+
+    def lam(iv):
+        L = iv.mpf(27) / k * (iv.sqrt(t) - iv.sqrt(m)) ** 2
+        P = k * (2 * iv.sqrt(t) + 3 * iv.sqrt(m)) / iv.sqrt(mu) ** 3
+        return 1 + iv.log(P) / iv.log(L)
+
+    return _iv_sign(lambda iv: lam(iv) - 1) == 1, _iv_sign(lambda iv: lam(iv) - iv.mpf(19) / 10) == -1
 
 
 def _lambda_tie_nc(na, nb, nbma):

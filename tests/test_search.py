@@ -506,12 +506,6 @@ def test_pair_graph_unit_edge_cases():
         assert search._pair_graph(ring, units) == _direct_pair_graph(ring, units)
 
 
-# both bases, and each side of the cutoffs at B = 256: -257 is integral-basis
-# at the witness cutoff B + 1, -1019 half-integer just inside 4B, and -1022
-# integral-basis past B + 1, where every vertex is a rational integer
-ORACLE_RINGS = (-1, -2, -3, -7, -11, -19, -43, -163, -257, -1019, -1022)
-
-
 def _all_pairs_graph(spec, vertices):
     """Adjacency by testing every vertex pair: a*b + 1 is an edge's witness
     squared, so its norm is r^2 and its root lies among the elements of
@@ -537,16 +531,21 @@ def _all_pairs_graph(spec, vertices):
 def test_pair_graph_equals_all_pairs_oracle_at_bound_256():
     # the witness walk's divisor window ceil(M/B) <= k <= isqrt(M) is proved
     # only in _pair_graph's docstring; at its ends lie {5, 16} in d = -1
-    # (M = abs_sq(80) = 25 * 256) and {1, -1} (w = 0) in every ring
-    assert {RingSpec(d).t for d in ORACLE_RINGS} == {0, 1}
+    # (M = abs_sq(80) = 25 * 256) and {1, -1} (w = 0) in every ring.  All 624
+    # rings of the headline sweep at |z| <= 16, in both bases and on each side
+    # of the witness cutoff B + 1; they include -258, the first squarefree
+    # integral-basis d past B + 1, which the rational pass searches
+    rings = sweep_ring_list(256)
+    assert len(rings) == 624 and -258 in rings
+    assert {RingSpec(d).t for d in rings} == {0, 1}
     edges = 0
-    for d in ORACLE_RINGS:
+    for d in rings:
         spec = RingSpec(d)
         vertices = _disk_vertices(spec, 256)
         adj, _tested = search._pair_graph(spec, vertices)
         assert adj == _all_pairs_graph(spec, vertices), d
         edges += sum(map(len, adj)) // 2
-    assert edges == 14637
+    assert edges == 63844
 
 
 def _folded_rings(b_sq):
