@@ -5,7 +5,7 @@ Each is one function fn(prec) built from the helpers below, whose value at
 one precision is an exact rational (int or Fraction) or an outward-rounded
 interval: mpmath's raw (lo, hi) endpoint pair, computed by mpmath.libmp with
 the precision passed on each call.  A binary helper folds two exact operands
-exactly and otherwise makes its one mpi_* call on the same operand order;
+exactly and otherwise makes its one mpi_* call, operands in the order given;
 sqrt stays exact on squares of rationals.  No global precision or context is
 read or written and nothing is cached, so evaluation is safe under threads.
 
@@ -55,7 +55,7 @@ def _iv_int(n: int, prec: int):
 
 
 def _iv(x, prec: int):
-    """x as an interval; an exact p/q encloses as p's, divided by q's unless q == 1."""
+    """x as an interval; an exact p/q as iv.mpf(p) / iv.mpf(q), or iv.mpf(p) when q == 1."""
     if isinstance(x, tuple):
         return x
     p = _iv_int(x.numerator, prec)
@@ -121,8 +121,6 @@ def exp(x, prec: int):
 class ExactReal:
     """A real number defined by fn(prec): exact when fn returns a rational,
     certified through intervals otherwise."""
-
-    __slots__ = ("fn",)
 
     def __init__(self, fn) -> None:
         self.fn = fn

@@ -118,19 +118,20 @@ def _branch_distance(sq_num: RingElem, sq_den: RingElem, q_num: RingElem, q_den:
     theta = gamma + i*delta is the principal root: gamma = sqrt((|w|+Re w)/2),
     delta = sign(Im w)*sqrt((|w|-Re w)/2) for w = theta^2, where |w| is the
     square root of the exact rational abs_sq(sq_num)/abs_sq(sq_den).  The
-    sign of delta is carried by q's imaginary part instead, which leaves
+    sign of delta is applied to q's imaginary part, which leaves
     both distances unchanged.
     """
     x, y = _quotient(sq_num, sq_den)
     w_sq = Fraction(sq_num.abs_sq(), sq_den.abs_sq())
     qx, qy = _quotient(q_num, q_den)
-    qy, abs_disc = (-qy if y < 0 else qy), sq_num.spec.abs_disc
+    if y < 0:
+        qy = -qy
 
     def distance(prec: int):
         r = sqrt(w_sq, prec)
         gamma = sqrt(div(add(r, x, prec), 2, prec), prec)
         delta = sqrt(div(sub(r, x, prec), 2, prec), prec)
-        qi = mul(sqrt(abs_disc, prec), qy, prec)
+        qi = mul(sqrt(sq_num.spec.abs_disc, prec), qy, prec)
         plus = add(power(sub(gamma, qx, prec), 2, prec), power(sub(delta, qi, prec), 2, prec), prec)
         minus = add(power(add(gamma, qx, prec), 2, prec), power(add(delta, qi, prec), 2, prec), prec)
         return fmin(sqrt(plus, prec), sqrt(minus, prec), prec)

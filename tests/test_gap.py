@@ -237,7 +237,9 @@ def _iv_sign(expr):
 def _l_exceeds_one_by_intervals(k, t2, m_sq):
     """L = 27/k (|T| - M)^2 > 1 in mpmath.iv, kept as the integer predicate's oracle;
     multiplied through by k, so that the tie on squares is the point 0."""
-    return _iv_sign(lambda iv: 27 * (iv.sqrt(t2) - iv.sqrt(m_sq)) ** 2 - k) == 1
+    sign = _iv_sign(lambda iv: 27 * (iv.sqrt(t2) - iv.sqrt(m_sq)) ** 2 - k)
+    assert sign is not None, (k, t2, m_sq)
+    return sign == 1
 
 
 def _l_exceeds_one(a1, a2, T):
@@ -404,7 +406,9 @@ def _lambda_by_intervals(na, nb, nbma, nc):
         P = k * (2 * iv.sqrt(t) + 3 * iv.sqrt(m)) / iv.sqrt(mu) ** 3
         return 1 + iv.log(P) / iv.log(L)
 
-    return _iv_sign(lambda iv: lam(iv) - 1) == 1, _iv_sign(lambda iv: lam(iv) - iv.mpf(19) / 10) == -1
+    above, below = _iv_sign(lambda iv: lam(iv) - 1), _iv_sign(lambda iv: lam(iv) - iv.mpf(19) / 10)
+    assert None not in (above, below), (na, nb, nbma, nc)
+    return above == 1, below == -1
 
 
 def _lambda_tie_nc(na, nb, nbma):
