@@ -168,7 +168,7 @@ def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]
     """Unordered stream of (u, v, abs_sq) for all nonzero z with abs_sq <= b_sq.
 
     Hot-path helper: runs in O(number of lattice points) with plain int
-    arithmetic; use enumerate_up_to for the canonical order.
+    arithmetic; use annulus_points for the canonical order.
     """
     if b_sq < 1:
         return
@@ -183,10 +183,15 @@ def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]
                 yield u, v, u * (u - tv) + nv
 
 
+def annulus_points(spec: RingSpec, b_sq: int, min_abs_sq: int = 1) -> list[tuple[int, int, int]]:
+    """(abs_sq, u, v) of every nonzero z with min_abs_sq <= abs_sq(z) <= b_sq,
+    sorted: the canonical order, as plain integers."""
+    return sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_abs_sq)
+
+
 def enumerate_up_to(spec: RingSpec, b_sq: int, min_abs_sq: int = 1) -> list[RingElem]:
     """Every z with min_abs_sq <= abs_sq(z) <= b_sq, z nonzero, in canonical order."""
-    pts = sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_abs_sq)
-    return [RingElem(u, v, spec) for _n, u, v in pts]
+    return [RingElem(u, v, spec) for _n, u, v in annulus_points(spec, b_sq, min_abs_sq)]
 
 
 def sqrt_coords(spec: RingSpec, wu: int, wv: int, r: int) -> tuple[int, int] | None:

@@ -36,6 +36,14 @@ its count lowered still passes: an edited cache can shrink a result.
 One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
 pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
 dividing w^2 - 1 by a finds it without testing a pair for squareness.
+The pair graph's vertices are plain (abs_sq, u, v) points, and only a
+clique's members become RingElems.  Every annulus is closed under z -> -z
+and z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
+conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph takes one witness per
+{+/-w, +/-conj(w)} orbit, skipping each P = w^2 - 1 with a negative v
+coordinate (conj(w)^2 - 1 = conj(P) flips its sign), and divides by one
+vertex per +/-a, since -a finds -b; each edge it finds adds its images
+under both maps.
 The clique search peels the graph to its (m-1)-core first: a vertex outside
 it starts no m-clique, and it is counted as the one node the search over the
 whole graph explores from it, so cliques_explored does not depend on the peel.
@@ -58,6 +66,7 @@ from .errors import NotDiophantine, PostconditionViolated, ZeroElement
 from .ring import (
     RingElem,
     RingSpec,
+    annulus_points,
     enumerate_up_to,
     is_squarefree,
     iter_disk_coords,
@@ -120,28 +129,45 @@ def _witness_walk(spec: RingSpec, b_sq: int):
         yield pu, pv, pu * (pu - tc * pv) + nc * pv * pv
 
 
-def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]], int]:
-    """Adjacency sets over nonzero vertices' indices; returns (adj, pairs_decided).
+def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[list[set[int]], int]:
+    """Adjacency sets over the indices of nonzero (abs_sq, u, v) points;
+    returns (adj, pairs_decided).
 
     An edge {a, b} has a witness w with a*b + 1 = w^2 and abs_sq(w) =
     |a*b + 1| <= B + 1, B the largest vertex norm, so the witness walk of
-    that disk reaches each edge once.  With a the end of smaller norm k,
+    that disk reaches each edge.  With a the end of smaller norm k,
     k * abs_sq(b) = M = abs_sq(w^2 - 1) and abs_sq(b) <= B give
     ceil(M/B) <= k <= isqrt(M) with k | M; then b = (w^2 - 1)*conj(a)/k.
     w = +/-1 gives M = 0 and no k.  b == a is no edge (a = +/-i in Z[i]).
+
+    Orbits: -a gives -b for the same P = w^2 - 1, and conj(w)^2 - 1 =
+    conj(P) joins conj(a) and conj(b).  So only a with v > 0, or v == 0 and
+    u > 0, is divided, only P with pv >= 0 is walked, and each edge found
+    adds {-a, -b} and, when pv != 0, the conjugates of both; a real P
+    (pv == 0) is its own conjugate and finds the conjugate edges itself.
+    The vertices must be closed under -z and conj(z), as every annulus is;
+    a list that is not raises ValueError.
     """
     tc, nc = spec.t, spec.n
     n = len(vertices)
     adj: list[set[int]] = [set() for _ in range(n)]
     if not n:
         return adj, 0
-    index = {(z.u, z.v): i for i, z in enumerate(vertices)}
+    index = {(u, v): i for i, (_k, u, v) in enumerate(vertices)}
+    try:  # conj(u + v*w) == (u - t*v, -v)
+        neg = [index[-u, -v] for _k, u, v in vertices]
+        cj = [index[u - tc * v, -v] for _k, u, v in vertices]
+    except KeyError:
+        raise ValueError("pair-graph vertices are not closed under -z and conj(z)") from None
     by_norm: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for i, z in enumerate(vertices):  # conj(u + v*w) == (u - t*v, -v)
-        by_norm.setdefault(z.abs_sq(), []).append((i, z.u, z.v, z.u - tc * z.v, nc * z.v))
+    for i, (k, u, v) in enumerate(vertices):
+        if v > 0 or (v == 0 and u > 0):  # one of each +/-a
+            by_norm.setdefault(k, []).append((i, u, v, u - tc * v, nc * v))
     norms = sorted(by_norm)
     top = norms[-1]
     for pu, pv, m in _witness_walk(spec, top + 1):
+        if pv < 0:
+            continue  # conj(P) is walked, and its edges' conjugates are P's
         for k in norms[bisect_left(norms, -(-m // top)) : bisect_right(norms, isqrt(m))]:
             if m % k:
                 continue
@@ -150,9 +176,14 @@ def _pair_graph(spec: RingSpec, vertices: list[RingElem]) -> tuple[list[set[int]
                 if qu % k or qv % k:
                     continue
                 j = index.get((qu // k, qv // k))
-                if j is not None and j != i:
-                    adj[i].add(j)
-                    adj[j].add(i)
+                if j is None or j == i:
+                    continue
+                edges = [(i, j), (neg[i], neg[j])]
+                if pv:
+                    edges += [(cj[x], cj[y]) for x, y in edges]
+                for x, y in edges:
+                    adj[x].add(y)
+                    adj[y].add(x)
     return adj, n * (n - 1) // 2
 
 
@@ -236,6 +267,7 @@ def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
         later = sorted((w for w in adj[v] if pos[w] > p), key=pos.__getitem__)
         if extend([v], later):
             break
+    del extend  # it calls itself through its closure; that cycle would keep adj alive until a collection
     return out, explored
 
 
@@ -268,12 +300,13 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
         tuples, stats = cached
     else:
         spec = cfg.spec
-        vertices = enumerate_up_to(spec, cfg.max_abs_sq, cfg.min_abs_sq)
-        adj, tested = _pair_graph(spec, vertices)
+        points = annulus_points(spec, cfg.max_abs_sq, cfg.min_abs_sq)
+        adj, tested = _pair_graph(spec, points)
         limit = 1 if cfg.mode == "find-first" else None
         cliques, explored = _cliques_of_size(adj, cfg.target_size, limit)
-        tuples = sorted((make_tuple(spec, [vertices[i] for i in c]) for c in cliques), key=_tuple_key)
-        stats = SearchStats(len(vertices), tested, explored)
+        members = ([RingElem(*points[i][1:], spec) for i in c] for c in cliques)
+        tuples = sorted((make_tuple(spec, elems) for elems in members), key=_tuple_key)
+        stats = SearchStats(len(points), tested, explored)
         if cfg.mode == "find-all":
             _cache_store(cache_dir, cfg, tuples, stats)
     return SearchResult(
@@ -281,20 +314,6 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
         count=len(tuples),
         stats=stats,
     )
-
-
-def naive_find_m_tuples(cfg: SearchConfig) -> tuple[DiophTuple, ...]:
-    """Independent oracle: plain nested combinations, each verified once by make_tuple."""
-    spec = cfg.spec
-    elems = [z for z in enumerate_up_to(spec, cfg.max_abs_sq) if z.abs_sq() >= cfg.min_abs_sq]
-    found = []
-    for combo in itertools.combinations(elems, cfg.target_size):
-        try:
-            found.append(make_tuple(spec, combo))
-        except NotDiophantine:
-            continue
-    found.sort(key=_tuple_key)
-    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

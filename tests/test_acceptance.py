@@ -23,7 +23,6 @@ from diophiq.search import (
     SearchConfig,
     census_double_regular_triples,
     find_m_tuples,
-    naive_find_m_tuples,
     quintuple_sweep,
 )
 from diophiq.errors import NotDiophantine
@@ -33,6 +32,7 @@ from diophiq.tuples import (
     omega_lower_bound,
     regular_extensions,
 )
+from oracles import naive_find_m_tuples
 
 RING_SET = [RingSpec(d) for d in (-1, -2, -3, -7, -11)]
 

@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import heapq
 import itertools
 import json
@@ -7,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from math import isqrt
 from pathlib import Path
 
@@ -23,12 +25,12 @@ from diophiq.search import (
     census_double_regular_triples,
     extend_tuple,
     find_m_tuples,
-    naive_find_m_tuples,
     quintuple_sweep,
     rational_integer_pass,
     sweep_ring_list,
 )
 from diophiq.tuples import DiophTuple, is_diophantine_tuple, make_tuple
+from oracles import naive_find_m_tuples
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -251,6 +253,27 @@ def test_clique_search_k5_interleaved_with_pendant_path():
     assert _cliques_of_size(adj, 6) == ([], 10)  # the 5-core is empty
 
 
+def test_ring_search_frees_its_graph_without_a_collection(monkeypatch):
+    # a sweep searches ring after ring; a graph kept alive by a reference
+    # cycle lingers until the cyclic collector runs and raises the peak memory
+    graphs = []
+    pair_graph = search._pair_graph
+
+    def recording(spec, vertices):
+        adj, tested = pair_graph(spec, vertices)
+        graphs.append(weakref.ref(adj[0]))
+        return adj, tested
+
+    monkeypatch.setattr(search, "_pair_graph", recording)
+    gc.disable()
+    try:
+        for size, mode in ((3, "find-all"), (3, "find-first"), (5, "count")):
+            find_m_tuples(SearchConfig(D3, 64, size, mode))
+        assert [ref() for ref in graphs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
 def test_extend_tuple_finds_120_and_8():
     t = make_tuple(D1, [D1.elem(1), D1.elem(3)])
     exts = extend_tuple(t, 256 * 256)
@@ -417,9 +440,9 @@ def test_single_ring_quintuple_empty_d3():
 
 
 def _direct_pair_graph(spec, vertices):
-    """Oracle: every pair through the norm filter and the square test."""
+    """Oracle: every pair of (abs_sq, u, v) points through the norm filter and the square test."""
     tc, nc = spec.t, spec.n
-    coords = [(z.u, z.v, z.u - tc * z.v) for z in vertices]
+    coords = [(u, v, u - tc * v) for _k, u, v in vertices]
     n = len(coords)
     adj = [set() for _ in range(n)]
     for i, (u1, v1, _) in enumerate(coords):
@@ -436,8 +459,15 @@ def _direct_pair_graph(spec, vertices):
 
 
 def _disk_vertices(spec, b_sq):
-    """The vertex list find_m_tuples builds: nonzero elements by (abs_sq, u, v)."""
-    return [RingElem(u, v, spec) for n, u, v in sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq))]
+    """The vertex list find_m_tuples builds: the sorted (abs_sq, u, v) of the nonzero elements."""
+    return sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq))
+
+
+def _orbit(spec, point):
+    """A point's images under z -> -z and z -> conj(z) == (u - t*v, -v)."""
+    k, u, v = point
+    cu = u - spec.t * v
+    return {(k, u, v), (k, -u, -v), (k, cu, -v), (k, -cu, v)}
 
 
 def test_pair_graph_equals_direct_loop_on_every_ring_at_bound_8():
@@ -451,9 +481,9 @@ def test_pair_graph_equals_direct_loop_on_every_ring_at_bound_8():
         # symmetric, an even degree sum, closed under -z and conj(z)
         assert all(i in adj[j] for i in range(len(adj)) for j in adj[i])
         assert sum(map(len, adj)) % 2 == 0
-        index = {z: i for i, z in enumerate(vertices)}
-        for image in (lambda z: -z, RingElem.conj):
-            moved = [index[image(z)] for z in vertices]
+        index = {(u, v): i for i, (_k, u, v) in enumerate(vertices)}
+        for image in (lambda u, v: (-u, -v), lambda u, v: (u - spec.t * v, -v)):
+            moved = [index[image(u, v)] for _k, u, v in vertices]
             assert all(moved[j] in adj[moved[i]] for i in range(len(adj)) for j in adj[i]), d
 
 
@@ -478,28 +508,42 @@ def test_pair_graph_makes_no_pair_square_test(monkeypatch, d):
 )
 def test_pair_graph_equals_direct_loop_on_any_vertex_set(d, b_sq, data):
     # B comes from the vertices and the smallest norm from min_abs_sq: draw an
-    # annulus, or any subset of it in any order, empty and asymmetric ones too
+    # annulus, or any subset of it in any order, empty and asymmetric ones too.
+    # The subset's closure under -z and conj(z), in any order, gets the direct
+    # loop's graph; a subset that is not closed is refused
     spec = RingSpec(d)
     lo = data.draw(st.integers(1, b_sq + 1), label="min_abs_sq")
-    annulus = [z for z in _disk_vertices(spec, b_sq) if z.abs_sq() >= lo]
+    annulus = [p for p in _disk_vertices(spec, b_sq) if p[0] >= lo]
     subsets = st.lists(st.sampled_from(annulus), unique=True) if annulus else st.nothing()
     vertices = data.draw(st.just(annulus) | subsets, label="vertices")
-    assert search._pair_graph(spec, vertices) == _direct_pair_graph(spec, vertices)
+    closure = set().union(*(_orbit(spec, p) for p in vertices))
+    closed = data.draw(st.permutations(sorted(closure)), label="closed")
+    assert search._pair_graph(spec, closed) == _direct_pair_graph(spec, closed)
+    if closure == set(vertices):
+        assert search._pair_graph(spec, vertices) == _direct_pair_graph(spec, vertices)
+    else:
+        event("not closed")
+        with pytest.raises(ValueError):
+            search._pair_graph(spec, vertices)
 
 
 def test_pair_graph_unit_edge_cases():
     spec = D1
     assert search._pair_graph(spec, []) == ([], 0)
-    one, minus_one, i, minus_i = spec.elem(1), spec.elem(-1), spec.elem(0, 1), spec.elem(0, -1)
+    i, minus_i = spec.elem(0, 1), spec.elem(0, -1)
     assert i * i + spec.one == spec.zero == minus_i * minus_i + spec.one  # a*a + 1 = 0^2
-    vertices = [one, minus_one, i, minus_i]
+    vertices = [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)]  # 1, -1, i, -i
     adj, tested = search._pair_graph(spec, vertices)
     # {1, -1} is the one edge, with witness w = 0; no self-loop at +/-i; the
     # walked disk abs_sq(w) <= 2 holds w = +/-1, where w^2 - 1 = 0 gives nothing
     assert (adj, tested) == ([{1}, {0}, set(), set()], 6)
-    # the witness bound B + 1 is reached: (2+2i)(2-2i) + 1 = 3^2, abs_sq(3) = 8 + 1
-    rim = [spec.elem(2, 2), spec.elem(2, -2)]
-    assert search._pair_graph(spec, rim) == ([{1}, {0}], 1)
+    # the witness bound B + 1 is reached: (2+2i)(2-2i) + 1 = 3^2, abs_sq(3) = 8 + 1,
+    # and so is its negation; -(2+2i)(2-2i) + 1 = -7 and 1 - 8i are no squares
+    rim = [(8, -2, -2), (8, -2, 2), (8, 2, -2), (8, 2, 2)]
+    assert search._pair_graph(spec, rim) == ([{1}, {0}, {3}, {2}], 6)
+    for unclosed in ([(1, 1, 0)], [(8, 2, 2), (8, -2, -2)]):  # no -1; no conj(2+2i)
+        with pytest.raises(ValueError):
+            search._pair_graph(spec, unclosed)
     for ring in (D1, D3):
         units = _disk_vertices(ring, 1)
         assert len(units) == {-1: 4, -3: 6}[ring.d]
@@ -513,9 +557,9 @@ def _all_pairs_graph(spec, vertices):
     tc, nc = spec.t, spec.n
     roots = {}
     adj = [set() for _ in vertices]
-    for (i, a), (j, b) in itertools.combinations(enumerate(vertices), 2):
-        ab = a.v * b.v
-        pu, pv = a.u * b.u - nc * ab + 1, a.u * b.v + a.v * b.u - tc * ab
+    for (i, (_ka, au, av)), (j, (_kb, bu, bv)) in itertools.combinations(enumerate(vertices), 2):
+        ab = av * bv
+        pu, pv = au * bu - nc * ab + 1, au * bv + av * bu - tc * ab
         norm = pu * (pu - tc * pv) + nc * pv * pv
         r = isqrt(norm)
         if r * r != norm:
@@ -595,8 +639,8 @@ def test_folded_ring_graph_is_the_rational_graph(monkeypatch):
     for d in random.Random(7).sample(folded, 12) + [folded[0], folded[-1]]:
         res = find_m_tuples(SearchConfig(RingSpec(d), 256, 3))
         vertices, (adj, _) = graphs[d]
-        assert all(z.v == 0 for z in vertices) and sorted(z.u for z in vertices) == integers
-        label = [z.u for z in vertices]
+        assert all(v == 0 for _k, _u, v in vertices) and sorted(u for _k, u, _v in vertices) == integers
+        label = [u for _k, u, _v in vertices]
         assert {frozenset((label[i], label[j])) for i in range(len(adj)) for j in adj[i]} == edges
         cliques = sorted(tuple(sorted(label[i] for i in c)) for c in _cliques_of_size(adj, 3)[0])
         assert cliques == _rational_tuples(rational_integer_pass(256, 3)) == _rational_tuples(res)
