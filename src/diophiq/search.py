@@ -43,7 +43,10 @@ conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph takes one witness per
 {+/-w, +/-conj(w)} orbit, skipping each P = w^2 - 1 with a negative v
 coordinate (conj(w)^2 - 1 = conj(P) flips its sign), and divides by one
 vertex per +/-a, since -a finds -b; each edge it finds adds its images
-under both maps.
+under both maps.  The extension search, like the pair graph, works on
+plain coordinates: it checks each candidate d against the other elements
+with a norm filter and one exact root test per product, and builds
+RingElems only for the extensions it returns.
 The clique search peels the graph to its (m-1)-core first: a vertex outside
 it starts no m-clique, and it is counted as the one node the search over the
 whole graph explores from it, so cliques_explored does not depend on the peel.
@@ -71,7 +74,6 @@ from .ring import (
     is_squarefree,
     iter_disk_coords,
     sqrt_coords,
-    sqrt_in_ring,
 )
 from .tuples import DiophTuple, Row, c_plus_minus, is_diophantine_tuple, make_tuple, regular_extensions
 
@@ -188,8 +190,9 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
 
 
 def _is_square(spec: RingSpec, wu: int, wv: int, root_norm: int) -> bool:
-    """Exact square test for w = (wu, wv) given isqrt(abs_sq(w)) == root_norm;
-    kept for the tests' all-pairs oracle and the tracer, not the pair graph."""
+    """Exact square test for w = (wu, wv) given root_norm**2 == abs_sq(w): the
+    extension search's test of each e*d + 1 that passes the norm filter.  The
+    pair graph makes none."""
     return sqrt_coords(spec, wu, wv, root_norm) is not None
 
 
@@ -330,38 +333,46 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     that is abs_sq(w) <= isqrt(abs_sq(a) * max_abs_sq) + 1: the witness walk
     of that disk yields each candidate d = (w^2 - 1)/a exactly once, and
     abs_sq(d) = abs_sq(w^2 - 1)/abs_sq(a) <= max_abs_sq is checked before
-    dividing.  The candidates are then verified against every remaining
-    element.
+    dividing.
+
+    Each candidate is checked on plain coordinates: it is skipped if it is
+    zero or in t, and for every other element e, w = e*d + 1 must have a
+    square norm r^2 and pass _is_square's exact root test.  t is sorted, so
+    its first element is a.  Only an accepted d becomes a RingElem.
     """
     if max_abs_sq < 1:
         return []
     spec = t.spec
-    anchor = min(t.elems, key=RingElem.canonical_key)
-    others = [e for e in t.elems if e != anchor]
+    tc, nc = spec.t, spec.n
+    anchor = t.elems[0]
+    others = [e.coords() for e in t.elems[1:]]
+    skip = {(0, 0), *(e.coords() for e in t.elems)}
     na = anchor.abs_sq()
     m_bound = na * max_abs_sq
 
     # (w^2 - 1) * conj(anchor), then exact division by na
     au, av = anchor.u, anchor.v
-    acu, nav = au - spec.t * av, spec.n * av  # conj(anchor) == (acu, -av)
-    candidates = []
+    acu, nav = au - tc * av, nc * av  # conj(anchor) == (acu, -av)
+    found = []
     for pu, pv, m in _witness_walk(spec, isqrt(m_bound) + 1):
         if m > m_bound or m % na:
             continue
         qu, qv = pu * acu + pv * nav, pv * au - pu * av
         if qu % na or qv % na:
             continue
-        candidates.append(RingElem(qu // na, qv // na, spec))
-
-    one = spec.one
-    out = [
-        d
-        for d in candidates
-        if not d.is_zero()
-        and d not in t.elems
-        and all(sqrt_in_ring(e * d + one) is not None for e in others)
-    ]
-    return sorted(out, key=RingElem.canonical_key)
+        du, dv = qu // na, qv // na
+        if (du, dv) in skip:
+            continue
+        for eu, ev in others:
+            vv = ev * dv  # e*d + 1 as in RingElem.__mul__
+            wu, wv = eu * du - nc * vv + 1, eu * dv + ev * du - tc * vv
+            norm = wu * (wu - tc * wv) + nc * wv * wv
+            r = isqrt(norm)
+            if r * r != norm or not _is_square(spec, wu, wv, r):
+                break
+        else:
+            found.append((m // na, du, dv))  # abs_sq(d) first: the canonical order
+    return [RingElem(du, dv, spec) for _k, du, dv in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_verify_classical_quadruple(capsys):
 def test_verify_roots_each_pair_once(capsys, monkeypatch):
     # make_tuple roots the six ab + 1 and pair_products_not_square the six ab;
     # the Omega and double-regular checks read the verified quadruple
-    from diophiq import ring, search, tuples
+    from diophiq import ring, tuples
 
     calls = []
     root = ring.sqrt_in_ring
@@ -129,7 +129,7 @@ def test_verify_roots_each_pair_once(capsys, monkeypatch):
         calls.append(w)
         return root(w)
 
-    for module in (ring, search, tuples):
+    for module in (ring, tuples):  # search.py does not import sqrt_in_ring
         monkeypatch.setattr(module, "sqrt_in_ring", counting)
     code, rep = run_json(capsys, *GOLDEN["verify_d-1_2_4_12_420"])
     assert code == 0 and rep["payload"]["checks"]["forbidden_double_regular"] == "false"

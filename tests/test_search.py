@@ -29,7 +29,7 @@ from diophiq.search import (
     rational_integer_pass,
     sweep_ring_list,
 )
-from diophiq.tuples import DiophTuple, is_diophantine_tuple, make_tuple
+from diophiq.tuples import DiophTuple, make_tuple
 from oracles import naive_find_m_tuples
 
 D1 = RingSpec(-1)
@@ -322,6 +322,22 @@ def test_extend_enumerates_witness_disk_of_its_bound(monkeypatch, d, coords):
     assert radii and max(radii) <= isqrt(na * 400) + 1
 
 
+def _extension_oracle(t, b_sq):
+    """Every nonzero z outside t with abs_sq(z) <= b_sq and e*z + 1 a square
+    for each e in t, in canonical order.  The disk comes norm by norm from
+    the norm-form search, and w is a square iff abs_sq(w) = r^2 and some z of
+    abs_sq r has z*z == w: no code shared with sqrt_coords or the witness walk."""
+    spec = t.spec
+
+    def is_square(w):
+        n = w.abs_sq()
+        r = isqrt(n)
+        return r * r == n and any(z * z == w for z in elements_with_abs_sq(spec, r))
+
+    disk = [z for n in range(1, b_sq + 1) for z in elements_with_abs_sq(spec, n)]  # (u, v) order within a norm
+    return [z for z in disk if z not in t.elems and all(is_square(e * z + spec.one) for e in t.elems)]
+
+
 @functools.lru_cache(maxsize=None)
 def _small_tuples(d):
     """Coordinates of every 1-, 2- and 3-tuple with all abs_sq <= 25."""
@@ -349,12 +365,25 @@ def test_extend_matches_brute_force_oracle(case, b_sq):
     d, coords = case
     spec = RingSpec(d)
     t = make_tuple(spec, [spec.elem(u, v) for u, v in coords])
-    oracle = [
-        z
-        for z in enumerate_up_to(spec, b_sq)
-        if z not in t.elems and is_diophantine_tuple(spec, list(t.elems) + [z])
-    ]
-    assert extend_tuple(t, b_sq) == oracle
+    assert extend_tuple(t, b_sq) == _extension_oracle(t, b_sq)
+
+
+@pytest.mark.parametrize(
+    "d, coords, gained",
+    [
+        (-3, ((-1, -1), (-1, -2), (-4, -5)), [(24, 8)]),  # half basis: the t*v*v term of a product
+        (-11, ((-1, -1), (0, 1), (3, 0)), [(40, 0)]),  # non-real anchor of abs_sq 3
+        (-2, ((-1, -1), (-1, 1), (2, 0)), [(24, 0)]),
+        (-1, ((1, 0), (3, 0), (8, 0)), []),  # 120 lies past the bound
+        (-3, ((1, 0), (3, 0), (8, 0)), []),
+    ],
+)
+def test_extend_matches_norm_form_oracle_at_bound_2500(d, coords, gained):
+    spec = RingSpec(d)
+    t = make_tuple(spec, [spec.elem(u, v) for u, v in coords])
+    oracle = _extension_oracle(t, 2500)
+    assert [z.coords() for z in oracle] == gained
+    assert extend_tuple(t, 2500) == oracle
 
 
 def test_sweep_ring_list_is_complete_cutoff():
