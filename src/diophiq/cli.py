@@ -35,6 +35,7 @@ load `gap`, and with it `exactreal`, `pell` and mpmath, when they run;
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -344,6 +345,7 @@ def cmd_extend(args) -> tuple[dict, str, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: main may run many commands in one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diophiq",

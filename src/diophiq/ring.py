@@ -189,11 +189,6 @@ def annulus_points(spec: RingSpec, b_sq: int, min_abs_sq: int = 1) -> list[tuple
     return sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_abs_sq)
 
 
-def enumerate_up_to(spec: RingSpec, b_sq: int, min_abs_sq: int = 1) -> list[RingElem]:
-    """Every z with min_abs_sq <= abs_sq(z) <= b_sq, z nonzero, in canonical order."""
-    return [RingElem(u, v, spec) for _n, u, v in annulus_points(spec, b_sq, min_abs_sq)]
-
-
 def sqrt_coords(spec: RingSpec, wu: int, wv: int, r: int) -> tuple[int, int] | None:
     """Coordinates (u, v) of a square root z of the element w = (wu, wv),
     given r*r == abs_sq(w); None when w is not a square.

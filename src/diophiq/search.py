@@ -55,7 +55,6 @@ whole graph explores from it, so cliques_explored does not depend on the peel.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import os
 import tempfile
@@ -70,12 +69,11 @@ from .ring import (
     RingElem,
     RingSpec,
     annulus_points,
-    enumerate_up_to,
     is_squarefree,
     iter_disk_coords,
     sqrt_coords,
 )
-from .tuples import DiophTuple, Row, c_plus_minus, is_diophantine_tuple, make_tuple, regular_extensions
+from .tuples import DiophTuple, Row, c_plus_minus, make_tuple
 
 
 @dataclass(frozen=True)
@@ -376,55 +374,6 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
 
 
 # ---------------------------------------------------------------------------
-# the double-regular census behind the small-triple claim
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DoubleRegularCensus:
-    """Triples arising from both regular branches of in-range pairs."""
-
-    triples: tuple[DiophTuple, ...]
-    # one record per contributing pair: both branch elements in canonical
-    # order and whether the union {a, b, c-, c+} verifies as a quadruple
-    # (the lemma says never)
-    configurations: tuple[dict, ...]
-
-
-def census_double_regular_triples(
-    spec: RingSpec, min_abs_sq: int, max_abs_sq: int
-) -> DoubleRegularCensus:
-    """Enumerate pairs with elements in the range whose regular branches
-    a+b-2r and a+b+2r are both admissible (regular_extensions returns two),
-    and collect the resulting triples.
-
-    This reproduces the check-all-small-triples step of the double-regular
-    refutation: the branch elements may lie outside the element range.
-    """
-    triples: dict[tuple, DiophTuple] = {}
-    configs = []
-    for a, b in itertools.combinations(enumerate_up_to(spec, max_abs_sq, min_abs_sq), 2):
-        try:
-            branches = regular_extensions(a, b)
-        except NotDiophantine:
-            continue
-        if len(branches) != 2:
-            continue  # r = 0, or a branch is 0, a or b
-        union_ok = is_diophantine_tuple(spec, [a, b, *branches])
-        configs.append(
-            {
-                "pair": (a, b),
-                "branches": branches,
-                "union_is_quadruple": union_ok,
-            }
-        )
-        for c in branches:
-            t = make_tuple(spec, [a, b, c])
-            triples[tuple(z.coords() for z in t.elems)] = t
-    return DoubleRegularCensus(tuple(sorted(triples.values(), key=_tuple_key)), tuple(configs))
-
-
-# ---------------------------------------------------------------------------
 # the sweep
 # ---------------------------------------------------------------------------
 
@@ -582,8 +531,9 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTup
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            for t in tuples:
-                fh.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
+            for t in tuples:  # one line per tuple: to_row's integers and the ring
+                elems, witnesses = t.to_row()
+                fh.write(json.dumps({"d": t.spec.d, "elems": elems, "witnesses": witnesses}, sort_keys=True) + "\n")
             fh.write(json.dumps({"count": len(tuples), "stats": list(stats)}) + "\n")
         os.replace(tmp, path)
     except BaseException:

@@ -6,8 +6,7 @@ in the ring.  Every check here is definition-level and exact: witnesses are
 actual square roots, stored and re-verified by squaring.  make_tuple finds
 them.  c_plus_minus, quadruple_extension_candidates, forbidden_double_regular,
 omega_lower_bound and pair_products_not_square take the verified DiophTuple,
-read its witnesses and canonical order, and root none of its pairs again;
-regular_extensions squares its closed-form witnesses.
+read its witnesses and canonical order, and root none of its pairs again.
 """
 
 from __future__ import annotations
@@ -45,14 +44,11 @@ class DiophTuple:
     elems: tuple[RingElem, ...]
     witnesses: Mapping[tuple[int, int], RingElem]
 
-    def to_json_dict(self) -> dict:
-        """The cache's line: to_row's integers and the ring."""
-        elems, witnesses = self.to_row()
-        return {"d": self.spec.d, "elems": elems, "witnesses": witnesses}
-
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
-        """to_json_dict's line read back through from_witnesses."""
+        """A cache line (the search's _cache_store writes them) read back
+        through from_witnesses.  No command calls it: it is kept only as the
+        target of perfbench's from_json hook."""
         return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])[0]
 
     def to_row(self) -> Row:
@@ -132,35 +128,6 @@ def make_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> DiophTuple:
             raise NotDiophantine((i, j))
         witnesses[(i, j)] = w
     return DiophTuple(spec, tuple(items), witnesses)
-
-
-def is_diophantine_tuple(spec: RingSpec, elems: Iterable[RingElem]) -> bool:
-    try:
-        make_tuple(spec, elems)
-        return True
-    except (NotDiophantine, ZeroElement, DuplicateElement):
-        return False
-
-
-def regular_extensions(a: RingElem, b: RingElem) -> tuple[RingElem, ...]:
-    """The nonzero regular completions a+b+2r and a+b-2r of the pair {a, b}.
-
-    Each returned c = a+b+2s (s = +-r) satisfies ac+1 = (a+s)^2 and
-    bc+1 = (b+s)^2, hence {a, b, c} is a Diophantine triple; both identities
-    are checked by squaring.  Raises make_tuple's error when {a, b} is not a
-    Diophantine pair.
-    """
-    r = make_tuple(a.spec, [a, b]).witnesses[(0, 1)]
-    one = a.spec.one
-    out = []
-    for s in (r, -r):
-        c = a + b + 2 * s
-        if c.is_zero() or c == a or c == b or c in out:
-            continue
-        if (a + s) * (a + s) != a * c + one or (b + s) * (b + s) != b * c + one:
-            raise PostconditionViolated(f"regular completion {c} of {a}, {b}")
-        out.append(c)
-    return tuple(sorted(out, key=RingElem.canonical_key))
 
 
 def quadruple_extension_candidates(t: DiophTuple) -> tuple[tuple[RingElem, ...], tuple[RingElem, ...]]:

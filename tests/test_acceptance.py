@@ -18,21 +18,16 @@ from diophiq.gap import (
     chain_certificate, gap_hypotheses, gap_principle, jz_quantities,
 )
 from diophiq.pell import build_system, compose_step, first_equation_holds
-from diophiq.ring import RingSpec, enumerate_up_to, sqrt_in_ring
-from diophiq.search import (
-    SearchConfig,
+from diophiq.ring import RingSpec, sqrt_in_ring
+from diophiq.search import SearchConfig, find_m_tuples, quintuple_sweep
+from diophiq.tuples import forbidden_double_regular, make_tuple, omega_lower_bound
+from oracles import (
     census_double_regular_triples,
-    find_m_tuples,
-    quintuple_sweep,
-)
-from diophiq.errors import NotDiophantine
-from diophiq.tuples import (
-    forbidden_double_regular,
-    make_tuple,
-    omega_lower_bound,
+    enumerate_up_to,
+    is_diophantine_tuple,
+    naive_find_m_tuples,
     regular_extensions,
 )
-from oracles import naive_find_m_tuples
 
 RING_SET = [RingSpec(d) for d in (-1, -2, -3, -7, -11)]
 
@@ -55,16 +50,18 @@ def test_criterion_1_quintuple_absence(capsys):
 
 
 def test_criterion_2_triple_census():
+    # the census is the tests' oracle: roots by norm-form search, each triple through make_tuple
     spec = RingSpec(-3)
     census = census_double_regular_triples(spec, 4, 6)
-    got = {tuple(z.coords() for z in t.elems) for t in census.triples}
+    triples = [make_tuple(spec, [a, b, c]) for a, b, exts in census for c in exts]
+    got = {tuple(z.coords() for z in t.elems) for t in triples}
     assert got == {
         ((-2, 0), (2, 0), (-2, -4)),   # {-2, 2, -2*sqrt(-3)}
         ((-2, 0), (2, 0), (2, 4)),     # {-2, 2, +2*sqrt(-3)}
     }
-    assert len(census.triples) == 2
+    assert len(got) == 2
     # and the union of the two branches never forms a quadruple (13 is not a square)
-    assert all(not cfg["union_is_quadruple"] for cfg in census.configurations)
+    assert not any(is_diophantine_tuple(spec, [a, b, *exts]) for a, b, exts in census)
     _passed("criterion 2: census over 4 <= abs_sq <= 6 in d=-3 yields exactly the two triples")
 
 
@@ -181,11 +178,7 @@ def test_criterion_7_algebra_property_suite():
         built = 0
         while built < 4:
             a, b = rng.sample(elems, 2)
-            try:
-                exts = regular_extensions(a, b)
-            except NotDiophantine:
-                continue
-            for c in exts:
+            for c in regular_extensions(a, b):  # () when {a, b} is not a pair
                 systems.append(build_system(a, b, c))
                 built += 1
     steps = 0

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import diophiq
-from diophiq.cli import _json, main
+from diophiq.cli import _json, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 CHAIN_DIGEST = DATA / "chain_reports_digest.json"
@@ -453,6 +453,13 @@ def test_error_report_echoes_config_and_reason(capsys, name):
 def test_exit_code_follows_outcome(capsys, argv):
     code, rep = run_json(capsys, *argv)
     assert code == OUTCOME_EXIT[rep["outcome"]]
+
+
+def test_main_builds_one_parser_per_process(capsys):
+    build_parser.cache_clear()
+    assert run_cli(capsys, *GOLDEN["chain_m43"])[0] == 0
+    assert run_json(capsys, *GOLDEN["verify_d-1_1_3_8_120"])[0] == 0
+    assert build_parser.cache_info()[:2] == (1, 1)  # (hits, misses): one parser, used twice
 
 
 def test_cache_dir_has_no_environment_default(capsys, monkeypatch, tmp_path):

@@ -9,11 +9,11 @@ from diophiq.ring import (
     RingElem,
     RingSpec,
     elements_with_abs_sq,
-    enumerate_up_to,
     is_squarefree,
     iter_disk_coords,
     sqrt_in_ring,
 )
+from oracles import enumerate_up_to
 
 D1 = RingSpec(-1)
 D2 = RingSpec(-2)

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from diophiq import search, tuples
 from diophiq.errors import NotDiophantine, PostconditionViolated
-from diophiq.ring import RingElem, RingSpec, elements_with_abs_sq, enumerate_up_to, iter_disk_coords
+from diophiq.ring import RingElem, RingSpec, elements_with_abs_sq, iter_disk_coords
 from diophiq.search import (
     SearchConfig,
     _cliques_of_size,
-    census_double_regular_triples,
     extend_tuple,
     find_m_tuples,
     quintuple_sweep,
@@ -30,7 +29,7 @@ from diophiq.search import (
     sweep_ring_list,
 )
 from diophiq.tuples import DiophTuple, make_tuple
-from oracles import naive_find_m_tuples
+from oracles import census_double_regular_triples, enumerate_up_to, naive_find_m_tuples
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -82,55 +81,19 @@ def test_paper_triples_present_in_d3_at_bound_16():
     assert ((-2, 0), (2, 0), (2, 4)) in keys
 
 
-def test_census_double_regular_matches_paper():
-    census = census_double_regular_triples(D3, 4, 6)
-    assert len(census.triples) == 2
-    assert {elems_of(t) for t in census.triples} == {
-        ((-2, 0), (2, 0), (-2, -4)),
-        ((-2, 0), (2, 0), (2, 4)),
-    }
-    # the union {-2, 2, -2sqrt(-3), 2sqrt(-3)} is never a quadruple
-    assert all(not cfg["union_is_quadruple"] for cfg in census.configurations)
-
-
 @pytest.mark.parametrize("d", [-1, -2, -3, -7])
 def test_census_pairs_have_two_admissible_regular_branches(d):
-    # oracle: both branches a+b-2r, a+b+2r of a root r of ab + 1 (either
-    # root gives the same pair), found by norm-form search, are distinct,
-    # nonzero and outside {a, b}
+    # the oracle census (roots of ab + 1 by norm-form search) against the
+    # program: both branches of each pair verify as triples, and the
+    # extension search of the pair finds both
     spec = RingSpec(d)
     census = census_double_regular_triples(spec, 1, 20)
-    expected = []
-    for a, b in itertools.combinations(enumerate_up_to(spec, 20), 2):
-        w = a * b + spec.one
-        roots = [z for z in elements_with_abs_sq(spec, isqrt(w.abs_sq())) if z * z == w]
-        if not roots:
-            continue
-        r = roots[0]
-        branch = {a + b - 2 * r, a + b + 2 * r}
-        if len(branch) == 2 and not any(c.is_zero() or c in (a, b) for c in branch):
-            expected.append(((a, b), branch))
-    assert expected
-    assert [(c["pair"], set(c["branches"])) for c in census.configurations] == expected
-
-
-def test_census_roots_each_triple_once(monkeypatch):
-    # regular_extensions squares its closed-form witnesses, so make_tuple runs
-    # once per pair of the 68 elements, once per configuration's union and
-    # once per triple, two per configuration
-    calls = []
-    make = tuples.make_tuple
-
-    def counting(*args):
-        calls.append(args)
-        return make(*args)
-
-    monkeypatch.setattr(search, "make_tuple", counting)
-    monkeypatch.setattr(tuples, "make_tuple", counting)
-    census = census_double_regular_triples(D1, 1, 20)
-    configs = len(census.configurations)
-    assert (configs, len(census.triples)) == (106, 150)
-    assert len(calls) == 68 * 67 // 2 + configs + 2 * configs == 2596
+    assert census
+    for a, b, exts in census:
+        pair = make_tuple(spec, [a, b])
+        assert set(exts) <= set(extend_tuple(pair, max(c.abs_sq() for c in exts)))
+        for c in exts:
+            make_tuple(spec, [a, b, c])
 
 
 def test_clique_search_equals_naive_oracle():
@@ -642,7 +605,7 @@ def test_sweep_folded_rings_report_their_own_search(monkeypatch, size):
     assert len(calls) == len(rings) - len(folded) + 1
     direct = {d: find(SearchConfig(RingSpec(d), 16, size)) for d in rings}
     for d in folded:
-        assert [t.to_json_dict() for t in rep.tuples if t.spec.d == d] == [t.to_json_dict() for t in direct[d].tuples]
+        assert [t.to_row() for t in rep.tuples if t.spec.d == d] == [t.to_row() for t in direct[d].tuples]
     # size 2 has rational pairs such as {-1, 1}; no triple fits in [-4, 4]
     assert {bool(direct[d].count) for d in folded} == {size == 2}
     assert _counts(rep.stats) == tuple(map(sum, zip(*(_counts(r.stats) for r in direct.values()))))
@@ -785,7 +748,9 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
     for name, cfg, elems, count in stray:
         t = make_tuple(elems[0].spec, elems)
         closing = json.dumps({"count": 1, "stats": list(find_m_tuples(cfg).stats)})
-        (tmp_path / name).write_text(json.dumps(t.to_json_dict(), sort_keys=True) + "\n" + closing + "\n")
+        elems_row, witnesses = t.to_row()
+        line = json.dumps({"d": t.spec.d, "elems": elems_row, "witnesses": witnesses}, sort_keys=True)
+        (tmp_path / name).write_text(line + "\n" + closing + "\n")
         calls = _count_pair_graphs(monkeypatch)
         res = find_m_tuples(cfg, cache_dir=str(tmp_path))
         assert calls == [-1]  # recomputed
