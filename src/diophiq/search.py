@@ -33,20 +33,19 @@ refused file is a miss like a missing one.  The gate refuses any false,
 out-of-range, misordered or other-ring row, but a file with rows removed and
 its count lowered still passes: an edited cache can shrink a result.
 
-One witness walk, over w = 0 and one of each +/-w in a disk, serves both the
-pair graph and the extension search: a partner b of a has a*b + 1 = w^2, so
-dividing w^2 - 1 by a finds it without testing a pair for squareness.
-The pair graph's vertices are plain (abs_sq, u, v) points, and only a
-clique's members become RingElems.  Every annulus is closed under z -> -z
-and z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
-conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph takes one witness per
-{+/-w, +/-conj(w)} orbit, skipping each P = w^2 - 1 with a negative v
-coordinate (conj(w)^2 - 1 = conj(P) flips its sign), and divides by one
-vertex per +/-a, since -a finds -b; each edge it finds adds its images
-under both maps.  The extension search, like the pair graph, works on
-plain coordinates: it checks each candidate d against the other elements
-with a norm filter and one exact root test per product, and builds
-RingElems only for the extensions it returns.
+Both the pair graph and the extension search walk witnesses in place of
+pairs: a partner b of a has a*b + 1 = w^2, so dividing w^2 - 1 by a finds
+it without testing a pair for squareness.  The pair graph's vertices are
+plain (abs_sq, u, v) points, keyed by one integer, and only a clique's
+members become RingElems.  Every annulus is closed under z -> -z and
+z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
+conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph walks one witness per
+{+/-w, +/-conj(w)} orbit (_orbit_walk) and divides by one vertex per +/-a,
+since -a finds -b; each edge it finds adds its images under both maps.
+The extension search's anchor is not conjugation-invariant, so it walks
+one of each +/-w (_witness_walk), checks each candidate d against the
+other elements on plain coordinates with a norm filter and one exact root
+test per product, and builds RingElems only for the extensions it returns.
 The clique search peels the graph to its (m-1)-core first: a vertex outside
 it starts no m-clique, and it is counted as the one node the search over the
 whole graph explores from it, so cliques_explored does not depend on the peel.
@@ -119,7 +118,8 @@ class SearchResult:
 def _witness_walk(spec: RingSpec, b_sq: int):
     """(pu, pv, m) for P = w^2 - 1 = (pu, pv) and m = abs_sq(P), over w = 0 and
     one of each +/-w with abs_sq(w) <= b_sq.  Over an integral domain
-    w'^2 == w^2 only when w' = +/-w, so each w^2 - 1 comes exactly once."""
+    w'^2 == w^2 only when w' = +/-w, so each w^2 - 1 comes exactly once.
+    Only extend_tuple walks it; the pair graph walks _orbit_walk."""
     tc, nc = spec.t, spec.n
     yield -1, 0, 1  # w = 0
     for u, v, _nw in iter_disk_coords(spec, b_sq):
@@ -129,34 +129,58 @@ def _witness_walk(spec: RingSpec, b_sq: int):
         yield pu, pv, pu * (pu - tc * pv) + nc * pv * pv
 
 
+def _orbit_walk(spec: RingSpec, b_sq: int):
+    """(pu, pv, m) as _witness_walk gives them, over one w per {+/-w, +/-conj(w)}
+    orbit with abs_sq(w) <= b_sq: w = 0, v = 0 with u > 0, and v > 0 with
+    X = 2u - t*v >= 0.  conj(u + v*w) = (u - t*v, -v), so -conj(w) keeps v and
+    negates X, the disk's doubled coordinate |X| <= isqrt(4*b_sq - |D|*v^2).
+    pv = v*X, so every P walked has pv >= 0."""
+    tc, nc, disc = spec.t, spec.n, spec.abs_disc
+    yield -1, 0, 1  # w = 0
+    for u in range(1, isqrt(b_sq) + 1):
+        yield u * u - 1, 0, (u * u - 1) ** 2
+    for v in range(1, isqrt(4 * b_sq // disc) + 1):
+        tv, nv = tc * v, nc * v * v + 1
+        for u in range((tv + 1) // 2, (tv + isqrt(4 * b_sq - disc * v * v)) // 2 + 1):
+            pu, pv = u * u - nv, v * (2 * u - tv)
+            yield pu, pv, pu * (pu - tc * pv) + nc * pv * pv
+
+
 def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[list[set[int]], int]:
     """Adjacency sets over the indices of nonzero (abs_sq, u, v) points;
     returns (adj, pairs_decided).
 
     An edge {a, b} has a witness w with a*b + 1 = w^2 and abs_sq(w) =
-    |a*b + 1| <= B + 1, B the largest vertex norm, so the witness walk of
-    that disk reaches each edge.  With a the end of smaller norm k,
+    |a*b + 1| <= B + 1, B the largest vertex norm, so the witness disk of
+    that radius reaches each edge.  With a the end of smaller norm k,
     k * abs_sq(b) = M = abs_sq(w^2 - 1) and abs_sq(b) <= B give
     ceil(M/B) <= k <= isqrt(M) with k | M; then b = (w^2 - 1)*conj(a)/k.
     w = +/-1 gives M = 0 and no k.  b == a is no edge (a = +/-i in Z[i]).
 
     Orbits: -a gives -b for the same P = w^2 - 1, and conj(w)^2 - 1 =
-    conj(P) joins conj(a) and conj(b).  So only a with v > 0, or v == 0 and
-    u > 0, is divided, only P with pv >= 0 is walked, and each edge found
-    adds {-a, -b} and, when pv != 0, the conjugates of both; a real P
-    (pv == 0) is its own conjugate and finds the conjugate edges itself.
-    The vertices must be closed under -z and conj(z), as every annulus is;
-    a list that is not raises ValueError.
+    conj(P) joins conj(a) and conj(b).  So _orbit_walk gives one w of each
+    {+/-w, +/-conj(w)} orbit, only a with v > 0, or v == 0 and u > 0, is
+    divided, and each edge found adds {-a, -b} and, when pv != 0, the
+    conjugates of both; a real P (pv == 0) is its own conjugate and finds
+    the conjugate edges itself.  The vertices must be closed under -z and
+    conj(z), as every annulus is; a list that is not raises ValueError.
+
+    A point is keyed by the one integer u*S + v, S = 2*vmax + 1 with vmax
+    the largest |v| in the disk of norm <= B: two points of that disk with
+    equal keys have S*(u - u') = v' - v and |v' - v| < S, so they are equal.
+    Every candidate b lies in the disk, as abs_sq(b) = M/k <= B.
     """
     tc, nc = spec.t, spec.n
     n = len(vertices)
     adj: list[set[int]] = [set() for _ in range(n)]
     if not n:
         return adj, 0
-    index = {(u, v): i for i, (_k, u, v) in enumerate(vertices)}
+    top = max(vertices)[0]
+    s = 2 * isqrt(4 * top // spec.abs_disc) + 1
+    index = {u * s + v: i for i, (_k, u, v) in enumerate(vertices)}
     try:  # conj(u + v*w) == (u - t*v, -v)
-        neg = [index[-u, -v] for _k, u, v in vertices]
-        cj = [index[u - tc * v, -v] for _k, u, v in vertices]
+        neg = [index[-u * s - v] for _k, u, v in vertices]
+        cj = [index[(u - tc * v) * s - v] for _k, u, v in vertices]
     except KeyError:
         raise ValueError("pair-graph vertices are not closed under -z and conj(z)") from None
     by_norm: dict[int, list[tuple[int, int, int, int, int]]] = {}
@@ -164,10 +188,7 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
         if v > 0 or (v == 0 and u > 0):  # one of each +/-a
             by_norm.setdefault(k, []).append((i, u, v, u - tc * v, nc * v))
     norms = sorted(by_norm)
-    top = norms[-1]
-    for pu, pv, m in _witness_walk(spec, top + 1):
-        if pv < 0:
-            continue  # conj(P) is walked, and its edges' conjugates are P's
+    for pu, pv, m in _orbit_walk(spec, top + 1):
         for k in norms[bisect_left(norms, -(-m // top)) : bisect_right(norms, isqrt(m))]:
             if m % k:
                 continue
@@ -175,15 +196,19 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
                 qu, qv = pu * acu + pv * nav, pv * au - pu * av
                 if qu % k or qv % k:
                     continue
-                j = index.get((qu // k, qv // k))
+                j = index.get(qu // k * s + qv // k)
                 if j is None or j == i:
                     continue
-                edges = [(i, j), (neg[i], neg[j])]
+                ni, nj = neg[i], neg[j]
+                adj[i].add(j)
+                adj[j].add(i)
+                adj[ni].add(nj)
+                adj[nj].add(ni)
                 if pv:
-                    edges += [(cj[x], cj[y]) for x, y in edges]
-                for x, y in edges:
-                    adj[x].add(y)
-                    adj[y].add(x)
+                    adj[cj[i]].add(cj[j])
+                    adj[cj[j]].add(cj[i])
+                    adj[cj[ni]].add(cj[nj])
+                    adj[cj[nj]].add(cj[ni])
     return adj, n * (n - 1) // 2
 
 
@@ -201,12 +226,9 @@ def _degeneracy_order(adj: list[set[int]], k: int) -> list[int]:
     orders only the core, which is the tail the heap on the whole graph
     would produce, since it pops every non-core vertex first.
     """
-    n = len(adj)
-    deg = [len(adj[v]) for v in range(n)]
-    removed = [False] * n
-    stack = [v for v in range(n) if deg[v] < k]
-    for v in stack:
-        removed[v] = True
+    deg = list(map(len, adj))
+    removed = [d < k for d in deg]
+    stack = [v for v, out in enumerate(removed) if out]
     while stack:
         for w in adj[stack.pop()]:
             if not removed[w]:
@@ -214,7 +236,7 @@ def _degeneracy_order(adj: list[set[int]], k: int) -> list[int]:
                 if deg[w] < k:
                     removed[w] = True
                     stack.append(w)
-    heap = [(deg[v], v) for v in range(n) if not removed[v]]
+    heap = [(deg[v], v) for v, out in enumerate(removed) if not out]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -241,6 +263,8 @@ def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
     so nodes_explored equals that of the search over the whole graph.
     """
     order = _degeneracy_order(adj, m - 1)
+    if not order:
+        return [], len(adj)
     pos = [-1] * len(adj)
     for i, v in enumerate(order):
         pos[v] = i

@@ -60,3 +60,15 @@ def naive_find_m_tuples(cfg):
             continue
     found.sort(key=lambda t: tuple(z.canonical_key() for z in t.elems))
     return tuple(found)
+
+
+def k_core(adj, k):
+    """The vertices of the k-core of the graph adj (a list of neighbour sets):
+    delete every vertex of degree < k among the rest until none is left.
+    Shares no code with the search's peel."""
+    alive = set(range(len(adj)))
+    while True:
+        low = {v for v in alive if len(adj[v] & alive) < k}
+        if not low:
+            return alive
+        alive -= low

@@ -29,7 +29,7 @@ from diophiq.search import (
     sweep_ring_list,
 )
 from diophiq.tuples import DiophTuple, make_tuple
-from oracles import census_double_regular_triples, enumerate_up_to, naive_find_m_tuples
+from oracles import census_double_regular_triples, enumerate_up_to, k_core, naive_find_m_tuples
 
 D1 = RingSpec(-1)
 D3 = RingSpec(-3)
@@ -167,15 +167,6 @@ def _oracle_cliques_of_size(adj: list[set[int]], m: int, limit: int | None = Non
     return out, explored
 
 
-def _core_size(adj, k):
-    alive = set(range(len(adj)))
-    while True:
-        low = {v for v in alive if len(adj[v] & alive) < k}
-        if not low:
-            return len(alive)
-        alive -= low
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(0, 30),
@@ -193,7 +184,7 @@ def test_clique_search_equals_whole_graph_search(n, density, seed, m, limit):
         if rng.random() < density:
             adj[a].add(b)
             adj[b].add(a)
-    core = _core_size(adj, m - 1)
+    core = len(k_core(adj, m - 1))
     event("(m-1)-core " + ("empty" if not core else "whole" if core == n else "partial"))
     assert _cliques_of_size(adj, m, limit) == _oracle_cliques_of_size(adj, m, limit)
 
@@ -214,6 +205,30 @@ def test_clique_search_k5_interleaved_with_pendant_path():
     # first vertex and one node for each of its other four vertices
     assert _cliques_of_size(adj, 5) == ([tuple(k5)], 5 + 5 + 4)
     assert _cliques_of_size(adj, 6) == ([], 10)  # the 5-core is empty
+
+
+def test_core_peel_equals_naive_core_on_every_ring_of_the_bound_16_quintuple_sweep(monkeypatch):
+    # the size-5 search's 4-core on real pair graphs: ten rings keep one, and
+    # none of its vertices descends, so cliques_explored still equals elements
+    graphs = {}
+    pair_graph = search._pair_graph
+
+    def recording(spec, vertices):
+        adj, tested = pair_graph(spec, vertices)
+        graphs[spec.d] = adj
+        return adj, tested
+
+    monkeypatch.setattr(search, "_pair_graph", recording)
+    rep = quintuple_sweep(b_sq=256, size=5, workers=1)
+    assert len(graphs) == 315 and rep.stats.cliques_explored == rep.stats.elements
+    cores = {}
+    for d, adj in graphs.items():
+        order = search._degeneracy_order(adj, 4)
+        assert len(order) == len(set(order)) and set(order) == k_core(adj, 4), d
+        if order:
+            cores[d] = len(order)
+    assert cores == {-1: 644, -2: 336, -3: 918, -5: 100, -6: 62, -7: 408, -11: 226, -15: 184, -23: 60, -39: 38}
+    assert sum(cores.values()) == 2976
 
 
 def test_ring_search_frees_its_graph_without_a_collection(monkeypatch):
@@ -424,6 +439,31 @@ def test_rational_integer_pass_equals_integer_brute_force():
             res = rational_integer_pass(b_sq, size)
             assert all(z.v == 0 for t in res.tuples for z in t.elems)
             assert _rational_tuples(res) == oracle, (b_sq, size)
+
+
+def test_every_ring_past_the_cutoffs_holds_only_the_rational_pass_tuples():
+    # the sweep's cutoff argument, checked by searching each squarefree |d| <
+    # 4B + 60 on its own: a listed ring gives the sweep's tuples, an unlisted
+    # one only rational tuples, the rational pass's.  B = 1 has no listed ring
+    # for the pass (it is d = -5, past 4B = 4), and the range holds the
+    # half-basis rings just below and just past 4B
+    for b_sq in range(1, 17):
+        cut = 4 * b_sq
+        rings = [-n for n in range(1, cut + 60) if n % 4 and all(n % (p * p) for p in range(3, isqrt(n) + 1))]
+        half = [-d for d in rings if d % 4 == 1]
+        assert max(n for n in half if n <= cut) > cut - 8 and min(n for n in half if n > cut) < cut + 8
+        for size in (2, 3):
+            rep = quintuple_sweep(b_sq=b_sq, size=size, workers=1)
+            swept = {d: [] for d in rep.rings_checked}
+            for t in rep.tuples:
+                swept[t.spec.d].append(t.to_row())
+            for d in rings:
+                res = find_m_tuples(SearchConfig(RingSpec(d), b_sq, size))
+                if d in swept:
+                    assert [t.to_row() for t in res.tuples] == swept[d], (b_sq, size, d)
+                else:
+                    assert all(z.v == 0 for t in res.tuples for z in t.elems), (b_sq, size, d)
+                    assert _rational_tuples(res) == list(rep.rational_pass_tuples), (b_sq, size, d)
 
 
 def test_single_ring_quintuple_empty_d3():
