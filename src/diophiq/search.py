@@ -27,11 +27,14 @@ the clique search's elements.  Every stored copy (a cache line, a worker's
 row, a rational-only ring's copy of the pass's tuple) is to_row's integers,
 and _from_rows is the one gate back: from_witnesses squares each witness in
 the config's ring (a rational copy's witnesses are roots there too), and the
-config's size, norm range and tuple order are checked.  _cache_load gates a
-file after its ring and count checks: it is used whole or not at all, and a
-refused file is a miss like a missing one.  The gate refuses any false,
-out-of-range, misordered or other-ring row, but a file with rows removed and
-its count lowered still passes: an edited cache can shrink a result.
+config's size, norm range and tuple order are checked.  One gate call builds
+one RingElem per distinct point of its rows, shared by its tuples: that is
+safe as a RingElem is frozen, and the call's memo is of one ring and dies
+with it.  _cache_load gates a file after its ring and count checks: it is
+used whole or not at all, and a refused file is a miss like a missing one.
+The gate refuses any false, out-of-range, misordered or other-ring row, but
+a file with rows removed and its count lowered still passes: an edited cache
+can shrink a result.
 
 Both the pair graph and the extension search walk witnesses in place of
 pairs: a partner b of a has a*b + 1 = w^2, so dividing w^2 - 1 by a finds
@@ -304,8 +307,9 @@ def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
     """The one gate from stored rows to DiophTuples: from_witnesses in cfg's
     ring, cfg's size and norm range, and strictly increasing _tuple_key order,
     read from the keys from_witnesses built.  None if it refuses a row."""
+    memo: dict = {}  # (u, v) -> RingElem of cfg's ring, for every row
     try:
-        checked = [DiophTuple.from_witnesses(cfg.spec, *row) for row in rows]
+        checked = [DiophTuple.from_witnesses(cfg.spec, *row, memo) for row in rows]
     except (NotDiophantine, ZeroElement, TypeError, ValueError):
         return None
     keys = [k for _t, k in checked]  # a tuple's norms run from k[0][0] up to k[-1][0]

@@ -29,7 +29,7 @@ from .ring import RingElem, RingSpec, sqrt_in_ring
 Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiophTuple:
     """A verified m-tuple: sorted elements plus one witness per pair.
 
@@ -37,7 +37,8 @@ class DiophTuple:
     builds one from bare elements and finds each root.  A stored copy (a
     cache line, a worker's row) becomes one only through from_witnesses,
     which squares those roots, run once on each row by the search's one gate
-    for stored rows.  So holding a DiophTuple is holding a proof.
+    for stored rows.  So holding a DiophTuple is holding a proof.  The tuples
+    of one gate call share their (frozen) RingElems.
     """
 
     spec: RingSpec
@@ -62,7 +63,9 @@ class DiophTuple:
         )
 
     @staticmethod
-    def from_witnesses(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> tuple["DiophTuple", list]:
+    def from_witnesses(
+        spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int], memo: dict | None = None
+    ) -> tuple["DiophTuple", list]:
         """The tuple that to_row wrote, checked by squaring, with no square root,
         and the elements' canonical keys its order check built, for the caller's.
 
@@ -70,13 +73,21 @@ class DiophTuple:
         increasing in canonical order, and one canonical witness w given per pair
         (i, j), in to_row's order, with w*w == elems[i]*elems[j] + 1.  Raises
         NotDiophantine((i, j)) at the first pair whose witness fails that test.
+
+        memo maps each (u, v) to its RingElem in spec's ring, shared by the rows of
+        one gate call; it is read only after the int check (1.0 and True hash like 1).
         """
-        items = tuple(RingElem(u, v, spec) for u, v in zip(elems[::2], elems[1::2]))
-        pairs = list(combinations(range(len(items)), 2))
-        if not items or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
+        pairs = list(combinations(range(len(elems) // 2), 2))
+        if not elems or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
             raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
         if any(type(x) is not int for x in (*elems, *witnesses)):  # a cache line's 1.0 or true squares too
             raise TypeError("coordinates must be ints")
+        memo = {} if memo is None else memo
+
+        def point(p: tuple[int, int]) -> RingElem:  # a RingElem is never false
+            return memo.get(p) or memo.setdefault(p, RingElem(*p, spec))
+
+        items = tuple(map(point, zip(elems[::2], elems[1::2])))
         if any(z.is_zero() for z in items):
             raise ZeroElement("tuple elements must be nonzero")
         keys = [z.canonical_key() for z in items]
@@ -84,14 +95,14 @@ class DiophTuple:
             raise ValueError("elements not strictly increasing in canonical order")
         t, n = spec.t, spec.n
         out = {}
-        for (i, j), (wu, wv) in zip(pairs, zip(witnesses[::2], witnesses[1::2])):
-            (au, av), (bu, bv) = items[i].coords(), items[j].coords()
+        for (i, j), w in zip(pairs, zip(witnesses[::2], witnesses[1::2])):
+            (au, av), (bu, bv), (wu, wv) = items[i].coords(), items[j].coords(), w
             ab, ww = av * bv, wv * wv  # products as in RingElem.__mul__
             if (wu * wu - n * ww, 2 * wu * wv - t * ww) != (au * bu - n * ab + 1, au * bv + av * bu - t * ab):
                 raise NotDiophantine((i, j))
             if wu < 0 or (wu == 0 and wv < 0):
                 raise ValueError(f"witness of {(i, j)} is not the canonical root")  # sqrt_in_ring's
-            out[(i, j)] = RingElem(wu, wv, spec)
+            out[(i, j)] = point(w)
         return DiophTuple(spec, items, out), keys
 
 

@@ -924,6 +924,57 @@ def test_gate_builds_one_canonical_key_per_stored_element(tmp_path, monkeypatch)
     assert calls["gate"] == sum(len(t.elems) for t in warm.tuples) > 0
 
 
+def _points(t):
+    return (*t.elems, *t.witnesses.values())
+
+
+def test_gate_shares_one_ring_elem_per_distinct_point_within_a_ring(tmp_path, monkeypatch):
+    # one _from_rows call is one ring: it builds a RingElem for each distinct
+    # (u, v) of its rows, elements and witnesses alike, and every tuple it
+    # passes holds that one object wherever the point occurs
+    built, calls = [0], []
+    init, from_rows = RingElem.__init__, search._from_rows
+
+    def counting(z, *args):
+        built[0] += 1
+        init(z, *args)
+
+    def gate(cfg, rows):
+        points = [xs[k : k + 2] for row in rows for xs in row for k in range(0, len(xs), 2)]
+        before = built[0]
+        out = from_rows(cfg, rows)
+        calls.append((built[0] - before, len(set(points)), len(points)))
+        return out
+
+    monkeypatch.setattr(RingElem, "__init__", counting)
+    monkeypatch.setattr(search, "_from_rows", gate)
+    for _pass in ("cold", "warm"):
+        calls.clear()
+        report = quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
+        assert all(n_built == n_distinct for n_built, n_distinct, _ in calls)
+        assert any(n_distinct < occurrences for _, n_distinct, occurrences in calls)
+        by_ring = collections.defaultdict(dict)
+        for t in report.tuples:
+            ring = by_ring[t.spec.d]
+            assert all(ring.setdefault(z.coords(), z) is z for z in _points(t))
+
+
+def test_gate_shares_no_point_across_rings():
+    # the rational pass's rows, gated in two rings as the sweep's copies are:
+    # each ring's tuples hold RingElems of that ring only, none of the other's
+    shared = rational_integer_pass(64, 3)
+    rows = [t.to_row() for t in shared.tuples]
+    gated = {}
+    for d in _folded_rings(64)[:2]:
+        spec = RingSpec(d)
+        tuples, _stats = search._own_rows(SearchConfig(spec, 64, 3), rows, shared.stats)
+        assert len(tuples) == len(rows) > 0
+        assert all(z.spec == spec for t in tuples for z in _points(t))
+        gated[d] = tuples  # kept alive, so no id below is reused
+    first, second = ({id(z) for t in tuples for z in _points(t)} for tuples in gated.values())
+    assert not first & second
+
+
 def test_sweep_raises_when_the_gate_refuses_its_own_search(monkeypatch):
     # a pooled ring's rows are the sweep's own search, not a stored file: a
     # refusal there is broken arithmetic, raised, not searched around

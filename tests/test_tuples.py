@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -185,6 +188,43 @@ def test_from_witnesses_equals_make_tuple(spec):
     assert any(w.is_zero() for t in found for w in t.witnesses.values())
     for t in found:
         assert DiophTuple.from_witnesses(spec, *t.to_row()) == (t, [z.canonical_key() for z in t.elems])
+
+
+def test_from_witnesses_reads_the_memo_only_for_int_points():
+    # 1.0 and True equal 1 and hash like it: under one memo a float or bool
+    # row must not fetch the int point, nor leave one for an int row to fetch
+    good = make_tuple(D1, ints(D1, 1, 3, 8))
+    elems, witnesses = good.to_row()
+    assert elems[:2] == (1, 0)
+    for bad in (1.0, True):
+        memo = {}
+        assert DiophTuple.from_witnesses(D1, elems, witnesses, memo)[0] == good
+        with pytest.raises(TypeError):
+            DiophTuple.from_witnesses(D1, (bad,) + elems[1:], witnesses, memo)
+        memo = {}
+        with pytest.raises(TypeError):
+            DiophTuple.from_witnesses(D1, (bad,) + elems[1:], witnesses, memo)
+        t, _keys = DiophTuple.from_witnesses(D1, elems, witnesses, memo)
+        assert all(type(x) is int for row in t.to_row() for x in row)
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as e:  # the witness dict makes a DiophTuple unhashable
+        return str(e)
+
+
+def test_dioph_tuple_is_slotted_frozen_and_round_trips():
+    t = make_tuple(D1, ints(D1, 1, 3, 8, 120))
+    for name in ("spec", "elems", "witnesses"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, None)
+    assert not hasattr(t, "__dict__")
+    gated, _keys = DiophTuple.from_witnesses(D1, *t.to_row())
+    for copy_ in (gated, pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(gated)), copy.deepcopy(gated)):
+        assert copy_ == t and copy_.to_row() == t.to_row()
+        assert _hash_or_error(copy_) == _hash_or_error(t)
 
 
 @pytest.mark.parametrize("spec", [RingSpec(d) for d in (-1, -2, -3, -7)])
