@@ -23,9 +23,11 @@ code nor stderr.
 
 The JSON format is written by _json, the one report writer: the bytes of
 json.dumps(report, sort_keys=True, indent=2), whose indent makes the stdlib
-fall back to its pure-Python encoder, written directly.  A report holds
-only dicts with str keys, lists, str and int, and _json refuses any other
-value (a float, bool or None) rather than print it some other way.
+fall back to its pure-Python encoder, streamed to stdout in chunks, never
+held whole.  A report holds only dicts with str keys, lists (a search's
+tuples as a map, made as it is written), str and int.  _json refuses any
+other value (a float, bool or None) rather than print it some other way;
+what it wrote before the refusal stays on stdout, a report that never parses.
 
 Importing this module loads only the search layer.  Only `gap` and `chain`
 load `gap`, and with it `exactreal`, `pell` and mpmath, when they run;
@@ -63,6 +65,8 @@ from .tuples import (
 SCHEMA_VERSION = 1
 
 EXIT_CODES = {"ok": 0, "violation": 1, "inapplicable": 1, "error": 2}
+
+CHUNK_PIECES = 2048  # report pieces _json buffers before it joins and writes them
 
 
 def _parse_elems(text: str) -> list[tuple[int, int]]:
@@ -128,48 +132,53 @@ def _report(command: str, config: dict, outcome: str, payload: dict) -> dict:
     }
 
 
-def _json(report: dict) -> str:
-    """json.dumps(report, sort_keys=True, indent=2) for a report of dicts
-    with str keys, lists, str and int; TypeError for any other value."""
+def _json(report: dict, write) -> None:
+    """Pass json.dumps(report, sort_keys=True, indent=2) and a newline to
+    write in chunks, one between list items once CHUNK_PIECES pieces are
+    buffered; a map is a list made as it is written.  TypeError for any
+    value but dicts with str keys, lists, maps, str and int."""
     out: list[str] = []
-    write = out.append
+    piece = out.append
 
     def put(value, indent: str) -> None:
         kind = type(value)
         if kind is str:
-            write(encode_basestring_ascii(value))
+            piece(encode_basestring_ascii(value))
         elif kind is int:
-            write(int.__repr__(value))
-        elif kind is not dict and kind is not list:
+            piece(int.__repr__(value))
+        elif kind is not dict and kind is not list and kind is not map:
             raise TypeError(f"no report form for {kind.__name__} {value!r}")
-        elif not value:
-            write("{}" if kind is dict else "[]")
         else:
+            opener, closer = "{}" if kind is dict else "[]"
             inner = indent + "  "
-            sep, comma = ("{" if kind is dict else "[") + inner, "," + inner
-            if kind is list:
+            sep, comma = opener + inner, "," + inner
+            if kind is not dict:
                 for item in value:
-                    write(sep)
+                    if len(out) > CHUNK_PIECES:
+                        write("".join(out))
+                        out.clear()
+                    piece(sep)
                     put(item, inner)
                     sep = comma
             elif any(type(k) is not str for k in value):
                 raise TypeError(f"report keys must be str: {list(value)!r}")
             else:
                 for k, item in sorted(value.items()):
-                    write(sep)
-                    write(encode_basestring_ascii(k))
-                    write(": ")
+                    piece(sep)
+                    piece(encode_basestring_ascii(k))
+                    piece(": ")
                     put(item, inner)
                     sep = comma
-            write(indent + ("]" if kind is list else "}"))
+            piece(indent + closer if sep is comma else opener + closer)
 
     put(report, "\n")
-    return "".join(out)
+    piece("\n")
+    write("".join(out))
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(_json(report))
+        _json(report, sys.stdout.write)
         return
     print(f"{report['command']}: {report['outcome']}")
     for key, value in sorted(report["config"].items()):
@@ -185,7 +194,8 @@ def _print_payload(value, indent="  ", key=None) -> None:
             indent += "  "
         for k, v in value.items():
             _print_payload(v, indent, k)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, map)):
+        value = list(value)  # a map is a list made as it is read: count it first
         print(f"{indent}{label}[{len(value)} item(s)]")
         for item in value:
             _print_payload(item, indent + "  ")
@@ -228,9 +238,9 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             payload = {
                 "rings_checked": str(len(rep.rings_checked)),
                 "completeness": {k: str(v) for k, v in rep.completeness.items()},
-                "tuples": [_tuple_payload(t) for t in rep.tuples],
+                "tuples": map(_tuple_payload, rep.tuples),
                 "rational_pass_tuples": [",".join(map(str, xs)) for xs in rep.rational_pass_tuples],
-                "conjecture_violations": [_tuple_payload(t) for t in rep.conjecture_violations],
+                "conjecture_violations": map(_tuple_payload, rep.conjecture_violations),
             }
             stats, found = rep.stats, not rep.is_empty
         else:
@@ -243,7 +253,7 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             res = find_m_tuples(cfg, cache_dir=args.cache_dir)
             payload = {
                 "count": str(res.count),
-                "tuples": [_tuple_payload(t) for t in res.tuples],
+                "tuples": map(_tuple_payload, res.tuples),
             }
             stats, found = res.stats, res.count > 0
     except OSError as exc:  # a usage error: exit 1 would read as "tuple found"

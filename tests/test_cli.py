@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import diophiq
+from diophiq import cli
 from diophiq.cli import _json, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -398,10 +400,26 @@ def test_golden_report(capsys, name, fmt):
     assert out == (DATA / f"{name}.{'json' if fmt == 'json' else 'txt'}").read_text()
 
 
+def written(value) -> str:
+    """What _json passes to its write callable for value, joined."""
+    chunks = []
+    _json(value, chunks.append)
+    return "".join(chunks)
+
+
+def as_maps(value):
+    """value with every list replaced by a map over it, as the search tuples are."""
+    if type(value) is list:
+        return map(as_maps, value)
+    if type(value) is dict:
+        return {k: as_maps(v) for k, v in value.items()}
+    return value
+
+
 @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
 def test_report_writer_matches_json_dumps_on_goldens(path):
     value = json.loads(path.read_text())
-    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert written(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 # nested payloads of str and int, the report's value types: empty containers,
@@ -418,7 +436,10 @@ PAYLOADS = st.recursive(
 @example([])
 @example({"": [], "\u00e9\u2028\U0001f600": {"\x00\x1f\x7f\"\\/": -(10**30)}})
 def test_report_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+    # a map is written as the list it yields
+    dumped = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert written(value) == dumped
+    assert written(as_maps(value)) == dumped
 
 
 @pytest.mark.parametrize(
@@ -428,7 +449,69 @@ def test_report_writer_matches_json_dumps(value):
 )
 def test_report_writer_refuses_other_values(value):
     with pytest.raises(TypeError):
-        _json(value)
+        written(value)
+
+
+@pytest.mark.parametrize("item", [1.5, True, None], ids=repr)
+def test_report_writer_refuses_other_values_from_a_map(item):
+    with pytest.raises(TypeError):
+        written({"tuples": map(lambda x: x, ["0", item])})
+
+
+def test_report_writer_writes_an_empty_map_as_an_empty_list():
+    assert written({"a": map(str, []), "b": [map(int, ())]}) == '{\n  "a": [],\n  "b": [\n    []\n  ]\n}\n'
+
+
+class CountingSink:
+    """A stdout that keeps only the length of each write and a digest of them all."""
+
+    def __init__(self):
+        self.sizes = []
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_sweep_report_streams_in_bounded_chunks(capsys, monkeypatch):
+    # the 189 kB report of 1,074 tuples goes out in pieces of at most 64 KiB;
+    # no tuple list is built before the write, and the write holds less than
+    # twice the report's length of new memory
+    argv = ["search", "--sweep", "--bound", "8", "--size", "3", "--threads", "1", "--format", "json"]
+    code, whole = run_cli(capsys, *argv)
+    assert code == 0
+    sink, traced = CountingSink(), {}
+    sweep, emit = cli.quintuple_sweep, cli._emit
+
+    def traced_sweep(*args, **kwargs):
+        rep = sweep(*args, **kwargs)
+        traced["swept"] = tracemalloc.get_traced_memory()[0]
+        return rep
+
+    def traced_emit(report, fmt):
+        tracemalloc.reset_peak()
+        traced["entry"] = tracemalloc.get_traced_memory()[0]
+        emit(report, fmt)
+        traced["peak"] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(cli, "quintuple_sweep", traced_sweep)
+    monkeypatch.setattr(cli, "_emit", traced_emit)
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(sink.sizes) > 1
+    assert max(sink.sizes) <= 64 * 1024
+    assert (sum(sink.sizes), sink.digest.hexdigest()) == (len(whole), hashlib.sha256(whole.encode()).hexdigest())
+    assert traced["entry"] - traced["swept"] < len(whole) // 4
+    assert traced["peak"] - traced["entry"] < 2 * len(whole)
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_REPORTS))
@@ -513,18 +596,23 @@ def test_chain_reports_digest_is_pinned(capsys):
 
 def test_broken_pipe_exits_with_the_outcome_code():
     # a reader that stops after one line (`| head -1`) closes the pipe while the
-    # 152 kB report is still being written: no traceback, and exit 0 for "ok"
+    # report is still being written: no traceback, and exit 0 for "ok".  The
+    # one-ring report is 152 kB; the sweep's 189 kB report streams, so its pipe
+    # breaks while _json is still in the tuple list
     src = str(Path(diophiq.__file__).parents[1])
-    argv = ["search", "--d", "-1", "--bound", "16", "--size", "3", "--format", "json"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "diophiq.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    for argv in (
+        ["search", "--d", "-1", "--bound", "16", "--size", "3", "--format", "json"],
+        ["search", "--sweep", "--bound", "8", "--size", "3", "--threads", "1", "--format", "json"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diophiq.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (argv, proc.wait(timeout=60), err) == (argv, 0, b"")
 
 
 def _swap_first_two(lines):
