@@ -15,11 +15,10 @@ to the exit code:
     error          2  (the input is refused: the report gives the reason)
 
 An input refused before any report (by argparse, or by a ValueError such
-as an unusable --cache-dir, a cache store that fails, or an option the run
-would drop: --threads without --sweep, --mode or --min-sq with it, or
---cache-dir with a --mode that stores nothing) prints one stderr line and
-exits 2.  A reader closing stdout early (`| head`) changes neither the exit
-code nor stderr.
+as an unusable --cache-dir, a cache store that fails, or --threads without
+--sweep, an option the run would drop) prints one stderr line and exits 2.
+A reader closing stdout early (`| head`) changes neither the exit code nor
+stderr.
 
 The JSON format is written by _json, the one report writer: the bytes of
 json.dumps(report, sort_keys=True, indent=2), whose indent makes the stdlib
@@ -216,17 +215,13 @@ def _ring_input(args) -> tuple[RingSpec, list[RingElem], dict]:
 
 
 def cmd_search(args) -> tuple[dict, str, dict]:
-    if args.sweep and (args.mode != "find-all" or args.min_sq != 1):
-        raise ValueError("--sweep takes no --mode or --min-sq: it finds every tuple")
     if not args.sweep and args.threads is not None:
         raise ValueError("--threads needs --sweep: a single-ring search runs in one process")
-    if args.cache_dir and args.mode != "find-all":
-        raise ValueError(f"--cache-dir needs --mode find-all: a {args.mode} search stores nothing")
     b_sq = args.bound_sq if args.bound_sq is not None else (16 if args.bound is None else args.bound) ** 2
     config = {
         "bound_abs_sq": str(b_sq),
         "size": str(args.size),
-        "mode": args.mode,
+        "mode": SearchConfig.mode,
         "expect_empty": str(bool(args.expect_empty)).lower(),
     }
     try:  # first the directory, before any ring is searched, then each store into it
@@ -245,17 +240,12 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             stats, found = rep.stats, not rep.is_empty
         else:
             config["d"] = str(args.d)
-            if args.min_sq != 1:
-                config["min_sq"] = str(args.min_sq)
-            cfg = SearchConfig(
-                RingSpec(args.d), b_sq, args.size, mode=args.mode, min_abs_sq=args.min_sq
-            )
-            res = find_m_tuples(cfg, cache_dir=args.cache_dir)
+            res = find_m_tuples(SearchConfig(RingSpec(args.d), b_sq, args.size), cache_dir=args.cache_dir)
             payload = {
-                "count": str(res.count),
+                "count": str(len(res.tuples)),
                 "tuples": map(_tuple_payload, res.tuples),
             }
-            stats, found = res.stats, res.count > 0
+            stats, found = res.stats, bool(res.tuples)
     except OSError as exc:  # a usage error: exit 1 would read as "tuple found"
         if not args.cache_dir:
             raise
@@ -374,12 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     bound = p_search.add_mutually_exclusive_group()
     bound.add_argument("--bound", type=_nonnegative_int, help="max |z| (squared internally; default 16)")
     bound.add_argument("--bound-sq", type=int, help="max abs_sq directly, in place of --bound")
-    p_search.add_argument("--min-sq", type=int, default=1, help="min abs_sq filter on elements")
     p_search.add_argument("--size", type=int, required=True, help="tuple size m")
-    p_search.add_argument("--mode", choices=("find-all", "find-first", "count"), default="find-all")
     p_search.add_argument("--expect-empty", action="store_true")
     p_search.add_argument("--threads", type=_positive_int, default=None, help="worker processes for the sweep")
-    p_search.add_argument("--cache-dir", help="stored find-all results; a file with a false, out-of-range, misordered "
+    p_search.add_argument("--cache-dir", help="stored search results; a file with a false, out-of-range, misordered "
                           "or other-ring row is refused whole, but one with rows removed and its count lowered passes")
     p_search.set_defaults(func=cmd_search)
 

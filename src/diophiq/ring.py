@@ -183,10 +183,10 @@ def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]
                 yield u, v, u * (u - tv) + nv
 
 
-def annulus_points(spec: RingSpec, b_sq: int, min_abs_sq: int = 1) -> list[tuple[int, int, int]]:
-    """(abs_sq, u, v) of every nonzero z with min_abs_sq <= abs_sq(z) <= b_sq,
-    sorted: the canonical order, as plain integers."""
-    return sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_abs_sq)
+def annulus_points(spec: RingSpec, b_sq: int) -> list[tuple[int, int, int]]:
+    """(abs_sq, u, v) of every nonzero z with abs_sq(z) <= b_sq, sorted: the
+    canonical order, as plain integers."""
+    return sorted((n, u, v) for u, v, n in iter_disk_coords(spec, b_sq))
 
 
 def sqrt_coords(spec: RingSpec, wu: int, wv: int, r: int) -> tuple[int, int] | None:

@@ -36,19 +36,23 @@ The gate refuses any false, out-of-range, misordered or other-ring row, but
 a file with rows removed and its count lowered still passes: an edited cache
 can shrink a result.
 
+Every search finds every tuple of the full disk abs_sq <= B: no step of the
+paper's bound needs a first hit, a count alone or an annulus.
+
 Both the pair graph and the extension search walk witnesses in place of
 pairs: a partner b of a has a*b + 1 = w^2, so dividing w^2 - 1 by a finds
-it without testing a pair for squareness.  The pair graph's vertices are
-plain (abs_sq, u, v) points, keyed by one integer, and only a clique's
-members become RingElems.  Every annulus is closed under z -> -z and
-z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
-conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph walks one witness per
-{+/-w, +/-conj(w)} orbit (_orbit_walk) and divides by one vertex per +/-a,
-since -a finds -b; each edge it finds adds its images under both maps.
-The extension search's anchor is not conjugation-invariant, so it walks
-one of each +/-w (_witness_walk), checks each candidate d against the
-other elements on plain coordinates with a norm filter and one exact root
-test per product, and builds RingElems only for the extensions it returns.
+it without testing a pair for squareness.  Both walk one witness per
+{+/-w, +/-conj(w)} orbit (_orbit_walk): conj(w)^2 - 1 = conj(w^2 - 1).
+The pair graph's vertices are plain (abs_sq, u, v) points, keyed by one
+integer, and only a clique's members become RingElems.  The disk is closed
+under z -> -z and z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
+conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph divides by one vertex
+per +/-a, since -a finds -b, and each edge it finds adds its images under
+both maps.  The extension search's anchor is not conjugation-invariant, so
+it divides both w^2 - 1 and its conjugate by the anchor, checks each
+candidate d against the other elements on plain coordinates with a norm
+filter and one exact root test per product, and builds RingElems only for
+the extensions it returns.
 The clique search peels the graph to its (m-1)-core first: a vertex outside
 it starts no m-clique, and it is counted as the one node the search over the
 whole graph explores from it, so cliques_explored does not depend on the peel.
@@ -64,7 +68,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .errors import NotDiophantine, PostconditionViolated, ZeroElement
 from .ring import (
@@ -83,18 +87,15 @@ class SearchConfig:
     spec: RingSpec
     max_abs_sq: int
     target_size: int
-    mode: str = "find-all"  # find-all | find-first | count
-    min_abs_sq: int = 1
+    # not a field: every search finds all tuples.  The report's config.mode
+    # reads it, and so does perfbench's cache_load hook, kept until the hooks go
+    mode: ClassVar[str] = "find-all"
 
     def __post_init__(self) -> None:
         if self.max_abs_sq < 1:
             raise ValueError("max_abs_sq must be >= 1")
         if self.target_size < 2:
             raise ValueError("target_size must be >= 2")
-        if self.mode not in ("find-all", "find-first", "count"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.min_abs_sq < 1:
-            raise ValueError("min_abs_sq must be >= 1")
 
 
 class SearchStats(NamedTuple):
@@ -114,30 +115,21 @@ class SearchStats(NamedTuple):
 @dataclass(frozen=True)
 class SearchResult:
     tuples: tuple[DiophTuple, ...]
-    count: int
     stats: SearchStats
 
 
-def _witness_walk(spec: RingSpec, b_sq: int):
-    """(pu, pv, m) for P = w^2 - 1 = (pu, pv) and m = abs_sq(P), over w = 0 and
-    one of each +/-w with abs_sq(w) <= b_sq.  Over an integral domain
-    w'^2 == w^2 only when w' = +/-w, so each w^2 - 1 comes exactly once.
-    Only extend_tuple walks it; the pair graph walks _orbit_walk."""
-    tc, nc = spec.t, spec.n
-    yield -1, 0, 1  # w = 0
-    for u, v, _nw in iter_disk_coords(spec, b_sq):
-        if v < 0 or (v == 0 and u < 0):
-            continue  # -w gives the same w^2 as w
-        pu, pv = u * u - nc * v * v - 1, v * (2 * u - tc * v)
-        yield pu, pv, pu * (pu - tc * pv) + nc * pv * pv
-
-
 def _orbit_walk(spec: RingSpec, b_sq: int):
-    """(pu, pv, m) as _witness_walk gives them, over one w per {+/-w, +/-conj(w)}
-    orbit with abs_sq(w) <= b_sq: w = 0, v = 0 with u > 0, and v > 0 with
-    X = 2u - t*v >= 0.  conj(u + v*w) = (u - t*v, -v), so -conj(w) keeps v and
-    negates X, the disk's doubled coordinate |X| <= isqrt(4*b_sq - |D|*v^2).
-    pv = v*X, so every P walked has pv >= 0."""
+    """(pu, pv, m) for P = w^2 - 1 = (pu, pv) and m = abs_sq(P), over one w per
+    {+/-w, +/-conj(w)} orbit with abs_sq(w) <= b_sq: w = 0, v = 0 with u > 0,
+    and v > 0 with X = 2u - t*v >= 0.  conj(u + v*w) = (u - t*v, -v), so
+    -conj(w) keeps v and negates X, the disk's doubled coordinate
+    |X| <= isqrt(4*b_sq - |D|*v^2).  pv = v*X, so every P walked has pv >= 0.
+
+    Over an integral domain w'^2 == w^2 only when w' = +/-w.  An orbit is one
+    +/-w exactly when pv == 0 (v == 0, or X == 0 and conj(w) == -w), and
+    then P is real; otherwise its other +/-w gives conj(P) = (pu - t*pv, -pv),
+    which differs from P.  So P and, when pv != 0, conj(P) give each w^2 - 1
+    of the disk exactly once."""
     tc, nc, disc = spec.t, spec.n, spec.abs_disc
     yield -1, 0, 1  # w = 0
     for u in range(1, isqrt(b_sq) + 1):
@@ -255,7 +247,7 @@ def _degeneracy_order(adj: list[set[int]], k: int) -> list[int]:
     return order
 
 
-def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
+def _cliques_of_size(adj: list[set[int]], m: int):
     """All m-cliques (as sorted index tuples), each exactly once.
 
     Backtracking over the degeneracy order: a clique is explored from its
@@ -274,27 +266,24 @@ def _cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
     out: list[tuple[int, ...]] = []
     explored = len(adj) - len(order)
 
-    def extend(clique: list[int], cands: list[int]) -> bool:
+    def extend(clique: list[int], cands: list[int]) -> None:
         nonlocal explored
         explored += 1
         if len(clique) == m:
             out.append(tuple(sorted(clique)))
-            return limit is not None and len(out) >= limit
+            return
         need = m - len(clique)
         for i, w in enumerate(cands):
             if len(cands) - i < need:
                 break
             rest = [x for x in cands[i + 1 :] if x in adj[w]]
             if len(rest) >= need - 1:
-                if extend(clique + [w], rest):
-                    return True
-        return False
+                extend(clique + [w], rest)
 
     for v in order:
         p = pos[v]
         later = sorted((w for w in adj[v] if pos[w] > p), key=pos.__getitem__)
-        if extend([v], later):
-            break
+        extend([v], later)
     del extend  # it calls itself through its closure; that cycle would keep adj alive until a collection
     return out, explored
 
@@ -305,15 +294,15 @@ def _tuple_key(t: DiophTuple) -> tuple:
 
 def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
     """The one gate from stored rows to DiophTuples: from_witnesses in cfg's
-    ring, cfg's size and norm range, and strictly increasing _tuple_key order,
+    ring, cfg's size and bound, and strictly increasing _tuple_key order,
     read from the keys from_witnesses built.  None if it refuses a row."""
     memo: dict = {}  # (u, v) -> RingElem of cfg's ring, for every row
     try:
         checked = [DiophTuple.from_witnesses(cfg.spec, *row, memo) for row in rows]
     except (NotDiophantine, ZeroElement, TypeError, ValueError):
         return None
-    keys = [k for _t, k in checked]  # a tuple's norms run from k[0][0] up to k[-1][0]
-    fits = all(len(k) == cfg.target_size and cfg.min_abs_sq <= k[0][0] <= k[-1][0] <= cfg.max_abs_sq for k in keys)
+    keys = [k for _t, k in checked]  # sorted within a tuple: k[-1][0] is its largest norm
+    fits = all(len(k) == cfg.target_size and k[-1][0] <= cfg.max_abs_sq for k in keys)
     return [t for t, _k in checked] if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
 
 
@@ -329,20 +318,14 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
         tuples, stats = cached
     else:
         spec = cfg.spec
-        points = annulus_points(spec, cfg.max_abs_sq, cfg.min_abs_sq)
+        points = annulus_points(spec, cfg.max_abs_sq)
         adj, tested = _pair_graph(spec, points)
-        limit = 1 if cfg.mode == "find-first" else None
-        cliques, explored = _cliques_of_size(adj, cfg.target_size, limit)
+        cliques, explored = _cliques_of_size(adj, cfg.target_size)
         members = ([RingElem(*points[i][1:], spec) for i in c] for c in cliques)
         tuples = sorted((make_tuple(spec, elems) for elems in members), key=_tuple_key)
         stats = SearchStats(len(points), tested, explored)
-        if cfg.mode == "find-all":
-            _cache_store(cache_dir, cfg, tuples, stats)
-    return SearchResult(
-        tuples=tuple(tuples) if cfg.mode != "count" else (),
-        count=len(tuples),
-        stats=stats,
-    )
+        _cache_store(cache_dir, cfg, tuples, stats)
+    return SearchResult(tuple(tuples), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +339,11 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     Witnesses for the smallest element a are enumerated instead of candidate
     d's.  Every valid d satisfies a*d + 1 = w^2, so the integer
     abs_sq(w) = |a*d + 1| <= |a||d| + 1 <= sqrt(abs_sq(a) * max_abs_sq) + 1,
-    that is abs_sq(w) <= isqrt(abs_sq(a) * max_abs_sq) + 1: the witness walk
-    of that disk yields each candidate d = (w^2 - 1)/a exactly once, and
+    that is abs_sq(w) <= isqrt(abs_sq(a) * max_abs_sq) + 1.  _orbit_walk of
+    that disk gives P = w^2 - 1 once per orbit; P and, when pv != 0, conj(P)
+    yield each candidate d = (w^2 - 1)/a exactly once, and
     abs_sq(d) = abs_sq(w^2 - 1)/abs_sq(a) <= max_abs_sq is checked before
-    dividing.
+    dividing (conj(P) has P's norm).
 
     Each candidate is checked on plain coordinates: it is skipped if it is
     zero or in t, and for every other element e, w = e*d + 1 must have a
@@ -380,24 +364,25 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     au, av = anchor.u, anchor.v
     acu, nav = au - tc * av, nc * av  # conj(anchor) == (acu, -av)
     found = []
-    for pu, pv, m in _witness_walk(spec, isqrt(m_bound) + 1):
+    for pu, pv, m in _orbit_walk(spec, isqrt(m_bound) + 1):
         if m > m_bound or m % na:
             continue
-        qu, qv = pu * acu + pv * nav, pv * au - pu * av
-        if qu % na or qv % na:
-            continue
-        du, dv = qu // na, qv // na
-        if (du, dv) in skip:
-            continue
-        for eu, ev in others:
-            vv = ev * dv  # e*d + 1 as in RingElem.__mul__
-            wu, wv = eu * du - nc * vv + 1, eu * dv + ev * du - tc * vv
-            norm = wu * (wu - tc * wv) + nc * wv * wv
-            r = isqrt(norm)
-            if r * r != norm or not _is_square(spec, wu, wv, r):
-                break
-        else:
-            found.append((m // na, du, dv))  # abs_sq(d) first: the canonical order
+        for pu, pv in ((pu, pv), (pu - tc * pv, -pv)) if pv else ((pu, pv),):  # P, and conj(P) from conj(w)
+            qu, qv = pu * acu + pv * nav, pv * au - pu * av
+            if qu % na or qv % na:
+                continue
+            du, dv = qu // na, qv // na
+            if (du, dv) in skip:
+                continue
+            for eu, ev in others:
+                vv = ev * dv  # e*d + 1 as in RingElem.__mul__
+                wu, wv = eu * du - nc * vv + 1, eu * dv + ev * du - tc * vv
+                norm = wu * (wu - tc * wv) + nc * wv * wv
+                r = isqrt(norm)
+                if r * r != norm or not _is_square(spec, wu, wv, r):
+                    break
+            else:
+                found.append((m // na, du, dv))  # abs_sq(d) first: the canonical order
     return [RingElem(du, dv, spec) for _k, du, dv in sorted(found)]
 
 
@@ -515,20 +500,17 @@ def _violates_strong_bound(t: DiophTuple) -> bool:
 
 
 def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
-    name = f"d{cfg.spec.d}_b{cfg.max_abs_sq}_m{cfg.target_size}"
-    if cfg.min_abs_sq != 1:
-        name += f"_min{cfg.min_abs_sq}"
-    return os.path.join(cache_dir, name + ".jsonl")
+    return os.path.join(cache_dir, f"d{cfg.spec.d}_b{cfg.max_abs_sq}_m{cfg.target_size}.jsonl")
 
 
 def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[DiophTuple], SearchStats] | None:
     """(tuples, search stats) stored for cfg, or None to search: the file is
     missing, malformed or refused.  Each line must be of cfg's ring, the
     closing line must count them and hold int stats of cfg's search (elements
-    its disk points in range, pairs_tested n(n-1)/2 of those, cliques_explored
+    its disk's points, pairs_tested n(n-1)/2 of those, cliques_explored
     nonnegative), and _from_rows, the gate, must let every row through.
     """
-    if not cache_dir or cfg.mode != "find-all":
+    if not cache_dir:
         return None
     try:  # no file raises FileNotFoundError: a miss like any unreadable file
         with open(_cache_path(cache_dir, cfg), "r", encoding="utf-8") as fh:
@@ -543,7 +525,7 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[DiophTup
             rows.append((tuple(data["elems"]), tuple(data["witnesses"])))  # an older line has no witnesses
     except Exception:
         return None  # corrupt or stale: search
-    n = sum(nw >= cfg.min_abs_sq for _u, _v, nw in iter_disk_coords(cfg.spec, cfg.max_abs_sq))
+    n = sum(1 for _point in iter_disk_coords(cfg.spec, cfg.max_abs_sq))
     if count != len(rows) or any(type(x) is not int for x in stats) or stats[:2] != (n, n * (n - 1) // 2):
         return None  # tuples missing, or counts not of this search: search
     tuples = _from_rows(cfg, rows) if stats.cliques_explored >= 0 else None

@@ -10,7 +10,7 @@ from diophiq.tuples import make_tuple
 
 def enumerate_up_to(spec, b_sq, min_abs_sq=1):
     """Every z with min_abs_sq <= abs_sq(z) <= b_sq, z nonzero, in canonical order."""
-    return [RingElem(u, v, spec) for _n, u, v in annulus_points(spec, b_sq, min_abs_sq)]
+    return [RingElem(u, v, spec) for n, u, v in annulus_points(spec, b_sq) if n >= min_abs_sq]
 
 
 def is_diophantine_tuple(spec, elems):
@@ -48,10 +48,10 @@ def census_double_regular_triples(spec, min_abs_sq, max_abs_sq):
 
 
 def naive_find_m_tuples(cfg):
-    """Every target_size-subset of the annulus through make_tuple, in the
+    """Every target_size-subset of the disk through make_tuple, in the
     search's tuple order; shares no code with the pair graph or the clique search."""
     spec = cfg.spec
-    elems = [z for z in enumerate_up_to(spec, cfg.max_abs_sq) if z.abs_sq() >= cfg.min_abs_sq]
+    elems = enumerate_up_to(spec, cfg.max_abs_sq)
     found = []
     for combo in itertools.combinations(elems, cfg.target_size):
         try:

@@ -148,7 +148,6 @@ def test_criterion_6_oracle_equivalence():
             spec,
             max_abs_sq=rng.randint(2, 6),
             target_size=rng.randint(2, 5),
-            min_abs_sq=rng.choice([1, 1, 4]),
         )
         fast = find_m_tuples(cfg)
         slow = naive_find_m_tuples(cfg)

@@ -225,7 +225,7 @@ def test_bound_and_bound_sq_together_is_usage_error(capsys):
             main(["search", "--d", "-1", "--bound", bound, "--bound-sq", "30", "--size", "3"])
         assert exc.value.code == 2
         assert "--bound-sq: not allowed with argument --bound" in capsys.readouterr().err
-    code, rep = run_json(capsys, "search", "--d", "-1", "--size", "3", "--mode", "count")
+    code, rep = run_json(capsys, "search", "--d", "-1", "--size", "3")
     assert code == 0
     assert rep["config"]["bound_abs_sq"] == "256"  # --bound defaults to 16
 
@@ -278,17 +278,23 @@ def test_empty_sweep_range_is_usage_error(capsys, argv):
     assert capsys.readouterr().err == "error: max_abs_sq must be >= 1\n"
 
 
+@pytest.mark.parametrize("target", [["--d", "-1"], ["--sweep"]], ids=["ring", "sweep"])
 @pytest.mark.parametrize(
     "extra",
-    [["--mode", "count"], ["--mode", "find-first"], ["--min-sq", "4"]],
-    ids=["count", "find-first", "min-sq4"],
+    [["--mode", "count"], ["--mode", "find-first"], ["--mode", "find-all"], ["--min-sq", "4"]],
+    ids=["count", "find-first", "find-all", "min-sq4"],
 )
-def test_sweep_rejects_options_it_ignores(capsys, extra):
-    code = main(["search", "--sweep", "--bound", "3", "--size", "3", *extra])
-    assert code == 2
+def test_retired_search_options_are_refused(capsys, tmp_path, target, extra):
+    # every search finds every tuple of its disk: a first-hit or count-only
+    # mode and an annulus's lower norm are unknown options, refused by argparse
+    # before any ring is searched or any cache directory is made
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["search", *target, "--bound", "3", "--size", "3", *extra, "--cache-dir", str(cache)])
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: --sweep takes no --mode or --min-sq: it finds every tuple\n"
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(extra)}" in err
+    assert not cache.exists()
 
 
 def test_single_ring_search_rejects_threads(capsys):
@@ -298,31 +304,6 @@ def test_single_ring_search_rejects_threads(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --threads needs --sweep: a single-ring search runs in one process\n"
-
-
-@pytest.mark.parametrize("mode", ["count", "find-first"])
-def test_cache_dir_with_a_mode_that_stores_nothing_is_usage_error(capsys, tmp_path, mode):
-    # only a find-all search stores its result; the cache used to go unused,
-    # its directory made and left empty
-    cache = tmp_path / "cache"
-    code = main(["search", "--d", "-1", "--bound", "4", "--size", "3", "--mode", mode, "--cache-dir", str(cache)])
-    out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert err == f"error: --cache-dir needs --mode find-all: a {mode} search stores nothing\n"
-    assert not cache.exists()
-
-
-@pytest.mark.parametrize(
-    "extra, count, config_min_sq",
-    [([], "10", None), (["--min-sq", "1"], "10", None), (["--min-sq", "4"], "4", "4")],
-    ids=["default", "min-sq1", "min-sq4"],
-)
-def test_search_report_records_min_sq(capsys, extra, count, config_min_sq):
-    # the key appears only when it is not 1, like the cache file's _min suffix
-    code, rep = run_json(capsys, "search", "--d", "-1", "--bound", "3", "--size", "3", *extra)
-    assert code == 0
-    assert rep["payload"]["count"] == count
-    assert rep["config"].get("min_sq") == config_min_sq
 
 
 def test_text_format_default(capsys):

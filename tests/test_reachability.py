@@ -19,10 +19,10 @@ import diophiq
 
 PKG = Path(diophiq.__file__).parent
 
-# every golden's command, every case of CI's exit-code step, the two
-# single-ring modes, and a single-ring search and a sweep each run cold and
-# then warm on one cache directory ({cache}); {planted} holds a directory
-# where the search would store its result, {unused} does not exist
+# every golden's command, every case of CI's exit-code step, and a
+# single-ring search and a sweep each run cold and then warm on one cache
+# directory ({cache}); {planted} holds a directory where the search would
+# store its result
 COMMANDS = [
     ["search", "--d", "-3", "--bound", "6", "--size", "3"],
     ["search", "--d", "-2", "--bound", "6", "--size", "3"],
@@ -50,9 +50,8 @@ COMMANDS = [
     ["search", "--d", "-1", "--bound", "3", "--bound-sq", "9", "--size", "3"],
     ["extend", "--d", "-1", "--elems", "1,0;3,0;7,0", "--bound", "5"],
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--expect-empty", "--cache-dir", "{planted}"],
-    ["search", "--d", "-1", "--bound", "4", "--size", "3", "--mode", "count", "--cache-dir", "{unused}"],
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--mode", "count"],
-    ["search", "--d", "-1", "--bound", "4", "--size", "3", "--mode", "find-first", "--min-sq", "2"],
+    ["search", "--d", "-1", "--bound", "4", "--size", "3", "--min-sq", "2"],
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--cache-dir", "{cache}"],
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--cache-dir", "{cache}"],
     ["search", "--sweep", "--bound", "3", "--size", "3", "--threads", "1", "--cache-dir", "{cache}"],
@@ -140,7 +139,7 @@ def _functions():
 
 def test_every_src_function_is_reached_by_a_command_or_listed(tmp_path):
     (tmp_path / "planted" / "d-1_b16_m3.jsonl").mkdir(parents=True)
-    dirs = {name: str(tmp_path / name) for name in ("cache", "planted", "unused")}
+    dirs = {name: str(tmp_path / name) for name in ("cache", "planted")}
     commands = [[arg.format(**dirs) for arg in argv] for argv in COMMANDS]
     out = subprocess.run(
         [sys.executable, "-c", SCAN, json.dumps(commands)], capture_output=True, text=True, check=True,

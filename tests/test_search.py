@@ -49,20 +49,7 @@ def test_find_triples_in_gaussian_bound_16():
     for t in res.tuples:
         assert len(t.elems) == 3
         assert all(z.abs_sq() <= 256 for z in t.elems)
-    assert res.count == len(res.tuples)
     assert res.stats.elements > 700
-
-
-def test_find_m_tuples_modes():
-    cfg_all = SearchConfig(D1, 64, 2)
-    cfg_first = SearchConfig(D1, 64, 2, mode="find-first")
-    cfg_count = SearchConfig(D1, 64, 2, mode="count")
-    res_all = find_m_tuples(cfg_all)
-    res_first = find_m_tuples(cfg_first)
-    res_count = find_m_tuples(cfg_count)
-    assert res_all.count == res_count.count > 0
-    assert res_count.tuples == ()
-    assert res_first.count == 1
 
 
 def test_config_validation():
@@ -70,12 +57,14 @@ def test_config_validation():
         SearchConfig(D1, 0, 3)
     with pytest.raises(ValueError):
         SearchConfig(D1, 10, 1)
-    with pytest.raises(ValueError):
-        SearchConfig(D1, 10, 3, mode="weird")
+    # every search finds all tuples: the mode is the class's, not a field
+    with pytest.raises(TypeError):
+        SearchConfig(D1, 10, 3, mode="find-first")
+    assert SearchConfig(D1, 10, 3).mode == "find-all"
 
 
 def test_paper_triples_present_in_d3_at_bound_16():
-    res = find_m_tuples(SearchConfig(D3, 256, 3, min_abs_sq=4))
+    res = find_m_tuples(SearchConfig(D3, 256, 3))
     keys = {elems_of(t) for t in res.tuples}
     assert ((-2, 0), (2, 0), (-2, -4)) in keys
     assert ((-2, 0), (2, 0), (2, 4)) in keys
@@ -105,7 +94,6 @@ def test_clique_search_equals_naive_oracle():
             spec,
             max_abs_sq=rng.randint(2, 12),
             target_size=rng.randint(2, 4),
-            min_abs_sq=rng.choice([1, 1, 4]),
         )
         fast = find_m_tuples(cfg)
         slow = naive_find_m_tuples(cfg)
@@ -133,7 +121,7 @@ def _oracle_degeneracy_order(adj: list[set[int]]) -> list[int]:
     return order
 
 
-def _oracle_cliques_of_size(adj: list[set[int]], m: int, limit: int | None = None):
+def _oracle_cliques_of_size(adj: list[set[int]], m: int):
     # the clique search over the whole graph, verbatim; pins cliques_explored
     order = _oracle_degeneracy_order(adj)
     pos = {v: i for i, v in enumerate(order)}
@@ -145,25 +133,22 @@ def _oracle_cliques_of_size(adj: list[set[int]], m: int, limit: int | None = Non
     out: list[tuple[int, ...]] = []
     explored = 0
 
-    def extend(clique: list[int], cands: list[int]) -> bool:
+    def extend(clique: list[int], cands: list[int]) -> None:
         nonlocal explored
         explored += 1
         if len(clique) == m:
             out.append(tuple(sorted(clique)))
-            return limit is not None and len(out) >= limit
+            return
         need = m - len(clique)
         for i, w in enumerate(cands):
             if len(cands) - i < need:
                 break
             rest = [x for x in cands[i + 1 :] if x in adj[w]]
             if len(rest) >= need - 1:
-                if extend(clique + [w], rest):
-                    return True
-        return False
+                extend(clique + [w], rest)
 
     for v in order:
-        if extend([v], later[v]):
-            break
+        extend([v], later[v])
     return out, explored
 
 
@@ -173,9 +158,8 @@ def _oracle_cliques_of_size(adj: list[set[int]], m: int, limit: int | None = Non
     density=st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.8, 1.0]),
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 5),
-    limit=st.sampled_from([None, 1]),
 )
-def test_clique_search_equals_whole_graph_search(n, density, seed, m, limit):
+def test_clique_search_equals_whole_graph_search(n, density, seed, m):
     # the sparse draws leave the (m-1)-core empty, the middle ones partial and
     # the dense ones whole; cliques, their order and the node count all match
     rng = random.Random(seed)
@@ -186,7 +170,7 @@ def test_clique_search_equals_whole_graph_search(n, density, seed, m, limit):
             adj[b].add(a)
     core = len(k_core(adj, m - 1))
     event("(m-1)-core " + ("empty" if not core else "whole" if core == n else "partial"))
-    assert _cliques_of_size(adj, m, limit) == _oracle_cliques_of_size(adj, m, limit)
+    assert _cliques_of_size(adj, m) == _oracle_cliques_of_size(adj, m)
 
 
 def test_clique_search_k5_interleaved_with_pendant_path():
@@ -199,8 +183,7 @@ def test_clique_search_k5_interleaved_with_pendant_path():
         adj[a].add(b)
         adj[b].add(a)
     for m in (2, 3, 4, 5):
-        for limit in (None, 1):
-            assert _cliques_of_size(adj, m, limit) == _oracle_cliques_of_size(adj, m, limit)
+        assert _cliques_of_size(adj, m) == _oracle_cliques_of_size(adj, m)
     # five peeled path vertices, then one descent of five nodes from the K5's
     # first vertex and one node for each of its other four vertices
     assert _cliques_of_size(adj, 5) == ([tuple(k5)], 5 + 5 + 4)
@@ -245,9 +228,9 @@ def test_ring_search_frees_its_graph_without_a_collection(monkeypatch):
     monkeypatch.setattr(search, "_pair_graph", recording)
     gc.disable()
     try:
-        for size, mode in ((3, "find-all"), (3, "find-first"), (5, "count")):
-            find_m_tuples(SearchConfig(D3, 64, size, mode))
-        assert [ref() for ref in graphs] == [None, None, None]
+        for size in (3, 5):
+            find_m_tuples(SearchConfig(D3, 64, size))
+        assert [ref() for ref in graphs] == [None, None]
     finally:
         gc.enable()
 
@@ -290,14 +273,15 @@ def test_extend_enumerates_witness_disk_of_its_bound(monkeypatch, d, coords):
     t = make_tuple(spec, [spec.elem(u, v) for u, v in coords])
     na = min(t.elems, key=RingElem.canonical_key).abs_sq()
     radii = []
+    orbit_walk = search._orbit_walk
 
     def recording(ring, b_sq):
         radii.append(b_sq)
-        return iter_disk_coords(ring, b_sq)
+        return orbit_walk(ring, b_sq)
 
-    monkeypatch.setattr(search, "iter_disk_coords", recording)
+    monkeypatch.setattr(search, "_orbit_walk", recording)
     extend_tuple(t, 400)
-    assert radii and max(radii) <= isqrt(na * 400) + 1
+    assert radii == [isqrt(na * 400) + 1]
 
 
 def _extension_oracle(t, b_sq):
@@ -468,7 +452,7 @@ def test_every_ring_past_the_cutoffs_holds_only_the_rational_pass_tuples():
 
 def test_single_ring_quintuple_empty_d3():
     res = find_m_tuples(SearchConfig(D3, 256, 5))
-    assert res.count == 0
+    assert res.tuples == ()
 
 
 def _direct_pair_graph(spec, vertices):
@@ -539,12 +523,12 @@ def test_pair_graph_makes_no_pair_square_test(monkeypatch, d):
     data=st.data(),
 )
 def test_pair_graph_equals_direct_loop_on_any_vertex_set(d, b_sq, data):
-    # B comes from the vertices and the smallest norm from min_abs_sq: draw an
+    # B comes from the vertices and the smallest norm from lo: draw an
     # annulus, or any subset of it in any order, empty and asymmetric ones too.
     # The subset's closure under -z and conj(z), in any order, gets the direct
     # loop's graph; a subset that is not closed is refused
     spec = RingSpec(d)
-    lo = data.draw(st.integers(1, b_sq + 1), label="min_abs_sq")
+    lo = data.draw(st.integers(1, b_sq + 1), label="lo")
     annulus = [p for p in _disk_vertices(spec, b_sq) if p[0] >= lo]
     subsets = st.lists(st.sampled_from(annulus), unique=True) if annulus else st.nothing()
     vertices = data.draw(st.just(annulus) | subsets, label="vertices")
@@ -647,7 +631,7 @@ def test_sweep_folded_rings_report_their_own_search(monkeypatch, size):
     for d in folded:
         assert [t.to_row() for t in rep.tuples if t.spec.d == d] == [t.to_row() for t in direct[d].tuples]
     # size 2 has rational pairs such as {-1, 1}; no triple fits in [-4, 4]
-    assert {bool(direct[d].count) for d in folded} == {size == 2}
+    assert {bool(direct[d].tuples) for d in folded} == {size == 2}
     assert _counts(rep.stats) == tuple(map(sum, zip(*(_counts(r.stats) for r in direct.values()))))
 
 
@@ -732,18 +716,18 @@ def test_cache_corruption_triggers_recompute(tmp_path, monkeypatch):
     calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=cache)
     assert calls == [-1]  # recomputed
-    assert res.count > 0
+    assert res.tuples
 
 
 def test_cache_empty_file_triggers_recompute(tmp_path, monkeypatch):
     cfg = SearchConfig(D1, 100, 3)
     first = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert first.count == 272
+    assert len(first.tuples) == 272
     (tmp_path / "d-1_b100_m3.jsonl").write_text("")
     calls = _count_pair_graphs(monkeypatch)
     res = find_m_tuples(cfg, cache_dir=str(tmp_path))
     assert calls == [-1]  # recomputed
-    assert res.count == 272
+    assert len(res.tuples) == 272
 
 
 def test_cache_missing_tuple_line_triggers_recompute(tmp_path, monkeypatch):
@@ -775,14 +759,13 @@ def test_cache_closing_line_without_stats_triggers_recompute(tmp_path, monkeypat
 def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
     # each file holds one verified Diophantine tuple of another query: the
     # wrong size (with and without a norm out of range), an
-    # element above the bound, an element below min_abs_sq, and another ring;
+    # element above the bound, and another ring;
     # the closing line holds the query's own counts, so the gate is what refuses
     d2 = RingSpec(-2)
     stray = [
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 8, 120)], 18),
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3)], 18),
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 120)], 18),
-        ("d-1_b16_m3_min2.jsonl", SearchConfig(D1, 16, 3, min_abs_sq=2), [D1.elem(n) for n in (1, 3, 8)], 12),
         ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [d2.elem(-1), d2.elem(3), d2.elem(2, -2)], 18),
     ]
     for name, cfg, elems, count in stray:
@@ -794,7 +777,7 @@ def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
         calls = _count_pair_graphs(monkeypatch)
         res = find_m_tuples(cfg, cache_dir=str(tmp_path))
         assert calls == [-1]  # recomputed
-        assert res.count == count
+        assert len(res.tuples) == count
         assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, find_m_tuples(cfg).tuples))
 
 
