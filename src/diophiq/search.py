@@ -22,19 +22,22 @@ file per ring searched on its own.  The listed integral-basis rings past
 B + 1 are not searched; each takes the pass's tuples (d replaced) and
 counts.
 
-A tuple's square roots are taken once, by the make_tuple that builds it from
-the clique search's elements.  Every stored copy (a cache line, a worker's
-row, a rational-only ring's copy of the pass's tuple) is to_row's integers,
-and _from_rows is the one gate back: from_witnesses squares each witness in
-the config's ring (a rational copy's witnesses are roots there too), and the
-config's size, norm range and tuple order are checked.  One gate call builds
-one RingElem per distinct point of its rows, shared by its tuples: that is
-safe as a RingElem is frozen, and the call's memo is of one ring and dies
-with it.  _cache_load gates a file after its ring and count checks: it is
-used whole or not at all, and a refused file is a miss like a missing one.
-The gate refuses any false, out-of-range, misordered or other-ring row, but
-a file with rows removed and its count lowered still passes: an edited cache
-can shrink a result.
+A tuple's square roots are the pair graph's: the witness walk finds each
+edge {a, b} through the canonical root w of a*b + 1 and keeps it, and
+_search reads a clique's points and edge roots as one row of plain integers
+(to_row's layout), so no search takes a square root.  Every row (a search's
+own, a worker's, a cache line, a rational-only ring's copy of the pass's
+row) becomes a DiophTuple only through _from_rows, the one check:
+from_witnesses squares each witness in the config's ring (a rational copy's
+witnesses are roots there too), and the config's size, norm range and tuple
+order are checked.  One gate call builds one RingElem per distinct point of
+its rows, shared by its tuples: safe as a RingElem is frozen, and the memo
+is of one ring and dies with the call.  Only the parent stores, and only
+rows the gate has passed.  _cache_load gates a file after its ring and
+count checks: it is used whole or not at all, and a refused file is a miss
+like a missing one.  The gate refuses any false, out-of-range, misordered
+or other-ring row, but a file with rows removed and its count lowered still
+passes: an edited cache can shrink a result.
 
 Every search finds every tuple of the full disk abs_sq <= B: no step of the
 paper's bound needs a first hit, a count alone or an annulus.
@@ -44,11 +47,11 @@ pairs: a partner b of a has a*b + 1 = w^2, so dividing w^2 - 1 by a finds
 it without testing a pair for squareness.  Both walk one witness per
 {+/-w, +/-conj(w)} orbit (_orbit_walk): conj(w)^2 - 1 = conj(w^2 - 1).
 The pair graph's vertices are plain (abs_sq, u, v) points, keyed by one
-integer, and only a clique's members become RingElems.  The disk is closed
-under z -> -z and z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
-conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph divides by one vertex
-per +/-a, since -a finds -b, and each edge it finds adds its images under
-both maps.  The extension search's anchor is not conjugation-invariant, so
+integer; only the gate builds RingElems, from a search's rows.  The disk is
+closed under z -> -z and z -> conj(z), and so is its edge set: (-a)(-b) =
+a*b, and conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph divides by one
+vertex per +/-a, since -a finds -b, and each edge it finds adds its images
+under both maps.  The extension search's anchor is not conjugation-invariant, so
 it divides both w^2 - 1 and its conjugate by the anchor, checks each
 candidate d against the other elements on plain coordinates with a norm
 filter and one exact root test per product, and builds RingElems only for
@@ -67,6 +70,7 @@ import tempfile
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from math import isqrt
 from typing import ClassVar, NamedTuple
 
@@ -79,7 +83,7 @@ from .ring import (
     iter_disk_coords,
     sqrt_coords,
 )
-from .tuples import DiophTuple, Row, c_plus_minus, make_tuple
+from .tuples import DiophTuple, Row, c_plus_minus
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,11 @@ class SearchResult:
 
 
 def _orbit_walk(spec: RingSpec, b_sq: int):
-    """(pu, pv, m) for P = w^2 - 1 = (pu, pv) and m = abs_sq(P), over one w per
-    {+/-w, +/-conj(w)} orbit with abs_sq(w) <= b_sq: w = 0, v = 0 with u > 0,
-    and v > 0 with X = 2u - t*v >= 0.  conj(u + v*w) = (u - t*v, -v), so
-    -conj(w) keeps v and negates X, the disk's doubled coordinate
-    |X| <= isqrt(4*b_sq - |D|*v^2).  pv = v*X, so every P walked has pv >= 0.
+    """(w, pu, pv, m) for w = (u, v), P = w^2 - 1 = (pu, pv), m = abs_sq(P),
+    one canonical w per {+/-w, +/-conj(w)} orbit with abs_sq(w) <= b_sq:
+    w = 0, v = 0 with u > 0, and v > 0 with X = 2u - t*v >= 0.  conj(u + v*w)
+    = (u - t*v, -v), so -conj(w) keeps v and negates X, the disk's doubled
+    coordinate |X| <= isqrt(4*b_sq - |D|*v^2).  pv = v*X, so pv >= 0.
 
     Over an integral domain w'^2 == w^2 only when w' = +/-w.  An orbit is one
     +/-w exactly when pv == 0 (v == 0, or X == 0 and conj(w) == -w), and
@@ -131,19 +135,19 @@ def _orbit_walk(spec: RingSpec, b_sq: int):
     which differs from P.  So P and, when pv != 0, conj(P) give each w^2 - 1
     of the disk exactly once."""
     tc, nc, disc = spec.t, spec.n, spec.abs_disc
-    yield -1, 0, 1  # w = 0
+    yield (0, 0), -1, 0, 1
     for u in range(1, isqrt(b_sq) + 1):
-        yield u * u - 1, 0, (u * u - 1) ** 2
+        yield (u, 0), u * u - 1, 0, (u * u - 1) ** 2
     for v in range(1, isqrt(4 * b_sq // disc) + 1):
         tv, nv = tc * v, nc * v * v + 1
         for u in range((tv + 1) // 2, (tv + isqrt(4 * b_sq - disc * v * v)) // 2 + 1):
             pu, pv = u * u - nv, v * (2 * u - tv)
-            yield pu, pv, pu * (pu - tc * pv) + nc * pv * pv
+            yield (u, v), pu, pv, pu * (pu - tc * pv) + nc * pv * pv
 
 
-def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[list[set[int]], int]:
-    """Adjacency sets over the indices of nonzero (abs_sq, u, v) points;
-    returns (adj, pairs_decided).
+def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[list[dict[int, tuple[int, int]]], int]:
+    """Adjacency over the indices of nonzero (abs_sq, u, v) points, adj[i]
+    mapping each neighbour j to the edge's root; returns (adj, pairs_decided).
 
     An edge {a, b} has a witness w with a*b + 1 = w^2 and abs_sq(w) =
     |a*b + 1| <= B + 1, B the largest vertex norm, so the witness disk of
@@ -155,10 +159,11 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
     Orbits: -a gives -b for the same P = w^2 - 1, and conj(w)^2 - 1 =
     conj(P) joins conj(a) and conj(b).  So _orbit_walk gives one w of each
     {+/-w, +/-conj(w)} orbit, only a with v > 0, or v == 0 and u > 0, is
-    divided, and each edge found adds {-a, -b} and, when pv != 0, the
-    conjugates of both; a real P (pv == 0) is its own conjugate and finds
-    the conjugate edges itself.  The vertices must be closed under -z and
-    conj(z), as every annulus is; a list that is not raises ValueError.
+    divided, and each edge found adds {-a, -b}, rooted by w too, and, when
+    pv != 0, the conjugates of both, rooted by conj(w) = (wu - t*wv, -wv)
+    made canonical (wv > 0); a real P (pv == 0) is its own conjugate and
+    finds the conjugate edges itself.  The vertices must be closed under -z
+    and conj(z), as every annulus is; a list that is not raises ValueError.
 
     A point is keyed by the one integer u*S + v, S = 2*vmax + 1 with vmax
     the largest |v| in the disk of norm <= B: two points of that disk with
@@ -167,7 +172,7 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
     """
     tc, nc = spec.t, spec.n
     n = len(vertices)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     if not n:
         return adj, 0
     top = max(vertices)[0]
@@ -183,7 +188,7 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
         if v > 0 or (v == 0 and u > 0):  # one of each +/-a
             by_norm.setdefault(k, []).append((i, u, v, u - tc * v, nc * v))
     norms = sorted(by_norm)
-    for pu, pv, m in _orbit_walk(spec, top + 1):
+    for w, pu, pv, m in _orbit_walk(spec, top + 1):
         for k in norms[bisect_left(norms, -(-m // top)) : bisect_right(norms, isqrt(m))]:
             if m % k:
                 continue
@@ -195,15 +200,12 @@ def _pair_graph(spec: RingSpec, vertices: list[tuple[int, int, int]]) -> tuple[l
                 if j is None or j == i:
                     continue
                 ni, nj = neg[i], neg[j]
-                adj[i].add(j)
-                adj[j].add(i)
-                adj[ni].add(nj)
-                adj[nj].add(ni)
+                adj[i][j] = adj[j][i] = adj[ni][nj] = adj[nj][ni] = w
                 if pv:
-                    adj[cj[i]].add(cj[j])
-                    adj[cj[j]].add(cj[i])
-                    adj[cj[ni]].add(cj[nj])
-                    adj[cj[nj]].add(cj[ni])
+                    wu, wv = w
+                    cu = wu - tc * wv
+                    cw = (cu, -wv) if cu > 0 else (-cu, wv)
+                    adj[cj[i]][cj[j]] = adj[cj[j]][cj[i]] = adj[cj[ni]][cj[nj]] = adj[cj[nj]][cj[ni]] = cw
     return adj, n * (n - 1) // 2
 
 
@@ -214,7 +216,7 @@ def _is_square(spec: RingSpec, wu: int, wv: int, root_norm: int) -> bool:
     return sqrt_coords(spec, wu, wv, root_norm) is not None
 
 
-def _degeneracy_order(adj: list[set[int]], k: int) -> list[int]:
+def _degeneracy_order(adj: list[dict[int, tuple[int, int]]], k: int) -> list[int]:
     """Degeneracy order (least degree first, ties by index) of the k-core.
 
     Vertices outside the k-core are peeled with a stack first; the heap then
@@ -247,7 +249,7 @@ def _degeneracy_order(adj: list[set[int]], k: int) -> list[int]:
     return order
 
 
-def _cliques_of_size(adj: list[set[int]], m: int):
+def _cliques_of_size(adj: list[dict[int, tuple[int, int]]], m: int):
     """All m-cliques (as sorted index tuples), each exactly once.
 
     Backtracking over the degeneracy order: a clique is explored from its
@@ -288,13 +290,9 @@ def _cliques_of_size(adj: list[set[int]], m: int):
     return out, explored
 
 
-def _tuple_key(t: DiophTuple) -> tuple:
-    return tuple(z.canonical_key() for z in t.elems)
-
-
 def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
-    """The one gate from stored rows to DiophTuples: from_witnesses in cfg's
-    ring, cfg's size and bound, and strictly increasing _tuple_key order,
+    """The one gate from rows to DiophTuples: from_witnesses in cfg's ring,
+    cfg's size and bound, and strictly increasing canonical order of tuples,
     read from the keys from_witnesses built.  None if it refuses a row."""
     memo: dict = {}  # (u, v) -> RingElem of cfg's ring, for every row
     try:
@@ -306,25 +304,29 @@ def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
     return [t for t, _k in checked] if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
 
 
+def _search(cfg: SearchConfig) -> tuple[list[Row], SearchStats]:
+    """cfg's search as rows for the gate, and its counts: each m-clique's
+    points and edge roots, in to_row's layout.  The points are in canonical
+    order, so sorted index tuples are tuples in canonical order."""
+    spec = cfg.spec
+    points = annulus_points(spec, cfg.max_abs_sq)
+    adj, tested = _pair_graph(spec, points)
+    cliques, explored = _cliques_of_size(adj, cfg.target_size)
+    rows = [
+        (tuple(x for i in c for x in points[i][1:]), tuple(x for i, j in combinations(c, 2) for x in adj[i][j]))
+        for c in sorted(cliques)
+    ]
+    return rows, SearchStats(len(points), tested, explored)
+
+
 def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResult:
     """Complete bounded search; see module docstring for the method.
 
-    Results are canonicalized (elements sorted, tuples sorted, duplicates
-    impossible by construction) so identical configs give identical output
-    regardless of scheduling.  A cache hit is _cache_load's gated tuples.
+    Results are canonical (elements sorted, tuples sorted, duplicates
+    impossible by construction), so identical configs give identical output.
+    A hit is _cache_load's gated tuples, a miss _search's rows through _own_rows.
     """
-    cached = _cache_load(cache_dir, cfg)
-    if cached is not None:
-        tuples, stats = cached
-    else:
-        spec = cfg.spec
-        points = annulus_points(spec, cfg.max_abs_sq)
-        adj, tested = _pair_graph(spec, points)
-        cliques, explored = _cliques_of_size(adj, cfg.target_size)
-        members = ([RingElem(*points[i][1:], spec) for i in c] for c in cliques)
-        tuples = sorted((make_tuple(spec, elems) for elems in members), key=_tuple_key)
-        stats = SearchStats(len(points), tested, explored)
-        _cache_store(cache_dir, cfg, tuples, stats)
+    tuples, stats = _cache_load(cache_dir, cfg) or _own_rows(cfg, *_search(cfg), cache_dir)
     return SearchResult(tuple(tuples), stats)
 
 
@@ -364,7 +366,7 @@ def extend_tuple(t: DiophTuple, max_abs_sq: int) -> list[RingElem]:
     au, av = anchor.u, anchor.v
     acu, nav = au - tc * av, nc * av  # conj(anchor) == (acu, -av)
     found = []
-    for pu, pv, m in _orbit_walk(spec, isqrt(m_bound) + 1):
+    for _w, pu, pv, m in _orbit_walk(spec, isqrt(m_bound) + 1):
         if m > m_bound or m % na:
             continue
         for pu, pv in ((pu, pv), (pu - tc * pv, -pv)) if pv else ((pu, pv),):  # P, and conj(P) from conj(w)
@@ -421,14 +423,11 @@ class SweepReport:
         return not self.tuples and not self.rational_pass_tuples
 
 
-def _sweep_one(args: tuple[int, int, int, str | None]) -> tuple[int, list[Row], SearchStats]:
-    """A ring whose file the parent's load missed or refused: its search,
-    stored, as rows and counts for the parent's gate."""
-    d, b_sq, size, cache_dir = args
-    cfg = SearchConfig(RingSpec(d), b_sq, size)
-    res = find_m_tuples(cfg)  # no cache_dir: the parent's load has read the file once already
-    _cache_store(cache_dir, cfg, list(res.tuples), res.stats)
-    return d, [t.to_row() for t in res.tuples], res.stats
+def _sweep_one(job: tuple[int, int, int]) -> tuple[int, list[Row], SearchStats]:
+    """Ring d's _search at (b_sq, size), for a ring the parent's load missed:
+    rows and counts for the parent to gate and store; no DiophTuple, no file."""
+    d, b_sq, size = job
+    return (d, *_search(SearchConfig(RingSpec(d), b_sq, size)))
 
 
 def quintuple_sweep(
@@ -447,7 +446,7 @@ def quintuple_sweep(
     # a ring's file, or None to search; integral-basis rings past the witness cutoff take the pass's copy
     stored = {d: _cache_load(cache_dir, cfg) for d, cfg in cfgs.items() if d % 4 == 1 or -d <= b_sq + 1}
     stored.update((d, _own_rows(cfgs[d], shared_rows, shared.stats)) for d in rings if d not in stored)
-    jobs = [(d, b_sq, size, cache_dir) for d in rings if stored[d] is None]
+    jobs = [(d, b_sq, size) for d in rings if stored[d] is None]
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -455,7 +454,7 @@ def quintuple_sweep(
             searched = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         searched = [_sweep_one(j) for j in jobs]
-    stored.update((d, _own_rows(cfgs[d], rows, stats)) for d, rows, stats in searched)
+    stored.update((d, _own_rows(cfgs[d], rows, stats, cache_dir)) for d, rows, stats in searched)
     found = [t for d in rings for t in stored[d][0]]
     violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
     return SweepReport(
@@ -474,11 +473,13 @@ def quintuple_sweep(
     )
 
 
-def _own_rows(cfg: SearchConfig, rows: list[Row], stats: SearchStats) -> tuple[list[DiophTuple], SearchStats]:
-    """Rows of the sweep's own search through the gate, which refuses them only if arithmetic broke."""
+def _own_rows(cfg: SearchConfig, rows: list[Row], stats: SearchStats, cache_dir: str | None = None):
+    """(tuples, stats) of a search's own rows, which the gate refuses only if
+    arithmetic broke; stored once passed, so no file holds an ungated row."""
     tuples = _from_rows(cfg, rows)
     if tuples is None:
         raise PostconditionViolated(f"the gate refused the search's own rows in d={cfg.spec.d}")
+    _cache_store(cache_dir, cfg, rows, stats)
     return tuples, stats
 
 
@@ -532,7 +533,8 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[DiophTup
     return None if tuples is None else (tuples, stats)
 
 
-def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTuple], stats: SearchStats) -> None:
+def _cache_store(cache_dir: str | None, cfg: SearchConfig, rows: list[Row], stats: SearchStats) -> None:
+    """cfg's file of the rows _own_rows has passed, in the parent process."""
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -541,10 +543,9 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, tuples: list[DiophTup
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            for t in tuples:  # one line per tuple: to_row's integers and the ring
-                elems, witnesses = t.to_row()
-                fh.write(json.dumps({"d": t.spec.d, "elems": elems, "witnesses": witnesses}, sort_keys=True) + "\n")
-            fh.write(json.dumps({"count": len(tuples), "stats": list(stats)}) + "\n")
+            for elems, witnesses in rows:  # one line per tuple: its row's integers and the ring
+                fh.write(json.dumps({"d": cfg.spec.d, "elems": elems, "witnesses": witnesses}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"count": len(rows), "stats": list(stats)}) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)  # a unique name is never reused, so nothing else would remove it

@@ -4,9 +4,9 @@ A Diophantine m-tuple is a set of m distinct nonzero ring elements such
 that the product of any two distinct elements plus one is a perfect square
 in the ring.  Every check here is definition-level and exact: witnesses are
 actual square roots, stored and re-verified by squaring.  make_tuple finds
-them.  c_plus_minus, quadruple_extension_candidates, forbidden_double_regular,
-omega_lower_bound and pair_products_not_square take the verified DiophTuple,
-read its witnesses and canonical order, and root none of its pairs again.
+them for user input only (verify, extend, pell).  Every function after it
+takes the verified DiophTuple, reads its witnesses and canonical order, and
+roots none of its pairs again.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ class DiophTuple:
     """A verified m-tuple: sorted elements plus one witness per pair.
 
     witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  make_tuple
-    builds one from bare elements and finds each root.  A stored copy (a
-    cache line, a worker's row) becomes one only through from_witnesses,
-    which squares those roots, run once on each row by the search's one gate
-    for stored rows.  So holding a DiophTuple is holding a proof.  The tuples
-    of one gate call share their (frozen) RingElems.
+    builds one from user input's bare elements (verify, extend, pell) and roots
+    each pair.  A search's row (its pair graph's roots: fresh, a worker's or a
+    cache line) becomes one only through from_witnesses, which squares those
+    roots, once per row, in the search's one gate.  So holding a DiophTuple is
+    holding a proof.  The tuples of one gate call share their (frozen) RingElems.
     """
 
     spec: RingSpec
@@ -47,15 +47,14 @@ class DiophTuple:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
-        """A cache line (the search's _cache_store writes them) read back
-        through from_witnesses.  No command calls it: it is kept only as the
-        target of perfbench's from_json hook."""
+        """A cache line read back through from_witnesses.  No command calls it:
+        it is kept only as the target of perfbench's from_json hook."""
         return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])[0]
 
     def to_row(self) -> Row:
-        """Plain integers for from_witnesses: the elements' coordinates
-        (u0, v0, u1, v1, ...) and the witnesses' (pairs (i, j) in
-        lexicographic order), flat: that pickles smaller than pairs."""
+        """Plain integers for from_witnesses, as _search writes them: the
+        elements' coordinates (u0, v0, u1, v1, ...) and the witnesses' (pairs
+        (i, j) in lexicographic order), flat: that pickles smaller than pairs."""
         pairs = combinations(range(len(self.elems)), 2)
         return (
             tuple(x for z in self.elems for x in z.coords()),

@@ -63,12 +63,13 @@ def naive_find_m_tuples(cfg):
 
 
 def k_core(adj, k):
-    """The vertices of the k-core of the graph adj (a list of neighbour sets):
-    delete every vertex of degree < k among the rest until none is left.
+    """The vertices of the k-core of the graph adj (a list of neighbour sets,
+    or of dicts keyed by neighbour): delete every vertex of degree < k among
+    the rest until none is left.
     Shares no code with the search's peel."""
     alive = set(range(len(adj)))
     while True:
-        low = {v for v in alive if len(adj[v] & alive) < k}
+        low = {v for v in alive if len(alive.intersection(adj[v])) < k}
         if not low:
             return alive
         alive -= low

@@ -233,7 +233,7 @@ def test_bound_and_bound_sq_together_is_usage_error(capsys):
 @pytest.mark.parametrize("d", ["-1", "-3"])
 def test_extend_verifies_its_triple_once(capsys, monkeypatch, d):
     # the triple's pairs are rooted once; the regular candidates read its witnesses
-    from diophiq import cli, search, tuples
+    from diophiq import cli, tuples
 
     calls = []
 
@@ -244,7 +244,7 @@ def test_extend_verifies_its_triple_once(capsys, monkeypatch, d):
 
         return wrapped
 
-    for module in (cli, search, tuples):
+    for module in (cli, tuples):  # search.py does not import make_tuple
         monkeypatch.setattr(module, "make_tuple", counting(tuples.make_tuple))
     code, rep = run_json(capsys, "extend", "--d", d, "--elems", "1,0;3,0;8,0", "--bound", "130")
     assert code == 0 and rep["payload"]["regular_candidates"]["verified"] == ["120,0"]
@@ -379,6 +379,17 @@ def test_golden_report(capsys, name, fmt):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (DATA / f"{name}.{'json' if fmt == 'json' else 'txt'}").read_text()
+
+
+def test_pooled_sweep_prints_the_golden_report(capsys):
+    # the golden's sweep in two worker processes: its quadruples' rows, roots
+    # of the conjugate edge images among them, cross a process boundary before
+    # the parent's gate.  --threads takes no part in the report
+    argv = GOLDEN["sweep_b16_m4"]
+    assert argv[-2:] == ["--threads", "1"]
+    code, out = run_cli(capsys, *argv[:-1], "2", "--format", "json")
+    assert code == 0
+    assert out == (DATA / "sweep_b16_m4.json").read_text()
 
 
 def written(value) -> str:

@@ -19,10 +19,11 @@ import diophiq
 
 PKG = Path(diophiq.__file__).parent
 
-# every golden's command, every case of CI's exit-code step, and a
-# single-ring search and a sweep each run cold and then warm on one cache
-# directory ({cache}); {planted} holds a directory where the search would
-# store its result
+# every golden's command, every case of CI's exit-code step, a size-2 sweep
+# whose rational pass finds pairs (their rows are copied to the rings past the
+# cutoffs), and a single-ring search and a sweep each run cold and then warm
+# on one cache directory ({cache}); {planted} holds a directory where the
+# search would store its result
 COMMANDS = [
     ["search", "--d", "-3", "--bound", "6", "--size", "3"],
     ["search", "--d", "-2", "--bound", "6", "--size", "3"],
@@ -54,6 +55,7 @@ COMMANDS = [
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--min-sq", "2"],
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--cache-dir", "{cache}"],
     ["search", "--d", "-1", "--bound", "4", "--size", "3", "--cache-dir", "{cache}"],
+    ["search", "--sweep", "--bound", "2", "--size", "2", "--threads", "1"],
     ["search", "--sweep", "--bound", "3", "--size", "3", "--threads", "1", "--cache-dir", "{cache}"],
     ["search", "--sweep", "--bound", "3", "--size", "3", "--threads", "1", "--cache-dir", "{cache}"],
 ]

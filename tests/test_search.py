@@ -16,9 +16,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from diophiq import search, tuples
+from diophiq import ring, search, tuples
 from diophiq.errors import NotDiophantine, PostconditionViolated
-from diophiq.ring import RingElem, RingSpec, elements_with_abs_sq, iter_disk_coords
+from diophiq.ring import RingElem, RingSpec, elements_with_abs_sq, iter_disk_coords, sqrt_coords
 from diophiq.search import (
     SearchConfig,
     _cliques_of_size,
@@ -216,13 +216,19 @@ def test_core_peel_equals_naive_core_on_every_ring_of_the_bound_16_quintuple_swe
 
 def test_ring_search_frees_its_graph_without_a_collection(monkeypatch):
     # a sweep searches ring after ring; a graph kept alive by a reference
-    # cycle lingers until the cyclic collector runs and raises the peak memory
+    # cycle lingers until the cyclic collector runs and raises the peak memory.
+    # A dict cannot be weakly referenced, so the graph is handed on as a list
+    # subclass, which can, holding the same dicts
     graphs = []
     pair_graph = search._pair_graph
 
+    class Graph(list):
+        pass
+
     def recording(spec, vertices):
         adj, tested = pair_graph(spec, vertices)
-        graphs.append(weakref.ref(adj[0]))
+        adj = Graph(adj)
+        graphs.append(weakref.ref(adj))
         return adj, tested
 
     monkeypatch.setattr(search, "_pair_graph", recording)
@@ -456,11 +462,12 @@ def test_single_ring_quintuple_empty_d3():
 
 
 def _direct_pair_graph(spec, vertices):
-    """Oracle: every pair of (abs_sq, u, v) points through the norm filter and the square test."""
+    """Oracle: every pair of (abs_sq, u, v) points through the norm filter and
+    sqrt_coords, each edge mapped to its canonical root, the larger of +/-root."""
     tc, nc = spec.t, spec.n
     coords = [(u, v, u - tc * v) for _k, u, v in vertices]
     n = len(coords)
-    adj = [set() for _ in range(n)]
+    adj = [{} for _ in range(n)]
     for i, (u1, v1, _) in enumerate(coords):
         for j in range(i + 1, n):
             u2, v2, cu2 = coords[j]
@@ -468,9 +475,9 @@ def _direct_pair_graph(spec, vertices):
             wv = u1 * v2 + v1 * cu2
             nw = wu * (wu - tc * wv) + nc * wv * wv
             r = isqrt(nw)
-            if r * r == nw and search._is_square(spec, wu, wv, r):
-                adj[i].add(j)
-                adj[j].add(i)
+            root = sqrt_coords(spec, wu, wv, r) if r * r == nw else None
+            if root is not None:
+                adj[i][j] = adj[j][i] = max(root, (-root[0], -root[1]))
     return adj, n * (n - 1) // 2
 
 
@@ -552,11 +559,11 @@ def test_pair_graph_unit_edge_cases():
     adj, tested = search._pair_graph(spec, vertices)
     # {1, -1} is the one edge, with witness w = 0; no self-loop at +/-i; the
     # walked disk abs_sq(w) <= 2 holds w = +/-1, where w^2 - 1 = 0 gives nothing
-    assert (adj, tested) == ([{1}, {0}, set(), set()], 6)
+    assert (adj, tested) == ([{1: (0, 0)}, {0: (0, 0)}, {}, {}], 6)
     # the witness bound B + 1 is reached: (2+2i)(2-2i) + 1 = 3^2, abs_sq(3) = 8 + 1,
     # and so is its negation; -(2+2i)(2-2i) + 1 = -7 and 1 - 8i are no squares
     rim = [(8, -2, -2), (8, -2, 2), (8, 2, -2), (8, 2, 2)]
-    assert search._pair_graph(spec, rim) == ([{1}, {0}, {3}, {2}], 6)
+    assert search._pair_graph(spec, rim) == ([{1: (3, 0)}, {0: (3, 0)}, {3: (3, 0)}, {2: (3, 0)}], 6)
     for unclosed in ([(1, 1, 0)], [(8, 2, 2), (8, -2, -2)]):  # no -1; no conj(2+2i)
         with pytest.raises(ValueError):
             search._pair_graph(spec, unclosed)
@@ -567,12 +574,14 @@ def test_pair_graph_unit_edge_cases():
 
 
 def _all_pairs_graph(spec, vertices):
-    """Adjacency by testing every vertex pair: a*b + 1 is an edge's witness
-    squared, so its norm is r^2 and its root lies among the elements of
-    abs_sq r, each squared.  Shares no code with sqrt_coords or the witness walk."""
+    """Adjacency by testing every vertex pair, each edge mapped to its
+    canonical root: a*b + 1 is an edge's witness squared, so its norm is r^2
+    and its roots +/-w lie among the elements of abs_sq r, each squared; the
+    larger in (u, v) order is canonical.  Shares no code with sqrt_coords or
+    the witness walk."""
     tc, nc = spec.t, spec.n
     roots = {}
-    adj = [set() for _ in vertices]
+    adj = [{} for _ in vertices]
     for (i, (_ka, au, av)), (j, (_kb, bu, bv)) in itertools.combinations(enumerate(vertices), 2):
         ab = av * bv
         pu, pv = au * bu - nc * ab + 1, au * bv + av * bu - tc * ab
@@ -582,9 +591,9 @@ def _all_pairs_graph(spec, vertices):
             continue
         if r not in roots:
             roots[r] = [(w.u, w.v) for w in elements_with_abs_sq(spec, r)]
-        if any((wu * wu - nc * wv * wv, 2 * wu * wv - tc * wv * wv) == (pu, pv) for wu, wv in roots[r]):
-            adj[i].add(j)
-            adj[j].add(i)
+        found = [(wu, wv) for wu, wv in roots[r] if (wu * wu - nc * wv * wv, 2 * wu * wv - tc * wv * wv) == (pu, pv)]
+        if found:
+            adj[i][j] = adj[j][i] = max(found)
     return adj
 
 
@@ -616,13 +625,13 @@ def _folded_rings(b_sq):
 @pytest.mark.parametrize("size", [2, 3])
 def test_sweep_folded_rings_report_their_own_search(monkeypatch, size):
     calls = []
-    find = search.find_m_tuples
+    find, ring_search = search.find_m_tuples, search._search
 
-    def counting(cfg, cache_dir=None):
+    def counting(cfg):
         calls.append(cfg.spec.d)
-        return find(cfg, cache_dir)
+        return ring_search(cfg)
 
-    monkeypatch.setattr(search, "find_m_tuples", counting)
+    monkeypatch.setattr(search, "_search", counting)
     rep = quintuple_sweep(b_sq=16, size=size, workers=1)
     rings, folded = sweep_ring_list(16), _folded_rings(16)
     assert len(folded) > 1
@@ -840,46 +849,33 @@ def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corr
     assert path.read_bytes() == stored
 
 
-def test_warm_sweep_verifies_each_tuple_once(tmp_path, monkeypatch):
-    # a warm sweep takes square roots only in the rational pass, which uses no
-    # cache; the parent reads every pooled ring's file, runs no worker, and
-    # squares each reported tuple's stored witnesses once
-    cache = str(tmp_path)
-    cold = quintuple_sweep(64, 3, workers=1, cache_dir=cache)  # |z| <= 8 holds {1, 3, 8}
+@pytest.mark.parametrize("size", [3, 4])
+def test_sweep_roots_nothing_and_gates_each_tuple_once(tmp_path, monkeypatch, size):
+    # the pair graph's walk roots every edge, so neither a cold nor a warm
+    # sweep takes a square root or builds a tuple through make_tuple.  Each
+    # reported tuple is squared once, by the gate of its ring's rows (fresh,
+    # from the cache, or the rational pass's copy), and each rational-pass
+    # tuple once more, by the pass's own gate in its own ring
     calls = collections.Counter()
-    inside = []
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapped(*args):
-            calls[fn.__name__, inside[-1].__name__ if inside else "parent"] += 1
+            calls[name] += 1
             return fn(*args)
 
         return wrapped
 
-    def worker_side(fn):
-        def wrapped(*args):
-            inside.append(fn)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-
-        return wrapped
-
-    monkeypatch.setattr(search, "make_tuple", counting(search.make_tuple))
-    monkeypatch.setattr(tuples, "make_tuple", counting(tuples.make_tuple))
-    monkeypatch.setattr(search, "_sweep_one", worker_side(search._sweep_one))
-    monkeypatch.setattr(search, "rational_integer_pass", worker_side(search.rational_integer_pass))
-    monkeypatch.setattr(DiophTuple, "from_witnesses", staticmethod(counting(DiophTuple.from_witnesses)))
-    warm = quintuple_sweep(64, 3, workers=1, cache_dir=cache)
-    assert warm == cold
-    folded = set(_folded_rings(64))
-    searched = sum(t.spec.d not in folded for t in warm.tuples)
-    assert warm.rational_pass_tuples and len(warm.tuples) > searched > 0
-    assert calls == {
-        ("make_tuple", "rational_integer_pass"): len(warm.rational_pass_tuples),
-        ("from_witnesses", "parent"): len(warm.tuples),
-    }
+    roots = {"make_tuple": tuples.make_tuple, "sqrt_in_ring": ring.sqrt_in_ring, "sqrt_coords": ring.sqrt_coords}
+    for name, fn in roots.items():
+        for module in (ring, tuples, search):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, fn))
+    gate = counting("from_witnesses", DiophTuple.from_witnesses)
+    monkeypatch.setattr(DiophTuple, "from_witnesses", staticmethod(gate))
+    reports = [quintuple_sweep(64, size, workers=1, cache_dir=str(tmp_path)) for _run in ("cold", "warm")]
+    assert reports[0] == reports[1] and reports[0].tuples
+    gated = len(reports[0].tuples) + len(reports[0].rational_pass_tuples)
+    assert calls == {"from_witnesses": 2 * gated}
 
 
 def test_gate_builds_one_canonical_key_per_stored_element(tmp_path, monkeypatch):
@@ -904,7 +900,8 @@ def test_gate_builds_one_canonical_key_per_stored_element(tmp_path, monkeypatch)
     monkeypatch.setattr(RingElem, "canonical_key", counting)
     monkeypatch.setattr(search, "_from_rows", gate)
     warm = quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
-    assert calls["gate"] == sum(len(t.elems) for t in warm.tuples) > 0
+    # the rational pass, which uses no cache, gates its own rows too
+    assert calls["gate"] == sum(len(t.elems) for t in warm.tuples) + 3 * len(warm.rational_pass_tuples) > 0
 
 
 def _points(t):
@@ -958,9 +955,10 @@ def test_gate_shares_no_point_across_rings():
     assert not first & second
 
 
-def test_sweep_raises_when_the_gate_refuses_its_own_search(monkeypatch):
+def test_sweep_raises_when_the_gate_refuses_its_own_search(tmp_path, monkeypatch):
     # a pooled ring's rows are the sweep's own search, not a stored file: a
-    # refusal there is broken arithmetic, raised, not searched around
+    # refusal there is broken arithmetic, raised, not searched around, and the
+    # refused rows are never stored
     sweep_one = search._sweep_one
 
     def false_witness(job):
@@ -972,12 +970,13 @@ def test_sweep_raises_when_the_gate_refuses_its_own_search(monkeypatch):
 
     monkeypatch.setattr(search, "_sweep_one", false_witness)
     with pytest.raises(PostconditionViolated, match="d=-1"):
-        quintuple_sweep(16, 3, workers=1)
+        quintuple_sweep(16, 3, workers=1, cache_dir=str(tmp_path))
+    assert not list(tmp_path.glob("d-1_*"))
 
 
 def _plant(path, line):
     """Put the tuple line in the cache file at path in place of the line that
-    follows it in _tuple_key order, so the file stays in order."""
+    follows it in canonical order, so the file stays in order."""
     def key(text):
         data = json.loads(text)
         spec, xs = RingSpec(data["d"]), data["elems"]
@@ -1069,7 +1068,7 @@ def test_sweep_pools_only_the_rings_that_missed(tmp_path, monkeypatch, k):
 
 
 def test_strong_bound_check_takes_no_square_root(monkeypatch):
-    # every quadruple of the sweep is verified by the make_tuple that builds it;
+    # every quadruple of the sweep is verified by the gate that builds it;
     # the strong-bound check reads that tuple's witnesses instead of re-rooting
     calls = collections.Counter()
     checking, checked = [], []
@@ -1089,13 +1088,13 @@ def test_strong_bound_check_takes_no_square_root(monkeypatch):
         finally:
             checked.append(checking.pop())
 
-    monkeypatch.setattr(search, "make_tuple", counting(search.make_tuple))
-    monkeypatch.setattr(tuples, "make_tuple", counting(tuples.make_tuple))
+    for module in (ring, tuples):
+        monkeypatch.setattr(module, "sqrt_in_ring", counting(ring.sqrt_in_ring))
     monkeypatch.setattr(search, "_violates_strong_bound", check)
     rep = quintuple_sweep(256, 4, workers=1)
     assert rep.tuples and checked == list(rep.tuples)
     assert rep.conjecture_violations == ()
-    assert calls["search"] > 0 and calls["check"] == 0
+    assert calls["check"] == 0
 
 
 def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
@@ -1103,21 +1102,22 @@ def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
     # the second store runs between the first one's write and its rename
     cfg = SearchConfig(D1, 64, 3)
     res = find_m_tuples(cfg)
+    rows = [t.to_row() for t in res.tuples]
     replace = os.replace
     raced = []
 
     def racing(src, dst):
         if not raced:
             raced.append(src)
-            search._cache_store(str(tmp_path), cfg, list(res.tuples), res.stats)
+            search._cache_store(str(tmp_path), cfg, rows, res.stats)
         replace(src, dst)
 
     monkeypatch.setattr(search.os, "replace", racing)
-    search._cache_store(str(tmp_path), cfg, list(res.tuples), res.stats)
+    search._cache_store(str(tmp_path), cfg, rows, res.stats)
     assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
     # a store that fails part-way leaves no temp file and the stored file as it was
-    with pytest.raises(AttributeError):
-        search._cache_store(str(tmp_path), cfg, [res.tuples[0], None], res.stats)
+    with pytest.raises(TypeError):
+        search._cache_store(str(tmp_path), cfg, [rows[0], None], res.stats)
     assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
     assert search._cache_load(str(tmp_path), cfg) == (list(res.tuples), res.stats)
 

@@ -163,7 +163,7 @@ def test_lemma_products_not_square_on_random_triples(spec):
 def test_json_round_trip(tmp_path):
     # the cache's own writer stores the line, and from_json_dict reads it back
     t = make_tuple(D1, ints(D1, 1, 3, 8, 120))
-    _cache_store(str(tmp_path), SearchConfig(D1, 120**2, 4), [t], SearchStats(0, 0, 0))
+    _cache_store(str(tmp_path), SearchConfig(D1, 120**2, 4), [t.to_row()], SearchStats(0, 0, 0))
     (path,) = tmp_path.iterdir()
     line, _closing = path.read_text().splitlines()
     data = json.loads(line)
