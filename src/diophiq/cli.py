@@ -28,7 +28,8 @@ tuples as a map, made as it is written), str and int.  _json refuses any
 other value (a float, bool or None) rather than print it some other way;
 what it wrote before the refusal stays on stdout, a report that never parses.
 
-Importing this module loads only the search layer.  Only `gap` and `chain`
+Importing this module loads only the search layer, without the process
+pool: a sweep loads that only when it starts one.  Only `gap` and `chain`
 load `gap`, and with it `exactreal`, `pell` and mpmath, when they run;
 `search`, `verify` and `extend` never load them.
 """

@@ -50,8 +50,10 @@ def _certified(fn):
 
 
 def _iv_int(n: int, prec: int):
-    """n rounded down and up to prec bits, as mpmath.iv.mpf(n) rounds it."""
-    return (from_int(n, prec, round_floor), from_int(n, prec, round_ceiling))
+    """n rounded down and up to prec bits, as mpmath.iv.mpf(n) rounds it;
+    one rounding when n fits in prec bits, where both are n itself."""
+    lo = from_int(n, prec, round_floor)
+    return (lo, lo if n.bit_length() <= prec else from_int(n, prec, round_ceiling))
 
 
 def _iv(x, prec: int):
@@ -66,9 +68,9 @@ def _op(exact, interval):
     """f(x, y, prec): exact(x, y) when both are exact, else interval(x, y, prec)."""
 
     def apply(x, y, prec: int):
-        if isinstance(x, tuple) or isinstance(y, tuple):
-            return interval(_iv(x, prec), _iv(y, prec), prec)
-        return exact(x, y)
+        if isinstance(x, tuple):
+            return interval(x, y if isinstance(y, tuple) else _iv(y, prec), prec)
+        return interval(_iv(x, prec), y, prec) if isinstance(y, tuple) else exact(x, y)
 
     return apply
 

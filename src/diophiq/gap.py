@@ -10,7 +10,7 @@ Four layers, all exact or certified:
                         straight-line function of the working precision;
 * gap_principle      -- hypothesis and algebraic checks on exact integers,
                         returning plain data: the exact big-integer bound
-                        K^2 * abs_sq(c)^50, K = 4728^20, the checks and the
+                        K^40 * abs_sq(c)^50 with K = 4728, the checks and the
                         rational enclosure of lambda;
 * chain_certificate  -- the cascading lower-bound chain on indices
                         4, 5, 7, 10, ..., 43, derived in one pass on exact
@@ -161,6 +161,34 @@ class GapReport:
     c_const: ExactReal
 
 
+def _L(k: int, min_sq: int, abs_t, abs_m, prec: int):
+    return mul(Fraction(27, k), power(sub(abs_t, abs_m, prec), 2, prec), prec)
+
+
+def _P(k: int, min_sq: int, abs_t, abs_m, prec: int):
+    top = mul(k, add(mul(abs_t, 2, prec), mul(abs_m, 3, prec), prec), prec)
+    return div(top, power(sqrt(min_sq, prec), 3, prec), prec)
+
+
+def _lam(k: int, min_sq: int, abs_t, abs_m, prec: int):
+    big_p, big_l = _P(k, min_sq, abs_t, abs_m, prec), _L(k, min_sq, abs_t, abs_m, prec)
+    return add(div(log(big_p, prec), log(big_l, prec), prec), 1, prec)
+
+
+def _certified(quantity, k: int, min_sq: int, t2: int, m_sq: int) -> ExactReal:
+    """quantity(k, min_sq, |T|, M, prec) at |T| = sqrt(t2), M = sqrt(m_sq), for k = 16 n1 n2 n12 and
+    min_sq = min(n1, n2, n12) (n12 = abs_sq(a1 - a2)); one square root of each per evaluation."""
+    return ExactReal(lambda prec: quantity(k, min_sq, sqrt(t2, prec), sqrt(m_sq, prec), prec))
+
+
+def _refuse(t2: int, m_sq: int, k: int) -> None:
+    """Raise unless |T| > M and L > 1, decided exactly on t2 = abs_sq(T) and m_sq = M^2."""
+    if t2 <= m_sq:
+        raise PreconditionViolated(["|T| > max(|a1|, |a2|)"])
+    if not _positive(27 * (t2 + m_sq) - k, -54, t2 * m_sq):  # 27(t + m) - k > 54 sqrt(tm)
+        raise TheoremInapplicable("L <= 1, the theorem gives nothing")
+
+
 def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
     """Evaluate L, P, l, p, lambda, c for theta_i = sqrt(1 + a_i/T).
 
@@ -175,39 +203,22 @@ def jz_quantities(a1: RingElem, a2: RingElem, T: RingElem) -> GapReport:
         raise PreconditionViolated(["a1 and a2 nonzero"])
     n1, n2, n12, t2 = a1.abs_sq(), a2.abs_sq(), (a1 - a2).abs_sq(), T.abs_sq()
     m_sq, min_sq, k = max(n1, n2), min(n1, n2, n12), 16 * n1 * n2 * n12
-    if t2 <= m_sq:
-        raise PreconditionViolated(["|T| > max(|a1|, |a2|)"])
-    if not _positive(27 * (t2 + m_sq) - k, -54, t2 * m_sq):  # 27(t + m) - k > 54 sqrt(tm)
-        raise TheoremInapplicable("L <= 1, the theorem gives nothing")
+    _refuse(t2, m_sq, k)
 
-    # each quantity from |T|, M and the precision; one square root of each per evaluation
-    def L(abs_t, abs_m, prec: int):
-        return mul(Fraction(27, k), power(sub(abs_t, abs_m, prec), 2, prec), prec)
-
-    def P(abs_t, abs_m, prec: int):
-        top = mul(k, add(mul(abs_t, 2, prec), mul(abs_m, 3, prec), prec), prec)
-        return div(top, power(sqrt(min_sq, prec), 3, prec), prec)
-
-    def lam(abs_t, abs_m, prec: int):
-        return add(div(log(P(abs_t, abs_m, prec), prec), log(L(abs_t, abs_m, prec), prec), prec), 1, prec)
-
-    def l(abs_t, abs_m, prec: int):
+    def l(k, min_sq, abs_t, abs_m, prec: int):
         return div(mul(Fraction(27, 64), abs_t, prec), sub(abs_t, abs_m, prec), prec)
 
-    def p(abs_t, abs_m, prec: int):
+    def p(k, min_sq, abs_t, abs_m, prec: int):
         top = add(mul(abs_t, 2, prec), mul(abs_m, 3, prec), prec)
         return sqrt(div(top, sub(mul(abs_t, 2, prec), mul(abs_m, 2, prec), prec), prec), prec)
 
-    def c(abs_t, abs_m, prec: int):  # 1/(4 p P max(2l, 1)^(lambda - 1))
-        base = fmax(mul(l(abs_t, abs_m, prec), 2, prec), 1, prec)
-        grown = exp(mul(log(base, prec), sub(lam(abs_t, abs_m, prec), 1, prec), prec), prec)
-        denominator = mul(mul(mul(4, p(abs_t, abs_m, prec), prec), P(abs_t, abs_m, prec), prec), grown, prec)
-        return div(1, denominator, prec)
+    def c(k, min_sq, abs_t, abs_m, prec: int):  # 1/(4 p P max(2l, 1)^(lambda - 1))
+        base = fmax(mul(l(k, min_sq, abs_t, abs_m, prec), 2, prec), 1, prec)
+        grown = exp(mul(log(base, prec), sub(_lam(k, min_sq, abs_t, abs_m, prec), 1, prec), prec), prec)
+        four_p = mul(4, p(k, min_sq, abs_t, abs_m, prec), prec)
+        return div(1, mul(mul(four_p, _P(k, min_sq, abs_t, abs_m, prec), prec), grown, prec), prec)
 
-    def certified(quantity) -> ExactReal:
-        return ExactReal(lambda prec: quantity(sqrt(t2, prec), sqrt(m_sq, prec), prec))
-
-    return GapReport(m_sq, *map(certified, (L, P, lam, l, p, c)))
+    return GapReport(m_sq, *(_certified(f, k, min_sq, t2, m_sq) for f in (_L, _P, _lam, l, p, c)))
 
 
 def _positive(a: int, b: int, n: int) -> bool:
@@ -218,10 +229,14 @@ def _positive(a: int, b: int, n: int) -> bool:
 
 
 def _power(c: int, d: int, n: int, e: int) -> tuple[int, int]:
-    """(A, B) with (c + d*sqrt(n))^e = A + B*sqrt(n), by e multiplications."""
+    """(A, B) with (c + d*sqrt(n))^e = A + B*sqrt(n), by square-and-multiply."""
     a, b = 1, 0
-    for _ in range(e):
-        a, b = a * c + b * d * n, a * d + b * c
+    while e:
+        if e & 1:
+            a, b = a * c + b * d * n, a * d + b * c
+        e >>= 1
+        if e:
+            c, d = c * c + d * d * n, 2 * c * d
     return a, b
 
 
@@ -290,20 +305,22 @@ def _gap_bound(n: int) -> int:
 
 
 def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
-    """Exact bound abs_sq(d) < K^2 * abs_sq(c)^50 with K = 4728^20.
+    """Exact bound abs_sq(d) < K^40 * abs_sq(c)^50 with K = 4728.
 
-    Every check is exact on squared absolute values (L > 1 in jz_quantities,
-    the rest in _exact_checks); intervals only enclose the reported lambda.
+    On a1 = b, a2 = a, T = abc (abs_sq(T) = na*nb*nc: the norm is multiplicative)
+    every check is exact (|T| > M and L > 1 in _refuse, the rest in _exact_checks);
+    of jz_quantities(b, a, T) only lambda is evaluated, for its enclosure.
     """
     failures = gap_hypotheses(a, b, c)
     if failures:
         raise PreconditionViolated(failures)
-    lam = jz_quantities(b, a, a * b * c).lam
-    nc = c.abs_sq()
-    checks = {"L > 1": True}  # enforced inside jz_quantities
-    checks.update(_exact_checks(a.abs_sq(), b.abs_sq(), (b - a).abs_sq(), nc))
+    na, nb, nc, nbma = a.abs_sq(), b.abs_sq(), c.abs_sq(), (b - a).abs_sq()
+    t2, m_sq, k = na * nb * nc, max(nb, na), 16 * nb * na * nbma
+    _refuse(t2, m_sq, k)
+    checks = {"L > 1": True, **_exact_checks(na, nb, nbma, nc)}
     if not all(checks.values()):
         raise TheoremInapplicable(f"certification failed: {checks}")
+    lam = _certified(_lam, k, min(nb, na, nbma), t2, m_sq)
     return GapPrincipleResult(
         bound_abs_sq=_gap_bound(nc),
         k_constant=K_CONSTANT,
@@ -326,7 +343,7 @@ class ChainCertificate:
     lower_bounds: dict[int, int]          # index -> exact lb on abs_sq(a_index)
     steps: tuple[str, ...]
     applicability: dict[str, bool]
-    upper_bound_rhs: int | None           # K^2 * lb(abs_sq(a25))^50
+    upper_bound_rhs: int | None           # K^40 * lb(abs_sq(a25))^50 with K = 4728
     contradiction_at: int | None
 
     @property

@@ -66,9 +66,9 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import sys
 import tempfile
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -84,6 +84,15 @@ from .ring import (
     sqrt_coords,
 )
 from .tuples import DiophTuple, Row, c_plus_minus
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first read: only a pooled sweep loads the process pool."""
+    global ProcessPoolExecutor
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures.process import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -450,7 +459,7 @@ def quintuple_sweep(
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             searched = list(pool.map(_sweep_one, jobs, chunksize=16))
     else:
         searched = [_sweep_one(j) for j in jobs]

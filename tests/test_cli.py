@@ -549,15 +549,17 @@ def test_cache_dir_has_no_environment_default(capsys, monkeypatch, tmp_path):
 
 def test_cli_import_loads_no_certified_arithmetic():
     # search, extend and verify (a quadruple's checks too) run on the search
-    # layer alone; gap, exactreal, pell and mpmath load only when gap or chain runs
+    # layer alone; gap, exactreal, pell and mpmath load only when gap or chain
+    # runs, and the process pool only when a sweep starts one
     src = str(Path(diophiq.__file__).parents[1])
     code = (
         "import contextlib, io, sys, diophiq.cli\n"
-        "certified = ('diophiq.gap', 'diophiq.exactreal', 'diophiq.pell', 'mpmath')\n"
+        "lazy = ('diophiq.gap', 'diophiq.exactreal', 'diophiq.pell', 'mpmath', 'concurrent.futures')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    diophiq.cli.main(['extend', '--d', '-1', '--elems=1,0;3,0;8,0', '--bound', '30'])\n"
         "    diophiq.cli.main(['verify', '--d', '-1', '--elems=2,0;4,0;12,0;420,0'])\n"
-        "print(sorted(m for m in certified if m in sys.modules))\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    diophiq.cli.main(['chain', '--m', '43'])\n"
         "print('diophiq.gap' in sys.modules)\n"
@@ -566,7 +568,7 @@ def test_cli_import_loads_no_certified_arithmetic():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out == "[]\nTrue\n"
+    assert out == "[]\n[]\nTrue\n"
 
 
 def _chain_report_lines(capsys):

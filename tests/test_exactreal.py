@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diophiq.errors import UndecidableComparison
 from diophiq.exactreal import (
-    PREC_START, ExactReal, _NeedMorePrecision, add, div, exp, fmax, fmin, log, mul, power, sqrt, sub,
+    PREC_START, ExactReal, _iv_int, _NeedMorePrecision, add, div, exp, fmax, fmin, log, mul, power, sqrt, sub,
 )
 
 P = PREC_START
@@ -93,6 +93,20 @@ def test_enclosure_endpoints_are_certified():
     lo5, hi5 = ExactReal(lambda prec: 5).enclosure()
     assert lo5 == hi5 == 5
     assert type(lo5) is type(hi5) is Fraction
+
+
+def test_exact_integer_interval_is_both_roundings():
+    # an integer that fits in prec bits is rounded once; its floor and ceiling are the same mpf
+    floor, ceiling = mpmath.libmp.round_floor, mpmath.libmp.round_ceiling
+    from_int = mpmath.libmp.from_int
+    for prec in (128, 256):
+        for bits in (prec - 1, prec, prec + 1):
+            for n in (2 ** (bits - 1), 2 ** (bits - 1) + 1, 2**bits - 1):
+                for x in (n, -n):
+                    assert _iv_int(x, prec) == (from_int(x, prec, floor), from_int(x, prec, ceiling)), (prec, x)
+        lo, hi = _iv_int(2 ** (prec + 1) - 1, prec)
+        assert lo != hi  # prec + 1 bits of ones do not fit: the two roundings differ
+        assert _iv_int(0, prec) == (from_int(0, prec, floor), from_int(0, prec, ceiling))
 
 
 @pytest.fixture

@@ -151,26 +151,21 @@ def test_jz_worked_example():
 
 
 def test_gap_principle_evaluates_no_interval_of_l_p_or_c(monkeypatch):
-    # the report defines l, p and c with L, P and lambda, but gap_principle
-    # reads lambda's enclosure only, and only that is ever evaluated
-    reports, evaluated = [], []
-    jz, evaluate = gap.jz_quantities, ExactReal._eval
-
-    def recording_jz(*args):
-        reports.append(jz(*args))
-        return reports[-1]
+    # jz_quantities' report defines l, p and c with L, P and lambda, but
+    # gap_principle evaluates lambda alone: one evaluation, at 128 bits, whose
+    # enclosure is the report's
+    evaluated, evaluate = [], ExactReal._eval
 
     def recording_eval(this, prec):
-        evaluated.append((this, prec))
+        evaluated.append(prec)
         return evaluate(this, prec)
 
-    monkeypatch.setattr(gap, "jz_quantities", recording_jz)
-    monkeypatch.setattr(ExactReal, "_eval", recording_eval)
     a, b, c = _admissible_triple(random.Random(5), D3)
+    monkeypatch.setattr(ExactReal, "_eval", recording_eval)
     res = gap_principle(a, b, c)
-    [rep] = reports
-    assert evaluated == [(rep.lam, 128)]
-    assert res.lambda_enclosure == rep.lam.enclosure()
+    monkeypatch.undo()
+    assert evaluated == [128]
+    assert res.lambda_enclosure == jz_quantities(b, a, a * b * c).lam.enclosure()
 
 
 def test_jz_degenerate_inputs():
@@ -487,6 +482,15 @@ def test_power_kernel_matches_binomial_sums():
         even = sum(math.comb(e, j) * c ** (e - j) * d**j * n ** (j // 2) for j in range(0, e + 1, 2))
         odd = sum(math.comb(e, j) * c ** (e - j) * d**j * n ** (j // 2) for j in range(1, e + 1, 2))
         assert gap._power(c, d, n, e) == (even, odd), (c, d, n, e)
+
+
+def test_power_kernel_matches_repeated_products():
+    # square-and-multiply against the e-fold product, with d < 0 and n both small and above 2^120
+    for c, d, n in ((3, -2, 5), (-7, -5, 2), (2**64 + 1, -3, 2**121 + 7), (-5, -(2**70), 2**130 + 1)):
+        product = (1, 0)
+        for e in range(13):
+            assert gap._power(c, d, n, e) == product, (c, d, n, e)
+            product = (product[0] * c + product[1] * d * n, product[0] * d + product[1] * c)
 
 
 # --- omega_lower_bound --------------------------------------------------------

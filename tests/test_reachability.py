@@ -81,6 +81,7 @@ UNREACHED = {
     "pell.second_equation_holds": APPROX,
     "pell.solution_from_extension": APPROX,
     "pell.compose_step": "Pell step of criterion 7's property suite; no census step composes solutions",
+    "gap.jz_quantities": THEOREM,
     "gap.jz_quantities.<locals>.l": THEOREM,
     "gap.jz_quantities.<locals>.p": THEOREM,
     "gap.jz_quantities.<locals>.c": THEOREM,
