@@ -27,6 +27,8 @@ held whole.  A report holds only dicts with str keys, lists (a search's
 tuples as a map, made as it is written), str and int.  _json refuses any
 other value (a float, bool or None) rather than print it some other way;
 what it wrote before the refusal stays on stdout, a report that never parses.
+_tuple_payload renders a tuple from (d, row), a search's gated row or
+verify's to_row(), so no RingElem or DiophTuple is built for a search's.
 
 Importing this module loads only the search layer, without the process
 pool: a sweep loads that only when it starts one.  Only `gap` and `chain`
@@ -41,6 +43,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import K_CONSTANT
@@ -55,6 +58,7 @@ from .errors import (
 from .ring import RingElem, RingSpec
 from .search import SearchConfig, extend_tuple, find_m_tuples, quintuple_sweep
 from .tuples import (
+    Row,
     forbidden_double_regular,
     make_tuple,
     omega_lower_bound,
@@ -113,11 +117,17 @@ def _elems_str(elems) -> str:
     return ";".join(map(_elem_str, elems))
 
 
-def _tuple_payload(t) -> dict:
+@functools.cache  # "i,j" of each pair, in to_row's order
+def _pair_labels(size: int) -> tuple[str, ...]:
+    return tuple(f"{i},{j}" for i, j in combinations(range(size), 2))
+
+
+def _tuple_payload(found: tuple[int, Row]) -> dict:
+    d, (elems, witnesses) = found
     return {
-        "d": str(t.spec.d),
-        "elems": _elems_str(t.elems),
-        "witnesses": {f"{i},{j}": _elem_str(w) for (i, j), w in sorted(t.witnesses.items())},
+        "d": str(d),
+        "elems": ";".join(map("{},{}".format, elems[::2], elems[1::2])),
+        "witnesses": dict(zip(_pair_labels(len(elems) // 2), map("{},{}".format, witnesses[::2], witnesses[1::2]))),
     }
 
 
@@ -234,7 +244,7 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             payload = {
                 "rings_checked": str(len(rep.rings_checked)),
                 "completeness": {k: str(v) for k, v in rep.completeness.items()},
-                "tuples": map(_tuple_payload, rep.tuples),
+                "tuples": map(_tuple_payload, rep.rows),
                 "rational_pass_tuples": [",".join(map(str, xs)) for xs in rep.rational_pass_tuples],
                 "conjecture_violations": map(_tuple_payload, rep.conjecture_violations),
             }
@@ -243,10 +253,10 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             config["d"] = str(args.d)
             res = find_m_tuples(SearchConfig(RingSpec(args.d), b_sq, args.size), cache_dir=args.cache_dir)
             payload = {
-                "count": str(len(res.tuples)),
-                "tuples": map(_tuple_payload, res.tuples),
+                "count": str(len(res.rows)),
+                "tuples": map(_tuple_payload, zip(repeat(args.d), res.rows)),
             }
-            stats, found = res.stats, bool(res.tuples)
+            stats, found = res.stats, bool(res.rows)
     except OSError as exc:  # a usage error: exit 1 would read as "tuple found"
         if not args.cache_dir:
             raise
@@ -264,7 +274,7 @@ def cmd_verify(args) -> tuple[dict, str, dict]:
         return config, "violation", {"failing_pair": f"{exc.pair[0]},{exc.pair[1]}", "reason": str(exc)}
     except (ZeroElement, DuplicateElement) as exc:
         return config, "error", {"reason": str(exc)}
-    payload = _tuple_payload(t)
+    payload = _tuple_payload((t.spec.d, t.to_row()))
     checks: dict[str, str] = {}
     violation = False
     if len(t.elems) >= 3:

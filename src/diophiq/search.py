@@ -19,25 +19,24 @@ tuples stand for the unlisted rings past 4B too, and at B = 1 no listed ring
 qualifies (it is d = -5, past 4B = 4).  It uses no cache: a read would cost
 about what a search of 2*isqrt(B) vertices does, and the cache keeps one
 file per ring searched on its own.  The listed integral-basis rings past
-B + 1 are not searched; each takes the pass's tuples (d replaced) and
-counts.
+B + 1 are not searched; each takes the pass's gated rows and counts, not
+gated again: with every v = 0 (checked once) check_row reads neither t nor
+n, and abs_sq is u^2, so the rows pass in every such ring alike.
 
 A tuple's square roots are the pair graph's: the witness walk finds each
 edge {a, b} through the canonical root w of a*b + 1 and keeps it, and
 _search reads a clique's points and edge roots as one row of plain integers
 (to_row's layout), so no search takes a square root.  Every row (a search's
-own, a worker's, a cache line, a rational-only ring's copy of the pass's
-row) becomes a DiophTuple only through _from_rows, the one check:
-from_witnesses squares each witness in the config's ring (a rational copy's
-witnesses are roots there too), and the config's size, norm range and tuple
-order are checked.  One gate call builds one RingElem per distinct point of
-its rows, shared by its tuples: safe as a RingElem is frozen, and the memo
-is of one ring and dies with the call.  Only the parent stores, and only
-rows the gate has passed.  _cache_load gates a file after its ring and
-count checks: it is used whole or not at all, and a refused file is a miss
-like a missing one.  The gate refuses any false, out-of-range, misordered
-or other-ring row, but a file with rows removed and its count lowered still
-passes: an edited cache can shrink a result.
+own, a worker's or a cache line) passes _from_rows, the one gate, and stays
+a row to the report: check_row squares each witness in the config's ring
+on plain ints, the config's size, norm range and tuple order are checked,
+and no object is built.  Results hold the gated rows with their ring; their
+tuples view builds DiophTuples through from_witnesses.  Only the parent
+stores, and only rows the gate has passed.  _cache_load gates a file after
+its ring and count checks: it is used whole or not at all, and a refused
+file is a miss like a missing one.  The gate refuses any false,
+out-of-range, misordered or other-ring row, but a file with rows removed
+and its count lowered still passes: an edited cache can shrink a result.
 
 Every search finds every tuple of the full disk abs_sq <= B: no step of the
 paper's bound needs a first hit, a count alone or an annulus.
@@ -47,9 +46,9 @@ pairs: a partner b of a has a*b + 1 = w^2, so dividing w^2 - 1 by a finds
 it without testing a pair for squareness.  Both walk one witness per
 {+/-w, +/-conj(w)} orbit (_orbit_walk): conj(w)^2 - 1 = conj(w^2 - 1).
 The pair graph's vertices are plain (abs_sq, u, v) points, keyed by one
-integer; only the gate builds RingElems, from a search's rows.  The disk is
-closed under z -> -z and z -> conj(z), and so is its edge set: (-a)(-b) =
-a*b, and conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph divides by one
+integer; a search builds no RingElem.  The disk is closed under z -> -z
+and z -> conj(z), and so is its edge set: (-a)(-b) = a*b, and
+conj(a)*conj(b) + 1 = conj(w)^2.  So the pair graph divides by one
 vertex per +/-a, since -a finds -b, and each edge it finds adds its images
 under both maps.  The extension search's anchor is not conjugation-invariant, so
 it divides both w^2 - 1 and its conjugate by the anchor, checks each
@@ -69,7 +68,7 @@ import os
 import sys
 import tempfile
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import isqrt
 from typing import ClassVar, NamedTuple
@@ -83,7 +82,7 @@ from .ring import (
     iter_disk_coords,
     sqrt_coords,
 )
-from .tuples import DiophTuple, Row, c_plus_minus
+from .tuples import DiophTuple, Row, c_plus_minus, check_row
 
 
 def __getattr__(name: str):
@@ -127,8 +126,13 @@ class SearchStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SearchResult:
-    tuples: tuple[DiophTuple, ...]
+    spec: RingSpec
+    rows: tuple[Row, ...]  # gated
     stats: SearchStats
+
+    @property
+    def tuples(self) -> tuple[DiophTuple, ...]:  # built through from_witnesses on each read
+        return tuple(DiophTuple.from_witnesses(self.spec, *row)[0] for row in self.rows)
 
 
 def _orbit_walk(spec: RingSpec, b_sq: int):
@@ -299,18 +303,17 @@ def _cliques_of_size(adj: list[dict[int, tuple[int, int]]], m: int):
     return out, explored
 
 
-def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[DiophTuple] | None:
-    """The one gate from rows to DiophTuples: from_witnesses in cfg's ring,
-    cfg's size and bound, and strictly increasing canonical order of tuples,
-    read from the keys from_witnesses built.  None if it refuses a row."""
-    memo: dict = {}  # (u, v) -> RingElem of cfg's ring, for every row
+def _from_rows(cfg: SearchConfig, rows: list[Row]) -> list[Row] | None:
+    """The one gate: check_row in cfg's ring, cfg's size and bound, and
+    strictly increasing canonical order of tuples, read from the keys
+    check_row returns.  rows if it passes every row, None if it refuses one."""
     try:
-        checked = [DiophTuple.from_witnesses(cfg.spec, *row, memo) for row in rows]
+        keys = [check_row(cfg.spec, *row) for row in rows]
     except (NotDiophantine, ZeroElement, TypeError, ValueError):
         return None
-    keys = [k for _t, k in checked]  # sorted within a tuple: k[-1][0] is its largest norm
+    # sorted within a tuple: k[-1][0] is its largest norm
     fits = all(len(k) == cfg.target_size and k[-1][0] <= cfg.max_abs_sq for k in keys)
-    return [t for t, _k in checked] if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
+    return rows if fits and all(k < k_next for k, k_next in zip(keys, keys[1:])) else None
 
 
 def _search(cfg: SearchConfig) -> tuple[list[Row], SearchStats]:
@@ -333,10 +336,10 @@ def find_m_tuples(cfg: SearchConfig, cache_dir: str | None = None) -> SearchResu
 
     Results are canonical (elements sorted, tuples sorted, duplicates
     impossible by construction), so identical configs give identical output.
-    A hit is _cache_load's gated tuples, a miss _search's rows through _own_rows.
+    A hit is _cache_load's gated rows, a miss _search's rows through _own_rows.
     """
-    tuples, stats = _cache_load(cache_dir, cfg) or _own_rows(cfg, *_search(cfg), cache_dir)
-    return SearchResult(tuple(tuples), stats)
+    rows, stats = _cache_load(cache_dir, cfg) or _own_rows(cfg, *_search(cfg), cache_dir)
+    return SearchResult(cfg.spec, tuple(rows), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +424,24 @@ def rational_integer_pass(b_sq: int, size: int) -> SearchResult:
 @dataclass(frozen=True)
 class SweepReport:
     rings_checked: tuple[int, ...]
-    tuples: tuple[DiophTuple, ...]
+    rows: tuple[tuple[int, Row], ...]  # (d, row) of each gated tuple, ring by ring
     rational_pass_tuples: tuple[tuple[int, ...], ...]
     completeness: dict
-    conjecture_violations: tuple[DiophTuple, ...]
     stats: SearchStats
+    conjecture_violations: tuple[tuple[int, Row], ...] = field(init=False)
+
+    def __post_init__(self) -> None:  # a sweep's tuples share one size; from four elements on, checked as DiophTuples
+        found = zip(self.rows, self.tuples) if self.rows and len(self.rows[0][1][0]) >= 8 else ()
+        object.__setattr__(self, "conjecture_violations", tuple(r for r, t in found if _violates_strong_bound(t)))
+
+    @property
+    def tuples(self) -> tuple[DiophTuple, ...]:  # built through from_witnesses on each read
+        specs = {d: RingSpec(d) for d in {d for d, _row in self.rows}}
+        return tuple(DiophTuple.from_witnesses(specs[d], *row)[0] for d, row in self.rows)
 
     @property
     def is_empty(self) -> bool:
-        return not self.tuples and not self.rational_pass_tuples
+        return not self.rows and not self.rational_pass_tuples
 
 
 def _sweep_one(job: tuple[int, int, int]) -> tuple[int, list[Row], SearchStats]:
@@ -449,12 +461,13 @@ def quintuple_sweep(
     rational-integer pass, and report all m-tuples found (expected: none
     for size 5 at bound 16)."""
     shared = rational_integer_pass(b_sq, size)  # first: its config refuses a bad b_sq or size
+    if any(any(xs[1::2]) for row in shared.rows for xs in row):
+        raise PostconditionViolated("a rational-pass row has a coordinate with v != 0")
     rings = sweep_ring_list(b_sq)
     cfgs = {d: SearchConfig(RingSpec(d), b_sq, size) for d in rings}
-    shared_rows = [t.to_row() for t in shared.tuples]
-    # a ring's file, or None to search; integral-basis rings past the witness cutoff take the pass's copy
+    # a ring's file, or None to search; integral-basis rings past the witness cutoff take the pass's gated rows
     stored = {d: _cache_load(cache_dir, cfg) for d, cfg in cfgs.items() if d % 4 == 1 or -d <= b_sq + 1}
-    stored.update((d, _own_rows(cfgs[d], shared_rows, shared.stats)) for d in rings if d not in stored)
+    stored.update((d, (shared.rows, shared.stats)) for d in rings if d not in stored)
     jobs = [(d, b_sq, size) for d in rings if stored[d] is None]
     # the pool starts all its processes at once; more than jobs or CPUs only idle
     workers = min(workers or 1, len(jobs), os.cpu_count() or 1)
@@ -464,12 +477,10 @@ def quintuple_sweep(
     else:
         searched = [_sweep_one(j) for j in jobs]
     stored.update((d, _own_rows(cfgs[d], rows, stats, cache_dir)) for d, rows, stats in searched)
-    found = [t for d in rings for t in stored[d][0]]
-    violations = tuple(t for t in found if len(t.elems) >= 4 and _violates_strong_bound(t))
     return SweepReport(
         rings_checked=tuple(rings),
-        tuples=tuple(found),
-        rational_pass_tuples=tuple(sorted(tuple(sorted(z.u for z in t.elems)) for t in shared.tuples)),
+        rows=tuple((d, row) for d in rings for row in stored[d][0]),
+        rational_pass_tuples=tuple(sorted(tuple(sorted(elems[::2])) for elems, _w in shared.rows)),
         completeness={
             "half_basis_cutoff": 4 * b_sq,
             "integral_basis_cutoff": b_sq,
@@ -477,19 +488,17 @@ def quintuple_sweep(
             "product_plus_one_bound": b_sq + 1,
             "rings": len(rings),
         },
-        conjecture_violations=violations,
         stats=SearchStats(*map(sum, zip(*(stored[d][1] for d in rings)))),
     )
 
 
 def _own_rows(cfg: SearchConfig, rows: list[Row], stats: SearchStats, cache_dir: str | None = None):
-    """(tuples, stats) of a search's own rows, which the gate refuses only if
+    """(rows, stats) of a search's own rows, which the gate refuses only if
     arithmetic broke; stored once passed, so no file holds an ungated row."""
-    tuples = _from_rows(cfg, rows)
-    if tuples is None:
+    if _from_rows(cfg, rows) is None:
         raise PostconditionViolated(f"the gate refused the search's own rows in d={cfg.spec.d}")
     _cache_store(cache_dir, cfg, rows, stats)
-    return tuples, stats
+    return rows, stats
 
 
 def _violates_strong_bound(t: DiophTuple) -> bool:
@@ -513,8 +522,8 @@ def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
     return os.path.join(cache_dir, f"d{cfg.spec.d}_b{cfg.max_abs_sq}_m{cfg.target_size}.jsonl")
 
 
-def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[DiophTuple], SearchStats] | None:
-    """(tuples, search stats) stored for cfg, or None to search: the file is
+def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], SearchStats] | None:
+    """(gated rows, search stats) stored for cfg, or None to search: the file is
     missing, malformed or refused.  Each line must be of cfg's ring, the
     closing line must count them and hold int stats of cfg's search (elements
     its disk's points, pairs_tested n(n-1)/2 of those, cliques_explored
@@ -538,8 +547,8 @@ def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[DiophTup
     n = sum(1 for _point in iter_disk_coords(cfg.spec, cfg.max_abs_sq))
     if count != len(rows) or any(type(x) is not int for x in stats) or stats[:2] != (n, n * (n - 1) // 2):
         return None  # tuples missing, or counts not of this search: search
-    tuples = _from_rows(cfg, rows) if stats.cliques_explored >= 0 else None
-    return None if tuples is None else (tuples, stats)
+    rows = _from_rows(cfg, rows) if stats.cliques_explored >= 0 else None
+    return None if rows is None else (rows, stats)
 
 
 def _cache_store(cache_dir: str | None, cfg: SearchConfig, rows: list[Row], stats: SearchStats) -> None:

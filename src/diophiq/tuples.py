@@ -29,16 +29,45 @@ from .ring import RingElem, RingSpec, sqrt_in_ring
 Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def check_row(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The canonical keys of the elements of to_row's row, checked in spec's
+    ring by squaring, with no square root and no object built.  Every
+    coordinate must be an int, the elements nonzero and strictly increasing
+    in canonical order, and one canonical witness w given per pair (i, j), in
+    to_row's order, with w*w == elems[i]*elems[j] + 1.  Raises
+    NotDiophantine((i, j)) at the first pair whose witness fails that test.
+    """
+    pairs = list(combinations(range(len(elems) // 2), 2))
+    if not elems or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
+        raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
+    if any(type(x) is not int for x in (*elems, *witnesses)):  # a cache line's 1.0 or true squares too
+        raise TypeError("coordinates must be ints")
+    t, n = spec.t, spec.n
+    keys = [(u * (u - t * v) + n * v * v, u, v) for u, v in zip(elems[::2], elems[1::2])]  # abs_sq first
+    if (0, 0, 0) in keys:
+        raise ZeroElement("tuple elements must be nonzero")
+    if any(k >= k_next for k, k_next in zip(keys, keys[1:])):
+        raise ValueError("elements not strictly increasing in canonical order")
+    for (i, j), wu, wv in zip(pairs, witnesses[::2], witnesses[1::2]):
+        (_, au, av), (_, bu, bv) = keys[i], keys[j]
+        ab, ww = av * bv, wv * wv  # products as in RingElem.__mul__
+        if (wu * wu - n * ww, 2 * wu * wv - t * ww) != (au * bu - n * ab + 1, au * bv + av * bu - t * ab):
+            raise NotDiophantine((i, j))
+        if wu < 0 or (wu == 0 and wv < 0):
+            raise ValueError(f"witness of {(i, j)} is not the canonical root")  # sqrt_in_ring's
+    return keys
+
+
 @dataclass(frozen=True, slots=True)
 class DiophTuple:
     """A verified m-tuple: sorted elements plus one witness per pair.
 
     witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  make_tuple
     builds one from user input's bare elements (verify, extend, pell) and roots
-    each pair.  A search's row (its pair graph's roots: fresh, a worker's or a
-    cache line) becomes one only through from_witnesses, which squares those
-    roots, once per row, in the search's one gate.  So holding a DiophTuple is
-    holding a proof.  The tuples of one gate call share their (frozen) RingElems.
+    each pair.  A search builds none: its rows (its pair graph's roots, fresh,
+    a worker's or a cache line) pass check_row once each in its one gate, and
+    a gated row list is the proof.  from_witnesses, check_row and then the
+    objects, is the only constructor from a row.  So a DiophTuple is a proof.
     """
 
     spec: RingSpec
@@ -62,46 +91,13 @@ class DiophTuple:
         )
 
     @staticmethod
-    def from_witnesses(
-        spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int], memo: dict | None = None
-    ) -> tuple["DiophTuple", list]:
-        """The tuple that to_row wrote, checked by squaring, with no square root,
-        and the elements' canonical keys its order check built, for the caller's.
-
-        Every coordinate must be an int, the elements nonzero and strictly
-        increasing in canonical order, and one canonical witness w given per pair
-        (i, j), in to_row's order, with w*w == elems[i]*elems[j] + 1.  Raises
-        NotDiophantine((i, j)) at the first pair whose witness fails that test.
-
-        memo maps each (u, v) to its RingElem in spec's ring, shared by the rows of
-        one gate call; it is read only after the int check (1.0 and True hash like 1).
-        """
-        pairs = list(combinations(range(len(elems) // 2), 2))
-        if not elems or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
-            raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
-        if any(type(x) is not int for x in (*elems, *witnesses)):  # a cache line's 1.0 or true squares too
-            raise TypeError("coordinates must be ints")
-        memo = {} if memo is None else memo
-
-        def point(p: tuple[int, int]) -> RingElem:  # a RingElem is never false
-            return memo.get(p) or memo.setdefault(p, RingElem(*p, spec))
-
-        items = tuple(map(point, zip(elems[::2], elems[1::2])))
-        if any(z.is_zero() for z in items):
-            raise ZeroElement("tuple elements must be nonzero")
-        keys = [z.canonical_key() for z in items]
-        if any(k >= k_next for k, k_next in zip(keys, keys[1:])):
-            raise ValueError("elements not strictly increasing in canonical order")
-        t, n = spec.t, spec.n
-        out = {}
-        for (i, j), w in zip(pairs, zip(witnesses[::2], witnesses[1::2])):
-            (au, av), (bu, bv), (wu, wv) = items[i].coords(), items[j].coords(), w
-            ab, ww = av * bv, wv * wv  # products as in RingElem.__mul__
-            if (wu * wu - n * ww, 2 * wu * wv - t * ww) != (au * bu - n * ab + 1, au * bv + av * bu - t * ab):
-                raise NotDiophantine((i, j))
-            if wu < 0 or (wu == 0 and wv < 0):
-                raise ValueError(f"witness of {(i, j)} is not the canonical root")  # sqrt_in_ring's
-            out[(i, j)] = point(w)
+    def from_witnesses(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> tuple["DiophTuple", list]:
+        """The tuple that to_row wrote, refused as check_row refuses it, and
+        the elements' canonical keys that check_row returned."""
+        keys = check_row(spec, elems, witnesses)
+        items = tuple(RingElem(u, v, spec) for _k, u, v in keys)
+        pairs = combinations(range(len(items)), 2)
+        out = {p: RingElem(wu, wv, spec) for p, wu, wv in zip(pairs, witnesses[::2], witnesses[1::2])}
         return DiophTuple(spec, items, out), keys
 
 

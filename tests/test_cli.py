@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -504,6 +505,27 @@ def test_sweep_report_streams_in_bounded_chunks(capsys, monkeypatch):
     assert (sum(sink.sizes), sink.digest.hexdigest()) == (len(whole), hashlib.sha256(whole.encode()).hexdigest())
     assert traced["entry"] - traced["swept"] < len(whole) // 4
     assert traced["peak"] - traced["entry"] < 2 * len(whole)
+
+
+def test_sweep_report_builds_no_ring_elem_or_tuple(capsys, monkeypatch):
+    # a search's tuples stay rows from the gate to the report: the sweep, its
+    # rational pass and the report of its 1,074 tuples build no RingElem and
+    # no DiophTuple; verify, which builds both, shows that the count works
+    from diophiq.ring import RingElem
+    from diophiq.tuples import DiophTuple
+
+    built = collections.Counter()
+    for cls in (RingElem, DiophTuple):
+        def counting(obj, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(obj, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    code, rep = run_json(capsys, "search", "--sweep", "--bound", "8", "--size", "3", "--threads", "1")
+    assert code == 0 and len(rep["payload"]["tuples"]) == 1074
+    assert built == {}
+    run_json(capsys, *GOLDEN["verify_d-1_1_3_8_120"])
+    assert built["RingElem"] > 0 and built["DiophTuple"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_REPORTS))

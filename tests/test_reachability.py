@@ -87,6 +87,7 @@ UNREACHED = {
     "gap.jz_quantities.<locals>.c": THEOREM,
     "exactreal.exp": THEOREM,
     "exactreal.ExactReal.exact": THEOREM,
+    "search.SearchResult.tuples": "a view for library callers and tests: every command reports a search's rows",
     "tuples.DiophTuple.from_json_dict": HOOK,
     "ring.elements_with_abs_sq": HOOK,
     "ring.RingSpec.zero": "elements_with_abs_sq's answer at norm 0, a perfbench hook target",

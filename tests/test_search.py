@@ -436,7 +436,9 @@ def test_every_ring_past_the_cutoffs_holds_only_the_rational_pass_tuples():
     # 4B + 60 on its own: a listed ring gives the sweep's tuples, an unlisted
     # one only rational tuples, the rational pass's.  B = 1 has no listed ring
     # for the pass (it is d = -5, past 4B = 4), and the range holds the
-    # half-basis rings just below and just past 4B
+    # half-basis rings just below and just past 4B.  A folded ring (integral
+    # basis, past B + 1) reports the pass's rows ungated: the gate run in it
+    # returns exactly those rows
     for b_sq in range(1, 17):
         cut = 4 * b_sq
         rings = [-n for n in range(1, cut + 60) if n % 4 and all(n % (p * p) for p in range(3, isqrt(n) + 1))]
@@ -445,8 +447,12 @@ def test_every_ring_past_the_cutoffs_holds_only_the_rational_pass_tuples():
         for size in (2, 3):
             rep = quintuple_sweep(b_sq=b_sq, size=size, workers=1)
             swept = {d: [] for d in rep.rings_checked}
-            for t in rep.tuples:
-                swept[t.spec.d].append(t.to_row())
+            for d, row in rep.rows:
+                swept[d].append(row)
+            shared = list(rational_integer_pass(b_sq, size).rows)
+            for d in _folded_rings(b_sq):
+                assert swept[d] == shared, (b_sq, size, d)
+                assert search._from_rows(SearchConfig(RingSpec(d), b_sq, size), shared) == shared, (b_sq, size, d)
             for d in rings:
                 res = find_m_tuples(SearchConfig(RingSpec(d), b_sq, size))
                 if d in swept:
@@ -834,7 +840,7 @@ def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corr
     # searched again, and the result and the file are the cold ones
     cfg = SearchConfig(D1, 64, 3)
     cold = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert search._cache_load(str(tmp_path), cfg) == (list(cold.tuples), cold.stats)
+    assert search._cache_load(str(tmp_path), cfg) == (list(cold.rows), cold.stats)
     path = tmp_path / "d-1_b64_m3.jsonl"
     stored = path.read_bytes()
     lines = path.read_text().splitlines(keepends=True)
@@ -849,13 +855,33 @@ def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corr
     assert path.read_bytes() == stored
 
 
+def _record_gates(monkeypatch):
+    """The list that records, for every later _from_rows call, its config,
+    the rows it was given and the (spec, row) of each check_row call it made."""
+    gates = []
+    check_row, from_rows = search.check_row, search._from_rows
+
+    def checking(spec, *row):
+        gates[-1][2].append((spec, row))
+        return check_row(spec, *row)
+
+    def gate(cfg, rows):
+        gates.append((cfg, list(rows), []))
+        return from_rows(cfg, rows)
+
+    monkeypatch.setattr(search, "check_row", checking)
+    monkeypatch.setattr(search, "_from_rows", gate)
+    return gates
+
+
 @pytest.mark.parametrize("size", [3, 4])
 def test_sweep_roots_nothing_and_gates_each_tuple_once(tmp_path, monkeypatch, size):
     # the pair graph's walk roots every edge, so neither a cold nor a warm
     # sweep takes a square root or builds a tuple through make_tuple.  Each
-    # reported tuple is squared once, by the gate of its ring's rows (fresh,
-    # from the cache, or the rational pass's copy), and each rational-pass
-    # tuple once more, by the pass's own gate in its own ring
+    # gate call checks each row it is given once, in its own ring: a searched
+    # or cached ring's rows, which it reports, and the rational pass's rows in
+    # the pass's ring.  The rings past the witness cutoff report the pass's
+    # gated rows, and no gate checks them again
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -870,88 +896,70 @@ def test_sweep_roots_nothing_and_gates_each_tuple_once(tmp_path, monkeypatch, si
         for module in (ring, tuples, search):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, fn))
-    gate = counting("from_witnesses", DiophTuple.from_witnesses)
-    monkeypatch.setattr(DiophTuple, "from_witnesses", staticmethod(gate))
-    reports = [quintuple_sweep(64, size, workers=1, cache_dir=str(tmp_path)) for _run in ("cold", "warm")]
-    assert reports[0] == reports[1] and reports[0].tuples
-    gated = len(reports[0].tuples) + len(reports[0].rational_pass_tuples)
-    assert calls == {"from_witnesses": 2 * gated}
+    gates = _record_gates(monkeypatch)
+    folded, reports = set(_folded_rings(64)), []
+    for _run in ("cold", "warm"):
+        gates.clear()
+        rep = quintuple_sweep(64, size, workers=1, cache_dir=str(tmp_path))
+        reports.append(rep)
+        assert all(checked == [(cfg.spec, row) for row in given] for cfg, given, checked in gates)
+        # the pass searches the first folded ring (d = -66), the only gate of a folded ring
+        (shared,) = [given for cfg, given, _checked in gates if cfg.spec.d in folded]
+        reported = collections.defaultdict(list)
+        for d, row in rep.rows:
+            reported[d].append(row)
+        own = {cfg.spec.d: given for cfg, given, _checked in gates if cfg.spec.d not in folded}
+        assert sorted(own) == sorted(d for d in rep.rings_checked if d not in folded)
+        assert all(reported[d] == own[d] for d in own)
+        assert all(reported[d] == shared for d in folded)
+        assert sum(len(checked) for _cfg, _given, checked in gates) == sum(map(len, own.values())) + len(shared)
+    assert reports[0] == reports[1] and reports[0].rows
+    assert calls == {}
 
 
 def test_gate_builds_one_canonical_key_per_stored_element(tmp_path, monkeypatch):
-    # from_witnesses' order check builds each element's key once, and the
-    # gate's size, range and cross-row order checks read the keys it returns
+    # check_row builds each element's key once, as plain ints, and the gate's
+    # size, range and cross-row order checks read the keys it returns: a warm
+    # sweep's gates build one key per element of the rows they check (each
+    # cached ring's, and the rational pass's, which uses no cache) and no
+    # RingElem, so RingElem.canonical_key never runs
     quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
-    calls = collections.Counter()
-    gating = []
-    canonical_key, from_rows = RingElem.canonical_key, search._from_rows
+    built = collections.Counter()
+    check_row, canonical_key = search.check_row, RingElem.canonical_key
+
+    def counting_keys(spec, *row):
+        keys = check_row(spec, *row)
+        built["keys"] += len(keys)
+        return keys
 
     def counting(z):
-        calls["gate" if gating else "elsewhere"] += 1
+        built["canonical_key"] += 1
         return canonical_key(z)
 
-    def gate(cfg, rows):
-        gating.append(cfg)
-        try:
-            return from_rows(cfg, rows)
-        finally:
-            gating.pop()
-
+    monkeypatch.setattr(search, "check_row", counting_keys)
     monkeypatch.setattr(RingElem, "canonical_key", counting)
-    monkeypatch.setattr(search, "_from_rows", gate)
     warm = quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
-    # the rational pass, which uses no cache, gates its own rows too
-    assert calls["gate"] == sum(len(t.elems) for t in warm.tuples) + 3 * len(warm.rational_pass_tuples) > 0
+    folded = set(_folded_rings(64))
+    own = sum(len(row[0]) // 2 for d, row in warm.rows if d not in folded)
+    assert built == {"keys": own + 3 * len(warm.rational_pass_tuples)} and own > 0
 
 
-def _points(t):
-    return (*t.elems, *t.witnesses.values())
-
-
-def test_gate_shares_one_ring_elem_per_distinct_point_within_a_ring(tmp_path, monkeypatch):
-    # one _from_rows call is one ring: it builds a RingElem for each distinct
-    # (u, v) of its rows, elements and witnesses alike, and every tuple it
-    # passes holds that one object wherever the point occurs
-    built, calls = [0], []
-    init, from_rows = RingElem.__init__, search._from_rows
-
-    def counting(z, *args):
-        built[0] += 1
-        init(z, *args)
-
-    def gate(cfg, rows):
-        points = [xs[k : k + 2] for row in rows for xs in row for k in range(0, len(xs), 2)]
-        before = built[0]
-        out = from_rows(cfg, rows)
-        calls.append((built[0] - before, len(set(points)), len(points)))
-        return out
-
-    monkeypatch.setattr(RingElem, "__init__", counting)
-    monkeypatch.setattr(search, "_from_rows", gate)
-    for _pass in ("cold", "warm"):
-        calls.clear()
-        report = quintuple_sweep(64, 3, workers=1, cache_dir=str(tmp_path))
-        assert all(n_built == n_distinct for n_built, n_distinct, _ in calls)
-        assert any(n_distinct < occurrences for _, n_distinct, occurrences in calls)
-        by_ring = collections.defaultdict(dict)
-        for t in report.tuples:
-            ring = by_ring[t.spec.d]
-            assert all(ring.setdefault(z.coords(), z) is z for z in _points(t))
-
-
-def test_gate_shares_no_point_across_rings():
-    # the rational pass's rows, gated in two rings as the sweep's copies are:
-    # each ring's tuples hold RingElems of that ring only, none of the other's
+def test_gate_shares_no_point_across_rings(monkeypatch):
+    # the rational pass's rows, gated in two rings past the witness cutoff,
+    # as the sweep's fold reuses them: each gate call checks each row once in
+    # its own ring and returns the rows themselves.  The tuples view of each
+    # ring holds RingElems of that ring only, none of the other's
     shared = rational_integer_pass(64, 3)
-    rows = [t.to_row() for t in shared.tuples]
-    gated = {}
+    gates = _record_gates(monkeypatch)
+    views = {}
     for d in _folded_rings(64)[:2]:
         spec = RingSpec(d)
-        tuples, _stats = search._own_rows(SearchConfig(spec, 64, 3), rows, shared.stats)
-        assert len(tuples) == len(rows) > 0
-        assert all(z.spec == spec for t in tuples for z in _points(t))
-        gated[d] = tuples  # kept alive, so no id below is reused
-    first, second = ({id(z) for t in tuples for z in _points(t)} for tuples in gated.values())
+        rows, _stats = search._own_rows(SearchConfig(spec, 64, 3), list(shared.rows), shared.stats)
+        assert rows == list(shared.rows) and len(rows) > 0
+        views[d] = search.SearchResult(spec, tuple(rows), shared.stats).tuples  # kept alive, so no id is reused
+        assert all(z.spec == spec for t in views[d] for z in (*t.elems, *t.witnesses.values()))
+    assert [[spec.d for spec, _row in checked] for _cfg, _given, checked in gates] == [[d] * len(shared.rows) for d in views]
+    first, second = ({id(z) for t in view for z in (*t.elems, *t.witnesses.values())} for view in views.values())
     assert not first & second
 
 
@@ -972,6 +980,21 @@ def test_sweep_raises_when_the_gate_refuses_its_own_search(tmp_path, monkeypatch
     with pytest.raises(PostconditionViolated, match="d=-1"):
         quintuple_sweep(16, 3, workers=1, cache_dir=str(tmp_path))
     assert not list(tmp_path.glob("d-1_*"))
+
+
+def test_sweep_raises_when_a_rational_pass_row_is_not_real(monkeypatch):
+    # the rings past the witness cutoff report the pass's rows ungated, which
+    # is sound only while every coordinate has v = 0: the sweep checks that once
+    rational_pass = search.rational_integer_pass
+
+    def non_real(b_sq, size):
+        res = rational_pass(b_sq, size)
+        (elems, witnesses), *rest = res.rows
+        return search.SearchResult(res.spec, ((elems, (*witnesses[:-1], 1)), *rest), res.stats)
+
+    monkeypatch.setattr(search, "rational_integer_pass", non_real)
+    with pytest.raises(PostconditionViolated, match="v != 0"):
+        quintuple_sweep(16, 2, workers=1)
 
 
 def _plant(path, line):
@@ -1119,7 +1142,7 @@ def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         search._cache_store(str(tmp_path), cfg, [rows[0], None], res.stats)
     assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
-    assert search._cache_load(str(tmp_path), cfg) == (list(res.tuples), res.stats)
+    assert search._cache_load(str(tmp_path), cfg) == (list(res.rows), res.stats)
 
 
 @pytest.mark.parametrize("b_sq, rings, cpus, expected", [(1, 3, 4, 3), (2, 6, 4, 4)])

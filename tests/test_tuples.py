@@ -15,7 +15,7 @@ from diophiq.errors import (
     ZeroElement,
 )
 from diophiq.ring import RingSpec
-from diophiq.search import SearchConfig, SearchStats, _cache_store
+from diophiq.search import SearchConfig, SearchStats, _cache_store, _from_rows
 from diophiq.tuples import (
     DiophTuple,
     c_plus_minus,
@@ -190,24 +190,6 @@ def test_from_witnesses_equals_make_tuple(spec):
         assert DiophTuple.from_witnesses(spec, *t.to_row()) == (t, [z.canonical_key() for z in t.elems])
 
 
-def test_from_witnesses_reads_the_memo_only_for_int_points():
-    # 1.0 and True equal 1 and hash like it: under one memo a float or bool
-    # row must not fetch the int point, nor leave one for an int row to fetch
-    good = make_tuple(D1, ints(D1, 1, 3, 8))
-    elems, witnesses = good.to_row()
-    assert elems[:2] == (1, 0)
-    for bad in (1.0, True):
-        memo = {}
-        assert DiophTuple.from_witnesses(D1, elems, witnesses, memo)[0] == good
-        with pytest.raises(TypeError):
-            DiophTuple.from_witnesses(D1, (bad,) + elems[1:], witnesses, memo)
-        memo = {}
-        with pytest.raises(TypeError):
-            DiophTuple.from_witnesses(D1, (bad,) + elems[1:], witnesses, memo)
-        t, _keys = DiophTuple.from_witnesses(D1, elems, witnesses, memo)
-        assert all(type(x) is int for row in t.to_row() for x in row)
-
-
 def _hash_or_error(x):
     try:
         return hash(x)
@@ -227,29 +209,57 @@ def test_dioph_tuple_is_slotted_frozen_and_round_trips():
         assert _hash_or_error(copy_) == _hash_or_error(t)
 
 
+def _malformed_rows(spec, t):
+    """(row, exception, failing pair or None) for each false or malformed
+    form of t's row: a witness that is no root, or the other root, a witness
+    or a coordinate missing, the elements out of canonical order, a float or
+    bool coordinate (a cache line's 1.0 or true would square like 1 but print
+    apart), and the empty row."""
+    elems, witnesses = t.to_row()
+    for k, ((i, j), w) in enumerate(t.witnesses.items()):  # make_tuple's pair order is to_row's
+        before, after = witnesses[: 2 * k], witnesses[2 * k + 2 :]
+        yield (elems, before + (w + spec.one).coords() + after), NotDiophantine, (i, j)
+        if not w.is_zero():  # -w squares to the same, but is not the canonical root
+            yield (elems, before + (-w).coords() + after), ValueError, None
+    yield (elems, witnesses[:-2]), ValueError, None
+    yield (elems[:-1], witnesses), ValueError, None
+    yield (elems[-2:] + elems[:-2], witnesses), ValueError, None
+    for bad in (float(elems[0]), True):
+        yield ((bad,) + elems[1:], witnesses), TypeError, None
+    yield ((), ()), ValueError, None
+
+
 @pytest.mark.parametrize("spec", [RingSpec(d) for d in (-1, -2, -3, -7)])
 def test_from_witnesses_refuses_a_false_or_malformed_row(spec):
     for t in _verified_tuples(spec):
-        elems, witnesses = t.to_row()
-        for k, ((i, j), w) in enumerate(t.witnesses.items()):  # make_tuple's pair order is to_row's
-            before, after = witnesses[: 2 * k], witnesses[2 * k + 2 :]
-            with pytest.raises(NotDiophantine) as ei:
-                DiophTuple.from_witnesses(spec, elems, before + (w + spec.one).coords() + after)
-            assert ei.value.pair == (i, j)
-            if not w.is_zero():  # -w squares to the same, but is not the canonical root
-                with pytest.raises(ValueError):
-                    DiophTuple.from_witnesses(spec, elems, before + (-w).coords() + after)
-        with pytest.raises(ValueError):
-            DiophTuple.from_witnesses(spec, elems, witnesses[:-2])  # a witness missing
-        with pytest.raises(ValueError):
-            DiophTuple.from_witnesses(spec, elems[:-1], witnesses)  # a coordinate missing
-        with pytest.raises(ValueError):
-            DiophTuple.from_witnesses(spec, elems[-2:] + elems[:-2], witnesses)  # not in canonical order
-        for bad in (float(elems[0]), True):  # a cache line's 1.0 or true would square like 1 but print apart
-            with pytest.raises(TypeError):
-                DiophTuple.from_witnesses(spec, (bad,) + elems[1:], witnesses)
-    with pytest.raises(ValueError):
-        DiophTuple.from_witnesses(spec, (), ())
+        for row, refusal, pair in _malformed_rows(spec, t):
+            with pytest.raises(refusal) as ei:
+                DiophTuple.from_witnesses(spec, *row)
+            if pair is not None:
+                assert ei.value.pair == pair
+
+
+@pytest.mark.parametrize("spec", [RingSpec(d) for d in (-1, -2, -3, -7)])
+def test_gate_refuses_every_row_from_witnesses_refuses_and_every_row_outside_its_config(spec):
+    # _from_rows checks rows on plain ints, with no DiophTuple built: it must
+    # refuse each row that from_witnesses refuses, a row past the bound or of
+    # another size, two rows out of canonical order and a duplicated row
+    found = _verified_tuples(spec)
+    for t in found:
+        row, size, top = t.to_row(), len(t.elems), t.elems[-1].abs_sq()
+        cfg = SearchConfig(spec, top, size)
+        assert _from_rows(cfg, [row]) == [row]
+        for bad, _refusal, _pair in _malformed_rows(spec, t):
+            assert _from_rows(cfg, [bad]) is None, bad
+        if top > 1:
+            assert _from_rows(SearchConfig(spec, top - 1, size), [row]) is None
+        assert _from_rows(SearchConfig(spec, top, size + 1), [row]) is None
+        assert _from_rows(cfg, [row, row]) is None
+    distinct = {t.to_row(): t for t in found if len(t.elems) == 3}.values()  # random triples may repeat
+    first, second = sorted(distinct, key=lambda t: [z.canonical_key() for z in t.elems])[:2]
+    cfg = SearchConfig(spec, max(first.elems[-1].abs_sq(), second.elems[-1].abs_sq()), 3)
+    assert _from_rows(cfg, [first.to_row(), second.to_row()]) == [first.to_row(), second.to_row()]
+    assert _from_rows(cfg, [second.to_row(), first.to_row()]) is None
 
 
 @given(st.sampled_from(RINGS), st.integers(-20, 20), st.integers(-20, 20))
