@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--expect-empty", action="store_true")
     p_search.add_argument("--threads", type=_positive_int, default=None, help="worker processes for the sweep")
     p_search.add_argument("--cache-dir", help="stored search results; a file with a false, out-of-range, misordered "
-                          "or other-ring row is refused whole, but one with rows removed and its count lowered passes")
+                          "or other-ring row is refused whole, but a file with a row removed passes")
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", parents=[ring_input], help="verify a tuple and its side conditions")

@@ -164,21 +164,30 @@ def elements_with_abs_sq(spec: RingSpec, n: int) -> list[RingElem]:
     return out
 
 
-def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]]:
-    """Unordered stream of (u, v, abs_sq) for all nonzero z with abs_sq <= b_sq.
-
-    Hot-path helper: runs in O(number of lattice points) with plain int
-    arithmetic; use annulus_points for the canonical order.
-    """
-    if b_sq < 1:
-        return
-    t, n, disc = spec.t, spec.n, spec.abs_disc
+def disk_rows(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]]:
+    """(v, lo, hi) per row of the disk abs_sq(z) <= b_sq, b_sq >= 0: its points are the u + v*w with
+    lo <= u <= hi, as 4*abs_sq(z) = (2u - t*v)^2 + |D|*v^2 bounds |2u - t*v| by isqrt(4*b_sq - |D|*v^2)."""
+    t, disc = spec.t, spec.abs_disc
     vmax = isqrt((4 * b_sq) // disc)
     for v in range(-vmax, vmax + 1):
         r = isqrt(4 * b_sq - disc * v * v)
+        yield v, -((r - t * v) // 2), (t * v + r) // 2
+
+
+def disk_size(spec: RingSpec, b_sq: int) -> int:
+    """How many nonzero z have abs_sq(z) <= b_sq, b_sq >= 0: counted a row at a time, not walked."""
+    return sum(hi - lo + 1 for _v, lo, hi in disk_rows(spec, b_sq)) - 1  # zero lies in row v = 0
+
+
+def iter_disk_coords(spec: RingSpec, b_sq: int) -> Iterator[tuple[int, int, int]]:
+    """Unordered stream of (u, v, abs_sq) for all nonzero z with abs_sq <= b_sq,
+    in O(points) plain int arithmetic; annulus_points gives the canonical order."""
+    if b_sq < 1:
+        return
+    t, n = spec.t, spec.n
+    for v, lo, hi in disk_rows(spec, b_sq):
         tv, nv = t * v, n * v * v
-        # 2u - t*v ranges over [-r, r]
-        for u in range(-((r - tv) // 2), (tv + r) // 2 + 1):
+        for u in range(lo, hi + 1):
             if u or v:
                 yield u, v, u * (u - tv) + nv
 

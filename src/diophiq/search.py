@@ -27,16 +27,17 @@ A tuple's square roots are the pair graph's: the witness walk finds each
 edge {a, b} through the canonical root w of a*b + 1 and keeps it, and
 _search reads a clique's points and edge roots as one row of plain integers
 (to_row's layout), so no search takes a square root.  Every row (a search's
-own, a worker's or a cache line) passes _from_rows, the one gate, and stays
+own, a worker's or a cached one) passes _from_rows, the one gate, and stays
 a row to the report: check_row squares each witness in the config's ring
 on plain ints, the config's size, norm range and tuple order are checked,
 and no object is built.  Results hold the gated rows with their ring; their
 tuples view builds DiophTuples through from_witnesses.  Only the parent
-stores, and only rows the gate has passed.  _cache_load gates a file after
-its ring and count checks: it is used whole or not at all, and a refused
-file is a miss like a missing one.  The gate refuses any false,
-out-of-range, misordered or other-ring row, but a file with rows removed
-and its count lowered still passes: an edited cache can shrink a result.
+stores: the gated rows and cliques_explored, the one count the ring and
+bound do not fix.  _cache_load gates a file after its ring and count
+checks: it is used whole or not at all, and a refused file is a miss like a
+missing one.  The gate refuses any false, out-of-range, misordered or
+other-ring row, but a file with a row removed still passes: an edited cache
+can shrink a result.
 
 Every search finds every tuple of the full disk abs_sq <= B: no step of the
 paper's bound needs a first hit, a count alone or an annulus.
@@ -78,8 +79,8 @@ from .ring import (
     RingElem,
     RingSpec,
     annulus_points,
+    disk_size,
     is_squarefree,
-    iter_disk_coords,
     sqrt_coords,
 )
 from .tuples import DiophTuple, Row, c_plus_minus, check_row
@@ -512,47 +513,38 @@ def _violates_strong_bound(t: DiophTuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# result cache: one JSON-lines file per (d, B_sq, m), one tuple a line and a
-# closing {"count": N, "stats": [elements, pairs_tested, cliques_explored]} line,
-# so a truncated file cannot pass for a result and a hit reports its counts
+# result cache: one JSON document per (d, B_sq, m) that holds only what a search
+# cannot recompute, {"d": d, "cliques_explored": k, "rows": [[elems, witnesses], ...]}
 # ---------------------------------------------------------------------------
 
 
 def _cache_path(cache_dir: str, cfg: SearchConfig) -> str:
-    return os.path.join(cache_dir, f"d{cfg.spec.d}_b{cfg.max_abs_sq}_m{cfg.target_size}.jsonl")
+    return os.path.join(cache_dir, f"d{cfg.spec.d}_b{cfg.max_abs_sq}_m{cfg.target_size}.json")
 
 
 def _cache_load(cache_dir: str | None, cfg: SearchConfig) -> tuple[list[Row], SearchStats] | None:
     """(gated rows, search stats) stored for cfg, or None to search: the file is
-    missing, malformed or refused.  Each line must be of cfg's ring, the
-    closing line must count them and hold int stats of cfg's search (elements
-    its disk's points, pairs_tested n(n-1)/2 of those, cliques_explored
-    nonnegative), and _from_rows, the gate, must let every row through.
-    """
+    missing or cut short (it does not parse), of another ring, has no nonnegative
+    int cliques_explored, or _from_rows, the gate, refuses a row.  elements and
+    pairs_tested are counted from the ring's disk, a row at a time."""
     if not cache_dir:
         return None
     try:  # no file raises FileNotFoundError: a miss like any unreadable file
         with open(_cache_path(cache_dir, cfg), "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        closing = json.loads(lines[-1]) if lines else {}
-        count, stats = closing.get("count"), SearchStats(*closing.get("stats", ()))
-        rows = []
-        for line in lines[:-1]:
-            data = json.loads(line)
-            if data["d"] != cfg.spec.d:
-                return None  # another ring's line: search
-            rows.append((tuple(data["elems"]), tuple(data["witnesses"])))  # an older line has no witnesses
+            doc = json.load(fh)
+        d, explored = doc["d"], doc["cliques_explored"]
+        rows = [(tuple(elems), tuple(witnesses)) for elems, witnesses in doc["rows"]]
     except Exception:
         return None  # corrupt or stale: search
-    n = sum(1 for _point in iter_disk_coords(cfg.spec, cfg.max_abs_sq))
-    if count != len(rows) or any(type(x) is not int for x in stats) or stats[:2] != (n, n * (n - 1) // 2):
-        return None  # tuples missing, or counts not of this search: search
-    rows = _from_rows(cfg, rows) if stats.cliques_explored >= 0 else None
-    return None if rows is None else (rows, stats)
+    if d != cfg.spec.d or type(explored) is not int or explored < 0 or (rows := _from_rows(cfg, rows)) is None:
+        return None  # another ring's file, no count of a search, or a row the gate refuses: search
+    n = disk_size(cfg.spec, cfg.max_abs_sq)
+    return rows, SearchStats(n, n * (n - 1) // 2, explored)
 
 
 def _cache_store(cache_dir: str | None, cfg: SearchConfig, rows: list[Row], stats: SearchStats) -> None:
-    """cfg's file of the rows _own_rows has passed, in the parent process."""
+    """cfg's file of the rows _own_rows has passed and stats.cliques_explored,
+    in the parent process: one write to a temp file, then one rename."""
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
@@ -560,10 +552,8 @@ def _cache_store(cache_dir: str | None, cfg: SearchConfig, rows: list[Row], stat
     # a temp file of its own: sweeps sharing the directory may store one config at once
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            for elems, witnesses in rows:  # one line per tuple: its row's integers and the ring
-                fh.write(json.dumps({"d": cfg.spec.d, "elems": elems, "witnesses": witnesses}, sort_keys=True) + "\n")
-            fh.write(json.dumps({"count": len(rows), "stats": list(stats)}) + "\n")
+        with open(fd, "w", encoding="utf-8") as fh:  # dumps, not dump: dump streams through the pure-Python encoder
+            fh.write(json.dumps({"d": cfg.spec.d, "cliques_explored": stats.cliques_explored, "rows": rows}))
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)  # a unique name is never reused, so nothing else would remove it

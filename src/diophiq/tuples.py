@@ -40,7 +40,7 @@ def check_row(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) ->
     pairs = list(combinations(range(len(elems) // 2), 2))
     if not elems or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
         raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
-    if any(type(x) is not int for x in (*elems, *witnesses)):  # a cache line's 1.0 or true squares too
+    if any(type(x) is not int for x in (*elems, *witnesses)):  # a cached row's 1.0 or true squares too
         raise TypeError("coordinates must be ints")
     t, n = spec.t, spec.n
     keys = [(u * (u - t * v) + n * v * v, u, v) for u, v in zip(elems[::2], elems[1::2])]  # abs_sq first
@@ -65,7 +65,7 @@ class DiophTuple:
     witnesses[(i, j)] is the canonical root of elems[i]*elems[j] + 1.  make_tuple
     builds one from user input's bare elements (verify, extend, pell) and roots
     each pair.  A search builds none: its rows (its pair graph's roots, fresh,
-    a worker's or a cache line) pass check_row once each in its one gate, and
+    a worker's or a cached one) pass check_row once each in its one gate, and
     a gated row list is the proof.  from_witnesses, check_row and then the
     objects, is the only constructor from a row.  So a DiophTuple is a proof.
     """
@@ -76,8 +76,8 @@ class DiophTuple:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiophTuple":
-        """A cache line read back through from_witnesses.  No command calls it:
-        it is kept only as the target of perfbench's from_json hook."""
+        """A {"d", "elems", "witnesses"} dict through from_witnesses.  No command
+        calls it and no cache file holds one: it is kept as perfbench's from_json hook."""
         return DiophTuple.from_witnesses(RingSpec(data["d"]), data["elems"], data["witnesses"])[0]
 
     def to_row(self) -> Row:

@@ -142,7 +142,7 @@ def _functions():
 
 
 def test_every_src_function_is_reached_by_a_command_or_listed(tmp_path):
-    (tmp_path / "planted" / "d-1_b16_m3.jsonl").mkdir(parents=True)
+    (tmp_path / "planted" / "d-1_b16_m3.json").mkdir(parents=True)
     dirs = {name: str(tmp_path / name) for name in ("cache", "planted")}
     commands = [[arg.format(**dirs) for arg in argv] for argv in COMMANDS]
     out = subprocess.run(

@@ -8,6 +8,7 @@ from diophiq.errors import MixedRings
 from diophiq.ring import (
     RingElem,
     RingSpec,
+    disk_size,
     elements_with_abs_sq,
     is_squarefree,
     iter_disk_coords,
@@ -243,3 +244,13 @@ def test_enumerate_matches_elementwise_union(spec, b_sq, min_sq):
     # raw disk iterator agrees
     raw = sorted((u, v) for u, v, n in iter_disk_coords(spec, b_sq) if n >= min_sq)
     assert raw == sorted(z.coords() for z in via_stream)
+
+
+def test_disk_size_counts_what_the_walk_yields():
+    # a cache hit counts its ring's elements by rows, with the walk's own row
+    # bounds: the count is the walk's on every ring a sweep lists, and past it
+    for b_sq in range(41):
+        for n in range(1, 4 * b_sq + 61):
+            if is_squarefree(n):
+                spec = RingSpec(-n)
+                assert disk_size(spec, b_sq) == sum(1 for _point in iter_disk_coords(spec, b_sq)), (n, b_sq)

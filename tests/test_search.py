@@ -695,164 +695,165 @@ def _counts(stats):
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
+    # every ring of a bound-8 size-3 sweep: a hit returns exactly the cold
+    # search's rows and stats, and neither searches nor walks a disk
     cache = str(tmp_path)
-    cfg = SearchConfig(D1, 100, 3)
+    cfgs = [SearchConfig(RingSpec(d), 64, 3) for d in sweep_ring_list(64)]
+    cold = [find_m_tuples(cfg, cache_dir=cache) for cfg in cfgs]
     calls = _count_pair_graphs(monkeypatch)
-    first = find_m_tuples(cfg, cache_dir=cache)
-    second = find_m_tuples(cfg, cache_dir=cache)
-    assert calls == [-1]  # the second search is served from cache
-    assert _counts(second.stats) == _counts(first.stats) == (316, 49770, 854)
-    assert second.tuples == first.tuples
-    files = list(tmp_path.iterdir())
-    assert [f.name for f in files] == ["d-1_b100_m3.jsonl"]
-    # each tuple line is the row a sweep's worker ships, with its ring
-    lines = files[0].read_text().splitlines()
-    rows = [t.to_row() for t in first.tuples]
-    assert [json.loads(line) for line in lines[:-1]] == [
-        {"d": -1, "elems": list(elems), "witnesses": list(witnesses)} for elems, witnesses in rows
-    ]
-    # a file of the older format, elements as pairs and no witnesses, is a miss:
-    # recomputed and rewritten as rows, with the same tuples and counts
-    old = [json.dumps({"d": -1, "elems": [list(z.coords()) for z in t.elems]}, sort_keys=True) for t in first.tuples]
-    files[0].write_text("\n".join(old + lines[-1:]) + "\n")
-    third = find_m_tuples(cfg, cache_dir=cache)
-    assert calls == [-1, -1]
-    assert third.tuples == first.tuples and _counts(third.stats) == _counts(first.stats)
-    assert [f.name for f in tmp_path.iterdir()] == ["d-1_b100_m3.jsonl"]
-    assert files[0].read_text().splitlines() == lines
+    monkeypatch.setattr(ring, "iter_disk_coords", lambda *args: pytest.fail("a hit walked a disk"))
+    assert [find_m_tuples(cfg, cache_dir=cache) for cfg in cfgs] == cold
+    assert calls == [] and any(res.rows for res in cold)
+    # one document, keys unsorted: the ring, the one count that the ring and
+    # bound do not fix, and the rows as a sweep's worker ships them
+    text = (tmp_path / "d-1_b64_m3.json").read_text()
+    assert text.startswith('{"d": -1, "cliques_explored": 447, "rows": [[[')
+    assert json.loads(text) == {
+        "d": -1,
+        "cliques_explored": cold[0].stats.cliques_explored,
+        "rows": [[list(elems), list(witnesses)] for elems, witnesses in cold[0].rows],
+    }
+    assert len(list(tmp_path.iterdir())) == len(cfgs)
+
+
+def _assert_refused(tmp_path, monkeypatch, cfg, write):
+    """Store cfg's search, let write(path, doc) put another file in its place
+    (doc is the stored document), and check that the load refuses it: the
+    ring is searched again, with the cold result, and its file rewritten."""
+    cache = str(tmp_path)
+    cold = find_m_tuples(cfg, cache_dir=cache)
+    path = Path(search._cache_path(cache, cfg))
+    stored = path.read_bytes()
+    write(path, json.loads(stored))
+    assert not path.exists() or path.read_bytes() != stored
+    assert search._cache_load(cache, cfg) is None
+    calls = _count_pair_graphs(monkeypatch)
+    assert find_m_tuples(cfg, cache_dir=cache) == cold
+    assert calls == [cfg.spec.d]  # searched again
+    assert path.read_bytes() == stored
+
+
+def _parent_lines(doc, stats):
+    """The rows of doc as the earlier JSON-lines format wrote them: one line per
+    tuple with its ring, and a closing line with the count and stats."""
+    lines = [json.dumps({"d": doc["d"], "elems": e, "witnesses": w}, sort_keys=True) for e, w in doc["rows"]]
+    return "\n".join([*lines, json.dumps({"count": len(lines), "stats": list(stats)})]) + "\n"
 
 
 def test_cache_corruption_triggers_recompute(tmp_path, monkeypatch):
-    cache = str(tmp_path)
+    # the earlier JSON-lines format, with true counts, under the document's
+    # name: it is no one JSON document
     cfg = SearchConfig(D1, 100, 3)
-    find_m_tuples(cfg, cache_dir=cache)
-    path = tmp_path / "d-1_b100_m3.jsonl"
-    path.write_text('{"d": -1, "elems": [[0, 0]], "witnesses": []}\n')
-    calls = _count_pair_graphs(monkeypatch)
-    res = find_m_tuples(cfg, cache_dir=cache)
-    assert calls == [-1]  # recomputed
-    assert res.tuples
+    stats = find_m_tuples(cfg).stats
+    _assert_refused(tmp_path, monkeypatch, cfg, lambda path, doc: path.write_text(_parent_lines(doc, stats)))
 
 
 def test_cache_empty_file_triggers_recompute(tmp_path, monkeypatch):
-    cfg = SearchConfig(D1, 100, 3)
-    first = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert len(first.tuples) == 272
-    (tmp_path / "d-1_b100_m3.jsonl").write_text("")
-    calls = _count_pair_graphs(monkeypatch)
-    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert calls == [-1]  # recomputed
-    assert len(res.tuples) == 272
+    _assert_refused(tmp_path, monkeypatch, SearchConfig(D1, 100, 3), lambda path, doc: path.write_text(""))
 
 
 def test_cache_missing_tuple_line_triggers_recompute(tmp_path, monkeypatch):
-    cfg = SearchConfig(D1, 100, 3)
-    first = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    path = tmp_path / "d-1_b100_m3.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[1:]))  # one tuple gone, count line kept
-    calls = _count_pair_graphs(monkeypatch)
-    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert calls == [-1]  # recomputed
-    assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, first.tuples))
+    # a file cut short, as by a write that stopped, has lost its last rows:
+    # no proper prefix of a stored document parses, so each one is a miss
+    cfg = SearchConfig(D1, 16, 3)
+    find_m_tuples(cfg, cache_dir=str(tmp_path))
+    path = tmp_path / "d-1_b16_m3.json"
+    text = path.read_text()
+    for end in range(1, len(text)):
+        path.write_text(text[:end])
+        assert search._cache_load(str(tmp_path), cfg) is None, end
+    _assert_refused(tmp_path, monkeypatch, cfg, lambda path, doc: path.write_text(text[: text.rindex("]]")]))
 
 
-def test_cache_closing_line_without_stats_triggers_recompute(tmp_path, monkeypatch):
-    # the closing line before it carried the search counts: {"count": N}
-    cfg = SearchConfig(D1, 100, 3)
-    first = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    path = tmp_path / "d-1_b100_m3.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]) + '{"count": 272}\n')
-    calls = _count_pair_graphs(monkeypatch)
-    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert calls == [-1]  # recomputed
-    assert _counts(res.stats) == _counts(first.stats)
-    assert path.read_text().splitlines(keepends=True) == lines
+def _only_row(row):
+    """A writer for _assert_refused: the stored document with row as its one row."""
+    return lambda path, doc: path.write_text(json.dumps({**doc, "rows": [row]}))
 
 
 def test_cache_tuple_outside_query_triggers_recompute(tmp_path, monkeypatch):
     # each file holds one verified Diophantine tuple of another query: the
-    # wrong size (with and without a norm out of range), an
-    # element above the bound, and another ring;
-    # the closing line holds the query's own counts, so the gate is what refuses
+    # wrong size (with and without a norm out of range), an element above the
+    # bound, and another ring's tuple under the query's ring; the document
+    # holds the query's own ring and count, so the gate is what refuses it
     d2 = RingSpec(-2)
-    stray = [
-        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 8, 120)], 18),
-        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3)], 18),
-        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [D1.elem(n) for n in (1, 3, 120)], 18),
-        ("d-1_b16_m3.jsonl", SearchConfig(D1, 16, 3), [d2.elem(-1), d2.elem(3), d2.elem(2, -2)], 18),
-    ]
-    for name, cfg, elems, count in stray:
-        t = make_tuple(elems[0].spec, elems)
-        closing = json.dumps({"count": 1, "stats": list(find_m_tuples(cfg).stats)})
-        elems_row, witnesses = t.to_row()
-        line = json.dumps({"d": t.spec.d, "elems": elems_row, "witnesses": witnesses}, sort_keys=True)
-        (tmp_path / name).write_text(line + "\n" + closing + "\n")
-        calls = _count_pair_graphs(monkeypatch)
-        res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-        assert calls == [-1]  # recomputed
-        assert len(res.tuples) == count
-        assert tuple(map(elems_of, res.tuples)) == tuple(map(elems_of, find_m_tuples(cfg).tuples))
+    cfg = SearchConfig(D1, 16, 3)
+    for elems in (
+        [D1.elem(n) for n in (1, 3, 8, 120)],
+        [D1.elem(n) for n in (1, 3)],
+        [D1.elem(n) for n in (1, 3, 120)],
+        [d2.elem(-1), d2.elem(3), d2.elem(2, -2)],
+    ):
+        _assert_refused(tmp_path, monkeypatch, cfg, _only_row(make_tuple(elems[0].spec, elems).to_row()))
 
 
 def test_cache_false_tuple_triggers_recompute(tmp_path, monkeypatch):
-    # a well-formed row in the query's range, with a matching closing line, but
-    # 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square): the load reads it,
-    # and only the gate's from_witnesses can refuse it
-    cfg = SearchConfig(D1, 64, 3)
+    # a well-formed row in the query's range, in a document of the query's
+    # ring and count, but 1*7 + 1 = 8 is not 3^2 (nor 3*7 + 1 = 22 a square):
+    # the load reads it, and only the gate's check_row can refuse it
     data = {"d": -1, "elems": [1, 0, 3, 0, 7, 0], "witnesses": [2, 0, 3, 0, 5, 0]}
     with pytest.raises(NotDiophantine) as refused:
         DiophTuple.from_json_dict(data)
     assert refused.value.pair == (0, 2)
-    line = json.dumps(data, sort_keys=True)
-    closing = json.dumps({"count": 1, "stats": list(find_m_tuples(cfg).stats)})
-    (tmp_path / "d-1_b64_m3.jsonl").write_text(line + "\n" + closing + "\n")
-    calls = _count_pair_graphs(monkeypatch)
-    res = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert calls == [-1]  # recomputed
-    fresh = find_m_tuples(cfg)
-    assert res.tuples == fresh.tuples and _counts(res.stats) == _counts(fresh.stats)
+    _assert_refused(tmp_path, monkeypatch, SearchConfig(D1, 64, 3), _only_row([data["elems"], data["witnesses"]]))
 
 
-def _swap_first_two_elements(data):
-    xs = data["elems"]
-    data["elems"] = xs[2:4] + xs[:2] + xs[4:]
+def _rewrite(edit):
+    """A writer for _assert_refused: edit the stored document, write it back."""
+    def write(path, doc):
+        edit(doc, doc["rows"])
+        path.write_text(json.dumps(doc))
+
+    return write
+
+
+def _retype(part, value):
+    """An edit that gives value, 1.0 or true, to the first coordinate 1 of an
+    element (part 0) or a witness (part 1): it squares like 1."""
+    def edit(doc, rows):
+        xs, i = next((row[part], i) for row in rows for i, x in enumerate(row[part]) if x == 1)
+        xs[i] = value
+
+    return edit
+
+
+def _parent_file(path, doc):
+    """Only the earlier format's file of the same rows, with true counts: ignored."""
+    path.unlink()
+    stats = find_m_tuples(SearchConfig(D1, 64, 3)).stats
+    path.with_suffix(".jsonl").write_text(_parent_lines(doc, stats))
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "write",
     [
-        lambda data: data["elems"].__setitem__(0, 1.0),
-        lambda data: data["witnesses"].__setitem__(1, False),
-        lambda data: data.__setitem__("d", -2),
-        lambda data: data.__setitem__("elems", data["elems"][:-2]),
-        lambda data: data.__setitem__("witnesses", data["witnesses"][:-2]),
-        lambda data: data["elems"].__setitem__(slice(0, 2), [0, 0]),
-        _swap_first_two_elements,
-        lambda data: data.pop("witnesses"),
+        _rewrite(_retype(0, 1.0)),
+        _rewrite(_retype(1, True)),
+        _rewrite(lambda doc, rows: doc.__setitem__("d", -2)),
+        _rewrite(lambda doc, rows: rows.__setitem__(-1, [rows[-1][0][:4], rows[-1][1][:2]])),  # a true pair
+        _rewrite(lambda doc, rows: rows[-1].__setitem__(1, rows[-1][1][:-2])),
+        _rewrite(lambda doc, rows: rows[-1][0].__setitem__(slice(0, 2), [0, 0])),
+        _rewrite(lambda doc, rows: rows[-1].__setitem__(0, rows[-1][0][2:4] + rows[-1][0][:2] + rows[-1][0][4:])),
+        _rewrite(lambda doc, rows: rows.__setitem__(-1, rows[-1][:1])),
+        _rewrite(lambda doc, rows: rows.__setitem__(slice(0, 2), rows[1::-1])),
+        _rewrite(lambda doc, rows: rows[0][1].__setitem__(0, rows[0][1][0] + 1)),
+        _rewrite(lambda doc, rows: doc.pop("cliques_explored")),
+        _rewrite(lambda doc, rows: doc.__setitem__("cliques_explored", float(doc["cliques_explored"]))),
+        _rewrite(lambda doc, rows: doc.__setitem__("cliques_explored", -1)),
+        _parent_file,
     ],
-    ids=["float", "bool", "ring", "size", "witnesses", "zero", "order", "no-witnesses"],
+    ids=[
+        "float", "bool", "ring", "size", "witnesses", "zero", "order", "no-witnesses",
+        "rows-order", "false-witness", "no-cliques-explored", "float-cliques-explored",
+        "negative-cliques-explored", "parent-format",
+    ],
 )
-def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, corrupt):
-    # one malformed line makes the load refuse the whole file, before the gate
-    # (another ring, no witnesses) or in it (every other case): the ring is
-    # searched again, and the result and the file are the cold ones
-    cfg = SearchConfig(D1, 64, 3)
-    cold = find_m_tuples(cfg, cache_dir=str(tmp_path))
-    assert search._cache_load(str(tmp_path), cfg) == (list(cold.rows), cold.stats)
-    path = tmp_path / "d-1_b64_m3.jsonl"
-    stored = path.read_bytes()
-    lines = path.read_text().splitlines(keepends=True)
-    data = json.loads(lines[-2])  # the last tuple: no line after it to be out of order with
-    corrupt(data)
-    lines[-2] = json.dumps(data, sort_keys=True) + "\n"
-    path.write_text("".join(lines))
-    assert search._cache_load(str(tmp_path), cfg) is None
-    calls = _count_pair_graphs(monkeypatch)
-    assert find_m_tuples(cfg, cache_dir=str(tmp_path)) == cold
-    assert calls == [-1]  # searched again
-    assert path.read_bytes() == stored
+def test_cache_load_checks_each_line_on_its_integers(tmp_path, monkeypatch, write):
+    # the refusal table: one edit to a stored document, to a row (a coordinate
+    # 1.0 or true, a row of the wrong size, with too few witnesses, a zero
+    # element, elements out of order, no witnesses, a false witness), to the
+    # rows (out of order), to its ring or to its count, or a file of the
+    # earlier format in its place, makes the load refuse the whole file
+    _assert_refused(tmp_path, monkeypatch, SearchConfig(D1, 64, 3), write)
 
 
 def _record_gates(monkeypatch):
@@ -997,19 +998,19 @@ def test_sweep_raises_when_a_rational_pass_row_is_not_real(monkeypatch):
         quintuple_sweep(16, 2, workers=1)
 
 
-def _plant(path, line):
-    """Put the tuple line in the cache file at path in place of the line that
-    follows it in canonical order, so the file stays in order."""
-    def key(text):
-        data = json.loads(text)
-        spec, xs = RingSpec(data["d"]), data["elems"]
-        return tuple(spec.elem(u, v).canonical_key() for u, v in zip(xs[::2], xs[1::2]))
+def _plant(path, row):
+    """Put row in the cache document at path in place of the row that follows
+    it in canonical order, so the document stays in order."""
+    doc = json.loads(path.read_text())
+    spec, rows = RingSpec(doc["d"]), doc["rows"]
 
-    lines = path.read_text().splitlines(keepends=True)
-    at = next(i for i, old in enumerate(lines[:-1]) if key(old) > key(line))
-    assert at + 1 == len(lines) - 1 or key(line) < key(lines[at + 1])
-    lines[at] = line + "\n"
-    path.write_text("".join(lines))
+    def key(r):
+        return tuple(spec.elem(u, v).canonical_key() for u, v in zip(r[0][::2], r[0][1::2]))
+
+    at = next(i for i, old in enumerate(rows) if key(old) > key(row))
+    assert at + 1 == len(rows) or key(row) < key(rows[at + 1])
+    rows[at] = row
+    path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1024,7 +1025,7 @@ def test_warm_sweep_recomputes_false_and_out_of_range_lines(tmp_path, monkeypatc
     beyond = {"d": -2, "elems": [1, 0, 3, 0, 120, 0], "witnesses": [2, 0, 11, 0, 19, 0]}  # abs_sq(120) > 64
     DiophTuple.from_json_dict(beyond)  # a true triple, of a larger bound
     for data in (false, beyond):
-        _plant(cache / f"d{data['d']}_b64_m3.jsonl", json.dumps(data, sort_keys=True))
+        _plant(cache / f"d{data['d']}_b64_m3.json", [data["elems"], data["witnesses"]])
     assert {p.name: p.read_bytes() for p in cache.iterdir()} != files
     stores = []
     store = search._cache_store
@@ -1083,7 +1084,7 @@ def test_sweep_pools_only_the_rings_that_missed(tmp_path, monkeypatch, k):
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     gone = random.Random(k).sample([d for d in sweep_ring_list(16) if d not in _folded_rings(16)], k)
     for d in gone:
-        (tmp_path / f"d{d}_b16_m3.jsonl").unlink()
+        (tmp_path / f"d{d}_b16_m3.json").unlink()
     requested, mapped = _serial_pool(monkeypatch, 8)
     assert quintuple_sweep(16, 3, workers=100, cache_dir=str(tmp_path)) == cold
     assert requested == [k] and sorted(mapped) == sorted(gone)
@@ -1137,11 +1138,11 @@ def test_concurrent_stores_of_one_config(tmp_path, monkeypatch):
 
     monkeypatch.setattr(search.os, "replace", racing)
     search._cache_store(str(tmp_path), cfg, rows, res.stats)
-    assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
-    # a store that fails part-way leaves no temp file and the stored file as it was
+    assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.json"]
+    # a store that fails leaves no temp file and the stored file as it was
     with pytest.raises(TypeError):
-        search._cache_store(str(tmp_path), cfg, [rows[0], None], res.stats)
-    assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.jsonl"]
+        search._cache_store(str(tmp_path), cfg, [rows[0], (object(), ())], res.stats)
+    assert [p.name for p in tmp_path.iterdir()] == ["d-1_b64_m3.json"]
     assert search._cache_load(str(tmp_path), cfg) == (list(res.rows), res.stats)
 
 

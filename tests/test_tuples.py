@@ -161,14 +161,15 @@ def test_lemma_products_not_square_on_random_triples(spec):
 
 
 def test_json_round_trip(tmp_path):
-    # the cache's own writer stores the line, and from_json_dict reads it back
+    # the cache's own writer stores the row, and from_json_dict reads it back
+    # with the document's ring
     t = make_tuple(D1, ints(D1, 1, 3, 8, 120))
     _cache_store(str(tmp_path), SearchConfig(D1, 120**2, 4), [t.to_row()], SearchStats(0, 0, 0))
     (path,) = tmp_path.iterdir()
-    line, _closing = path.read_text().splitlines()
-    data = json.loads(line)
-    assert data["d"] == -1
-    t2 = DiophTuple.from_json_dict(data)
+    doc = json.loads(path.read_text())
+    assert doc["d"] == -1
+    ((elems, witnesses),) = doc["rows"]
+    t2 = DiophTuple.from_json_dict({"d": doc["d"], "elems": elems, "witnesses": witnesses})
     assert t2.elems == t.elems
     assert t2.witnesses == t.witnesses
 
