@@ -27,8 +27,11 @@ held whole.  A report holds only dicts with str keys, lists (a search's
 tuples as a map, made as it is written), str and int.  _json refuses any
 other value (a float, bool or None) rather than print it some other way;
 what it wrote before the refusal stays on stdout, a report that never parses.
+It sorts each dict shape (its keys, at one indent) once per call, and keeps
+that memo for the call only: main may run many commands in one process.
 _tuple_payload renders a tuple from (d, row), a search's gated row or
-verify's to_row(), so no RingElem or DiophTuple is built for a search's.
+verify's to_row(), with one "%d,%d;..." format per tuple size, so no
+RingElem or DiophTuple is built for a search's.
 
 Importing this module loads only the search layer, without the process
 pool: a sweep loads that only when it starts one.  Only `gap` and `chain`
@@ -70,7 +73,7 @@ SCHEMA_VERSION = 1
 
 EXIT_CODES = {"ok": 0, "violation": 1, "inapplicable": 1, "error": 2}
 
-CHUNK_PIECES = 2048  # report pieces _json buffers before it joins and writes them
+CHUNK_PIECES = 720  # report pieces _json buffers before it joins and writes them: about 13 kB of tuples
 
 
 def _parse_elems(text: str) -> list[tuple[int, int]]:
@@ -117,18 +120,16 @@ def _elems_str(elems) -> str:
     return ";".join(map(_elem_str, elems))
 
 
-@functools.cache  # "i,j" of each pair, in to_row's order
-def _pair_labels(size: int) -> tuple[str, ...]:
-    return tuple(f"{i},{j}" for i, j in combinations(range(size), 2))
+@functools.cache  # per tuple size: its pair labels "i,j" in to_row's order, "%d,%d;..." for its points and pairs
+def _row_formats(size: int) -> tuple[tuple[str, ...], str, str]:
+    labels = tuple(f"{i},{j}" for i, j in combinations(range(size), 2))
+    return labels, ";".join(["%d,%d"] * size), ";".join(["%d,%d"] * len(labels))
 
 
 def _tuple_payload(found: tuple[int, Row]) -> dict:
     d, (elems, witnesses) = found
-    return {
-        "d": str(d),
-        "elems": ";".join(map("{},{}".format, elems[::2], elems[1::2])),
-        "witnesses": dict(zip(_pair_labels(len(elems) // 2), map("{},{}".format, witnesses[::2], witnesses[1::2]))),
-    }
+    labels, points, pairs = _row_formats(len(elems) // 2)
+    return {"d": str(d), "elems": points % elems, "witnesses": dict(zip(labels, (pairs % witnesses).split(";")))}
 
 
 def _report(command: str, config: dict, outcome: str, payload: dict) -> dict:
@@ -146,9 +147,12 @@ def _json(report: dict, write) -> None:
     """Pass json.dumps(report, sort_keys=True, indent=2) and a newline to
     write in chunks, one between list items once CHUNK_PIECES pieces are
     buffered; a map is a list made as it is written.  TypeError for any
-    value but dicts with str keys, lists, maps, str and int."""
+    value but dicts with str keys, lists, maps, str and int.  Each dict's
+    keys pass the str check before the call's shape memo is read: a str
+    subclass equals and hashes as its text."""
     out: list[str] = []
     piece = out.append
+    shapes: dict[tuple, list[tuple[str, str]]] = {}  # (*keys, indent) -> [(prefix, key)], sorted
 
     def put(value, indent: str) -> None:
         kind = type(value)
@@ -156,30 +160,40 @@ def _json(report: dict, write) -> None:
             piece(encode_basestring_ascii(value))
         elif kind is int:
             piece(int.__repr__(value))
-        elif kind is not dict and kind is not list and kind is not map:
-            raise TypeError(f"no report form for {kind.__name__} {value!r}")
-        else:
-            opener, closer = "{}" if kind is dict else "[]"
-            inner = indent + "  "
-            sep, comma = opener + inner, "," + inner
-            if kind is not dict:
-                for item in value:
-                    if len(out) > CHUNK_PIECES:
-                        write("".join(out))
-                        out.clear()
-                    piece(sep)
-                    put(item, inner)
-                    sep = comma
-            elif any(type(k) is not str for k in value):
+        elif kind is dict:
+            if value and {*map(type, value)} != {str}:
                 raise TypeError(f"report keys must be str: {list(value)!r}")
-            else:
-                for k, item in sorted(value.items()):
-                    piece(sep)
-                    piece(encode_basestring_ascii(k))
-                    piece(": ")
+            inner = indent + "  "
+            shape = shapes.get((*value, indent))
+            if shape is None:
+                shape = shapes[(*value, indent)] = [
+                    (("," if i else "{") + inner + encode_basestring_ascii(k) + ": ", k)
+                    for i, k in enumerate(sorted(value))
+                ]
+            for prefix, k in shape:
+                item = value[k]
+                kind = type(item)
+                if kind is str:
+                    piece(prefix + encode_basestring_ascii(item))
+                elif kind is int:
+                    piece(prefix + int.__repr__(item))
+                else:
+                    piece(prefix)
                     put(item, inner)
-                    sep = comma
-            piece(indent + closer if sep is comma else opener + closer)
+            piece(indent + "}" if value else "{}")
+        elif kind is list or kind is map:
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in value:
+                if len(out) > CHUNK_PIECES:
+                    write("".join(out))
+                    out.clear()
+                piece(sep)
+                put(item, inner)
+                sep = comma
+            piece(indent + "]" if sep is comma else "[]")
+        else:
+            raise TypeError(f"no report form for {kind.__name__} {value!r}")
 
     put(report, "\n")
     piece("\n")

@@ -39,6 +39,8 @@ from .exactreal import ExactReal, add, div, exp, fmax, fmin, log, mul, power, sq
 from .pell import PellSolution, PellSystem, first_equation_holds, second_equation_holds
 from .ring import RingElem
 
+K_POW_40 = K_CONSTANT**40  # the gap principle's factor K^40, in its bound and the chain's threshold
+
 
 # ---------------------------------------------------------------------------
 # Lemma-2 style simultaneous approximation check
@@ -301,7 +303,7 @@ def _exact_checks(na: int, nb: int, nbma: int, nc: int) -> dict[str, bool]:
 
 def _gap_bound(n: int) -> int:
     """K^40 * n^50: the gap principle's bound on abs_sq(d) for abs_sq(c) = n."""
-    return K_CONSTANT**40 * n**50
+    return K_POW_40 * n**50
 
 
 def gap_principle(a: RingElem, b: RingElem, c: RingElem) -> GapPrincipleResult:
@@ -393,7 +395,7 @@ def chain_certificate(m: int) -> ChainCertificate:
         # paper-threshold consistency: lb(|a25|) = 2^67 far exceeds 1.784e9
         applicability["|a25| > 1.784e9"] = isqrt(lb[25]) > 1_784_000_000
     if m >= 43 and all(applicability.values()):
-        threshold = lb[25] ** 14 > 8**126 * K_CONSTANT**40
+        threshold = lb[25] ** 14 > 8**126 * K_POW_40
         applicability["lb(a25)^14 > 8^126 * K^40"] = threshold
         if threshold:
             contradiction_at = 43

@@ -11,6 +11,7 @@ roots none of its pairs again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +30,11 @@ from .ring import RingElem, RingSpec, sqrt_in_ring
 Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+@functools.cache  # the pairs (i, j) of size elements, in to_row's order
+def _pairs(size: int) -> tuple[tuple[int, int], ...]:
+    return tuple(combinations(range(size), 2))
+
+
 def check_row(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) -> list[tuple[int, int, int]]:
     """The canonical keys of the elements of to_row's row, checked in spec's
     ring by squaring, with no square root and no object built.  Every
@@ -37,18 +43,18 @@ def check_row(spec: RingSpec, elems: Sequence[int], witnesses: Sequence[int]) ->
     to_row's order, with w*w == elems[i]*elems[j] + 1.  Raises
     NotDiophantine((i, j)) at the first pair whose witness fails that test.
     """
-    pairs = list(combinations(range(len(elems) // 2), 2))
-    if not elems or len(elems) % 2 or len(witnesses) != 2 * len(pairs):
+    m = len(elems) // 2  # m(m-1)/2 pairs, counted before any is built
+    if not elems or len(elems) % 2 or len(witnesses) != m * (m - 1):
         raise ValueError(f"{len(witnesses)} witness coordinates for {len(elems)} element coordinates")
-    if any(type(x) is not int for x in (*elems, *witnesses)):  # a cached row's 1.0 or true squares too
+    if {*map(type, elems), *map(type, witnesses)} != {int}:  # a cached row's 1.0 or true squares too
         raise TypeError("coordinates must be ints")
     t, n = spec.t, spec.n
     keys = [(u * (u - t * v) + n * v * v, u, v) for u, v in zip(elems[::2], elems[1::2])]  # abs_sq first
     if (0, 0, 0) in keys:
         raise ZeroElement("tuple elements must be nonzero")
-    if any(k >= k_next for k, k_next in zip(keys, keys[1:])):
+    if any(map(tuple.__ge__, keys, keys[1:])):
         raise ValueError("elements not strictly increasing in canonical order")
-    for (i, j), wu, wv in zip(pairs, witnesses[::2], witnesses[1::2]):
+    for (i, j), wu, wv in zip(_pairs(m), witnesses[::2], witnesses[1::2]):
         (_, au, av), (_, bu, bv) = keys[i], keys[j]
         ab, ww = av * bv, wv * wv  # products as in RingElem.__mul__
         if (wu * wu - n * ww, 2 * wu * wv - t * ww) != (au * bu - n * ab + 1, au * bv + av * bu - t * ab):

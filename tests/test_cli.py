@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import json
 import os
@@ -453,6 +454,92 @@ def test_report_writer_refuses_other_values_from_a_map(item):
 
 def test_report_writer_writes_an_empty_map_as_an_empty_list():
     assert written({"a": map(str, []), "b": [map(int, ())]}) == '{\n  "a": [],\n  "b": [\n    []\n  ]\n}\n'
+
+
+class SameText(str):
+    """A str subclass: equal to its text and hashed as it, so a shape memo
+    keyed on a dict's keys finds its text's entry."""
+
+
+class LikeText:
+    """No str at all, but equal to its text and hashed as it."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        return other == self.text
+
+
+@pytest.mark.parametrize(
+    "second",
+    [{SameText("d"): "1", "elems": "2"}, {LikeText("d"): "1", "elems": "2"}, {"d": 1.5, "elems": "2"},
+     {"d": True, "elems": "2"}, {"d": "1", "elems": None}],
+    ids=["str_subclass_key", "str_like_key", "float", "bool", "none"],
+)
+def test_report_writer_refuses_a_shape_it_has_already_written(second):
+    # the first dict's shape is memoized; a later dict with equal keys is
+    # still checked key by key and value by value
+    first = {"d": "1", "elems": "2"}
+    assert written([first, first]).count('"d": "1"') == 2
+    with pytest.raises(TypeError):
+        written([first, second])
+    with pytest.raises(TypeError):
+        written({"x": [first], "y": [second]})
+
+
+def test_report_writer_writes_the_same_bytes_on_every_call():
+    # two calls in one process, and one shape at two indents, write what
+    # json.dumps writes; neither call keeps a key of the other
+    report = {"a": {"k": "v", "j": 1}, "b": [{"k": "v", "j": 1}, [{"j": 1, "k": "v"}]]}
+    want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert written(report) == written(report) == want
+    key = "".join(["memo", "-key"])  # a str object no other code holds
+    held = sys.getrefcount(key)
+    assert written({key: "1"}) == '{\n  "memo-key": "1"\n}\n'
+    gc.collect()  # the writer's recursive closure is a cycle: its memo goes with it
+    assert sys.getrefcount(key) == held
+    with pytest.raises(TypeError):
+        written({SameText("memo-key"): "1"})
+
+
+def rendered(d, elems, witnesses):
+    """A tuple's report dict, written out point by point and pair by pair."""
+    m = len(elems) // 2
+    points = [f"{elems[2 * k]},{elems[2 * k + 1]}" for k in range(m)]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return {
+        "d": str(d),
+        "elems": ";".join(points),
+        "witnesses": {f"{i},{j}": f"{witnesses[2 * k]},{witnesses[2 * k + 1]}" for k, (i, j) in enumerate(pairs)},
+    }
+
+
+COORDS = st.integers(-(10**6), 10**6) | st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+
+
+@given(st.integers(-(10**6), -1), st.integers(2, 12).flatmap(
+    lambda m: st.tuples(st.lists(COORDS, min_size=2 * m, max_size=2 * m),
+                        st.lists(COORDS, min_size=m * (m - 1), max_size=m * (m - 1)))
+))
+@example(-1, ([-1, 0, 2, 0], [0, 1]))
+def test_tuple_payload_matches_a_point_by_point_rendering(d, row):
+    # from 11 elements on a pair label has two digits: "0,10" sorts before "0,2"
+    elems, witnesses = map(tuple, row)
+    want = rendered(d, elems, witnesses)
+    assert cli._tuple_payload((d, (elems, witnesses))) == want
+    dumped = json.dumps([want], sort_keys=True, indent=2) + "\n"
+    assert written(map(cli._tuple_payload, [(d, (elems, witnesses))])) == dumped
+
+
+def test_one_ring_bound_16_report_matches_its_pin(capsys):
+    # the one-ring path (count, one d for every row) at full size through the writer
+    code, out = run_cli(capsys, "search", "--d", "-1", "--bound", "16", "--size", "3", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (DATA / "search_d-1_b16_m3.sha256").read_text().strip()
 
 
 class CountingSink:

@@ -555,12 +555,31 @@ def test_chain_above_43_still_contradicts():
     assert chain_certificate(50).contradiction_at == 43
 
 
+def test_chain_lb_a4_premise_holds_on_the_bound_16_quadruple_sweep():
+    # the chain starts from abs_sq(a4) >= 4: the sweep's 18 quadruples, every
+    # one in 624 rings at |z| <= 16, have a largest element of abs_sq 9 or more
+    report = json.loads((Path(__file__).parent / "data" / "sweep_b16_m4.json").read_text())
+    quads = report["payload"]["tuples"]
+    assert len(quads) == 18
+    largest = [
+        max(RingSpec(int(t["d"])).elem(*map(int, z.split(","))).abs_sq() for z in t["elems"].split(";"))
+        for t in quads
+    ]
+    assert min(largest) == 9
+    assert min(largest) >= chain_certificate(43).lower_bounds[4]
+
+
 def test_chain_threshold_alone_decides_the_contradiction(monkeypatch, capsys):
     # lb(a25)^14 = 2^1876: K = 2^37 gives 8^126 * K^40 = 2^1858 below it,
-    # K = 2^38 gives 2^1898 above it; every other entry is free of K
-    monkeypatch.setattr(gap, "K_CONSTANT", 2**37)
+    # K = 2^38 gives 2^1898 above it; every other entry is free of K.  K^40
+    # is a module constant, so it is set with K
+    def set_k(k):
+        monkeypatch.setattr(gap, "K_CONSTANT", k)
+        monkeypatch.setattr(gap, "K_POW_40", k**40)
+
+    set_k(2**37)
     assert chain_certificate(43).contradiction_at == 43
-    monkeypatch.setattr(gap, "K_CONSTANT", 2**38)
+    set_k(2**38)
     cert = chain_certificate(43)
     assert cert.contradiction_at is None
     assert cert.applicability["lb(a25)^14 > 8^126 * K^40"] is False

@@ -19,6 +19,7 @@ from diophiq.search import SearchConfig, SearchStats, _cache_store, _from_rows
 from diophiq.tuples import (
     DiophTuple,
     c_plus_minus,
+    check_row,
     forbidden_double_regular,
     make_tuple,
     pair_products_not_square,
@@ -238,6 +239,15 @@ def test_from_witnesses_refuses_a_false_or_malformed_row(spec):
                 DiophTuple.from_witnesses(spec, *row)
             if pair is not None:
                 assert ei.value.pair == pair
+
+
+def test_check_row_refuses_a_repeated_element_whose_pair_checks():
+    # i*i + 1 = 0 = 0^2 in Z[i]: the pair (i, i) has a canonical witness, so
+    # only the strict order check refuses the row
+    spec = RingSpec(-1)
+    assert spec.elem(0, 1) * spec.elem(0, 1) + spec.one == spec.elem(0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_row(spec, (0, 1, 0, 1), (0, 0))
 
 
 @pytest.mark.parametrize("spec", [RingSpec(d) for d in (-1, -2, -3, -7)])
