@@ -22,16 +22,20 @@ stderr.
 
 The JSON format is written by _json, the one report writer: the bytes of
 json.dumps(report, sort_keys=True, indent=2), whose indent makes the stdlib
-fall back to its pure-Python encoder, streamed to stdout in chunks, never
-held whole.  A report holds only dicts with str keys, lists (a search's
-tuples as a map, made as it is written), str and int.  _json refuses any
-other value (a float, bool or None) rather than print it some other way;
-what it wrote before the refusal stays on stdout, a report that never parses.
-It sorts each dict shape (its keys, at one indent) once per call, and keeps
-that memo for the call only: main may run many commands in one process.
-_tuple_payload renders a tuple from (d, row), a search's gated row or
-verify's to_row(), with one "%d,%d;..." format per tuple size, so no
-RingElem or DiophTuple is built for a search's.
+fall back to its pure-Python encoder, streamed to stdout in chunks of about
+CHUNK_CHARS characters, never held whole.  A report holds only dicts with str
+keys, lists (a search's tuples as a map, made as it is written), str, int and
+_Found, a search's gated (d, row).  _json refuses any other value (a float,
+bool or None) rather than print it some other way; what it wrote before the
+refusal stays on stdout, a report that never parses.  It sorts each dict
+shape (its keys, at one indent) once per call, and keeps that memo for the
+call only: main may run many commands in one process.  _tuple_payload renders
+a tuple from (d, row), a search's gated row or verify's to_row(), with one
+"%d,%d;..." format per tuple size, so no RingElem or DiophTuple is built for a
+search's.  A _Found is written as one piece: _json writes _tuple_payload's
+dict shape once per tuple size and indent, with %d for every coordinate, and
+fills that format string with each row's ints; the text format prints a
+_Found as _tuple_payload's dict.
 
 Importing this module loads only the search layer, without the process
 pool: a sweep loads that only when it starts one.  Only `gap` and `chain`
@@ -43,11 +47,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 from fractions import Fraction
 from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import K_CONSTANT
 from .errors import (
@@ -73,7 +79,9 @@ SCHEMA_VERSION = 1
 
 EXIT_CODES = {"ok": 0, "violation": 1, "inapplicable": 1, "error": 2}
 
-CHUNK_PIECES = 720  # report pieces _json buffers before it joins and writes them: about 13 kB of tuples
+# report characters _json buffers before it writes them, checked between list items; writes of
+# 14 KiB and more raised the peak RSS of a captured warm size-3 sweep by one 128 KiB heap step
+CHUNK_CHARS = 8 * 1024
 
 
 def _parse_elems(text: str) -> list[tuple[int, int]]:
@@ -132,6 +140,29 @@ def _tuple_payload(found: tuple[int, Row]) -> dict:
     return {"d": str(d), "elems": points % elems, "witnesses": dict(zip(labels, (pairs % witnesses).split(";")))}
 
 
+class _Found(tuple):
+    """A search's found tuple in a report: its gated (d, row).  _json writes
+    it with %d for d and each coordinate, so it holds ints only: d is the
+    ring's, and the gate checked every coordinate's type."""
+
+    __slots__ = ()
+
+
+@functools.cache  # per tuple size and indent
+def _tuple_format(size: int, indent: str) -> tuple[str, itemgetter | None]:
+    """The text _json writes for _tuple_payload's dict of a size-tuple at
+    indent, with %d for d and for each coordinate, and the getter that puts a
+    row's witnesses in the order the text holds them (None if in to_row's):
+    from 11 elements on, the pair label "0,10" sorts before "0,2"."""
+    labels, points, pairs = _row_formats(size)
+    text: list[str] = []
+    _json({"d": "%d", "elems": points, "witnesses": dict(zip(labels, pairs.split(";")))}, text.append, indent)
+    text[-1] = text[-1][:-1]  # the newline _json ends with
+    pairs_in_text = sorted(range(len(labels)), key=labels.__getitem__)
+    order = [c for k in pairs_in_text for c in (2 * k, 2 * k + 1)]
+    return "".join(text), None if order == [*range(len(order))] else itemgetter(*order)
+
+
 def _report(command: str, config: dict, outcome: str, payload: dict) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -143,23 +174,32 @@ def _report(command: str, config: dict, outcome: str, payload: dict) -> dict:
     }
 
 
-def _json(report: dict, write) -> None:
+def _json(report: dict, write, indent: str = "\n") -> None:
     """Pass json.dumps(report, sort_keys=True, indent=2) and a newline to
-    write in chunks, one between list items once CHUNK_PIECES pieces are
-    buffered; a map is a list made as it is written.  TypeError for any
-    value but dicts with str keys, lists, maps, str and int.  Each dict's
-    keys pass the str check before the call's shape memo is read: a str
-    subclass equals and hashes as its text."""
-    out: list[str] = []
-    piece = out.append
+    write in chunks, one between list items once more than CHUNK_CHARS
+    characters are buffered: a chunk is at most CHUNK_CHARS characters and
+    the text up to the next list item.  A map is a list made as it is
+    written, a _Found its _tuple_payload dict, in one piece from
+    _tuple_format's text.  At another indent (a newline and two spaces a
+    level) the text is the report's as it stands at that depth in a larger
+    one.  TypeError for any value but dicts with str keys, lists, maps,
+    _Found, str and int.  Each dict's keys pass the str check before the
+    call's shape memo is read: a str subclass equals and hashes as its text."""
+    buf = io.StringIO()
+    piece = buf.write
     shapes: dict[tuple, list[tuple[str, str]]] = {}  # (*keys, indent) -> [(prefix, key)], sorted
 
     def put(value, indent: str) -> None:
+        nonlocal buf, piece
         kind = type(value)
         if kind is str:
             piece(encode_basestring_ascii(value))
         elif kind is int:
             piece(int.__repr__(value))
+        elif kind is _Found:
+            d, (elems, witnesses) = value
+            text, order = _tuple_format(len(elems) // 2, indent)
+            piece(text % (d, *elems, *(witnesses if order is None else order(witnesses))))
         elif kind is dict:
             if value and {*map(type, value)} != {str}:
                 raise TypeError(f"report keys must be str: {list(value)!r}")
@@ -185,9 +225,10 @@ def _json(report: dict, write) -> None:
             inner = indent + "  "
             sep, comma = "[" + inner, "," + inner
             for item in value:
-                if len(out) > CHUNK_PIECES:
-                    write("".join(out))
-                    out.clear()
+                if buf.tell() > CHUNK_CHARS:
+                    write(buf.getvalue())
+                    buf = io.StringIO()
+                    piece = buf.write
                 piece(sep)
                 put(item, inner)
                 sep = comma
@@ -195,9 +236,12 @@ def _json(report: dict, write) -> None:
         else:
             raise TypeError(f"no report form for {kind.__name__} {value!r}")
 
-    put(report, "\n")
+    try:
+        put(report, indent)
+    finally:
+        del put  # it calls itself through its closure; that cycle would keep the memo alive until a collection
     piece("\n")
-    write("".join(out))
+    write(buf.getvalue())
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -212,6 +256,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _print_payload(value, indent="  ", key=None) -> None:
     label = f"{key}: " if key else ""
+    if type(value) is _Found:
+        value = _tuple_payload(value)
     if isinstance(value, dict):
         if key:
             print(f"{indent}{key}:")
@@ -219,7 +265,7 @@ def _print_payload(value, indent="  ", key=None) -> None:
         for k, v in value.items():
             _print_payload(v, indent, k)
     elif isinstance(value, (list, map)):
-        value = list(value)  # a map is a list made as it is read: count it first
+        value = list(value)  # a map is a list made as it is read: count it first (a search's are _Found items)
         print(f"{indent}{label}[{len(value)} item(s)]")
         for item in value:
             _print_payload(item, indent + "  ")
@@ -258,9 +304,9 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             payload = {
                 "rings_checked": str(len(rep.rings_checked)),
                 "completeness": {k: str(v) for k, v in rep.completeness.items()},
-                "tuples": map(_tuple_payload, rep.rows),
+                "tuples": map(_Found, rep.rows),
                 "rational_pass_tuples": [",".join(map(str, xs)) for xs in rep.rational_pass_tuples],
-                "conjecture_violations": map(_tuple_payload, rep.conjecture_violations),
+                "conjecture_violations": map(_Found, rep.conjecture_violations),
             }
             stats, found = rep.stats, not rep.is_empty
         else:
@@ -268,7 +314,7 @@ def cmd_search(args) -> tuple[dict, str, dict]:
             res = find_m_tuples(SearchConfig(RingSpec(args.d), b_sq, args.size), cache_dir=args.cache_dir)
             payload = {
                 "count": str(len(res.rows)),
-                "tuples": map(_tuple_payload, zip(repeat(args.d), res.rows)),
+                "tuples": map(_Found, zip(repeat(args.d), res.rows)),
             }
             stats, found = res.stats, bool(res.rows)
     except OSError as exc:  # a usage error: exit 1 would read as "tuple found"

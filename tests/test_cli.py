@@ -1,5 +1,4 @@
 import collections
-import gc
 import hashlib
 import json
 import os
@@ -500,8 +499,7 @@ def test_report_writer_writes_the_same_bytes_on_every_call():
     key = "".join(["memo", "-key"])  # a str object no other code holds
     held = sys.getrefcount(key)
     assert written({key: "1"}) == '{\n  "memo-key": "1"\n}\n'
-    gc.collect()  # the writer's recursive closure is a cycle: its memo goes with it
-    assert sys.getrefcount(key) == held
+    assert sys.getrefcount(key) == held  # no collection: the memo goes when the call returns
     with pytest.raises(TypeError):
         written({SameText("memo-key"): "1"})
 
@@ -533,6 +531,12 @@ def test_tuple_payload_matches_a_point_by_point_rendering(d, row):
     assert cli._tuple_payload((d, (elems, witnesses))) == want
     dumped = json.dumps([want], sort_keys=True, indent=2) + "\n"
     assert written(map(cli._tuple_payload, [(d, (elems, witnesses))])) == dumped
+    # a _Found item, in one piece from its size's format, writes what its
+    # dict writes: in a map at two depths, twice in one list
+    found = [(d, (elems, witnesses)), (d - 1, (elems, witnesses))]
+    for nest in (lambda x: {"tuples": x}, lambda x: {"a": [{"b": x}], "c": "1"}):
+        dumped = json.dumps(nest(list(map(cli._tuple_payload, found))), sort_keys=True, indent=2) + "\n"
+        assert written(nest(map(cli._Found, found))) == dumped
 
 
 def test_one_ring_bound_16_report_matches_its_pin(capsys):
@@ -540,6 +544,33 @@ def test_one_ring_bound_16_report_matches_its_pin(capsys):
     code, out = run_cli(capsys, "search", "--d", "-1", "--bound", "16", "--size", "3", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (DATA / "search_d-1_b16_m3.sha256").read_text().strip()
+
+
+def test_one_ring_bound_16_text_report_matches_its_pin(capsys):
+    # the text format prints each of the 854 found items as its tuple's dict
+    code, out = run_cli(capsys, "search", "--d", "-1", "--bound", "16", "--size", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (DATA / "search_d-1_b16_m3_text.sha256").read_text().strip()
+
+
+def test_sweep_report_is_json_dumps_of_what_it_parses_to(capsys):
+    # the tuples' format strings, the chunk joins and the shape memo add up
+    # to the stdlib's own layout of the whole report
+    code, out = run_cli(capsys, "search", "--sweep", "--bound", "8", "--size", "3", "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+def test_report_writer_bounds_each_write_by_characters():
+    # a list of long strings: each write holds CHUNK_CHARS characters and at
+    # most one item (with its separator) more, however few pieces that is
+    item = "x" * (cli.CHUNK_CHARS // 3)
+    value = {"a": [item] * 12}
+    chunks = []
+    _json(value, chunks.append)
+    assert "".join(chunks) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert len(chunks) > 2
+    assert max(map(len, chunks)) <= cli.CHUNK_CHARS + len(",\n    " + json.dumps(item))
 
 
 class CountingSink:
@@ -559,9 +590,9 @@ class CountingSink:
 
 
 def test_sweep_report_streams_in_bounded_chunks(capsys, monkeypatch):
-    # the 189 kB report of 1,074 tuples goes out in pieces of at most 64 KiB;
-    # no tuple list is built before the write, and the write holds less than
-    # twice the report's length of new memory
+    # the 189 kB report of 1,074 tuples goes out in writes of at most
+    # CHUNK_CHARS characters and one tuple; no tuple list is built before the
+    # write, and the write holds less than twice the report's length of new memory
     argv = ["search", "--sweep", "--bound", "8", "--size", "3", "--threads", "1", "--format", "json"]
     code, whole = run_cli(capsys, *argv)
     assert code == 0
@@ -587,8 +618,11 @@ def test_sweep_report_streams_in_bounded_chunks(capsys, monkeypatch):
         assert main(argv) == 0
     finally:
         tracemalloc.stop()
+    # each tuple is an item of payload.tuples, at 6 spaces' depth
+    longest = max(len(",\n      " + json.dumps(t, sort_keys=True, indent=2).replace("\n", "\n      "))
+                  for t in json.loads(whole)["payload"]["tuples"])
     assert len(sink.sizes) > 1
-    assert max(sink.sizes) <= 64 * 1024
+    assert max(sink.sizes) <= cli.CHUNK_CHARS + longest
     assert (sum(sink.sizes), sink.digest.hexdigest()) == (len(whole), hashlib.sha256(whole.encode()).hexdigest())
     assert traced["entry"] - traced["swept"] < len(whole) // 4
     assert traced["peak"] - traced["entry"] < 2 * len(whole)
